@@ -20,20 +20,11 @@ log snapshots safe to share across the simulation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro import perf
-from repro.net.sizes import estimate_size
-
-#: Structural-size memo slot shared by the entry dataclasses: entries
-#: are immutable, so :func:`repro.net.sizes.estimate_size` computes each
-#: one's wire contribution once and stores it here (the field itself is
-#: excluded from sizing, comparison, and repr). ``init=False`` keeps
-#: constructor signatures and ``dataclasses.replace`` behaviour
-#: unchanged -- a replaced copy starts with a fresh (empty) memo.
-def _size_memo() -> Any:
-    return field(default=None, init=False, repr=False, compare=False)
+from repro.net.sizes import estimate_size, size_memo
 
 
 class EntryKind(enum.Enum):
@@ -71,8 +62,8 @@ class LogEntry:
     origin: str
     term: int
     inserted_by: InsertedBy
-    _est_size: int | None = _size_memo()
-    _stamp_memo: Any = _size_memo()
+    _est_size: int | None = size_memo()
+    _stamp_memo: Any = size_memo()
 
     def with_mark(self, term: int, inserted_by: InsertedBy) -> "LogEntry":
         """Copy with new term stamp and provenance (leader approval).
@@ -158,7 +149,7 @@ class ConfigPayload:
     members: tuple[str, ...]
     version: int = 0
     observers: tuple[str, ...] = ()
-    _est_size: int | None = _size_memo()
+    _est_size: int | None = size_memo()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(sorted(self.members)))
@@ -197,7 +188,7 @@ class GlobalStatePayload:
     inserts: tuple[tuple[int, "LogEntry"], ...]
     global_commit: int = 0
     snapshot: Any = None
-    _est_size: int | None = _size_memo()
+    _est_size: int | None = size_memo()
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,7 +204,7 @@ class BatchPayload:
     sequence: int
     entries: tuple[LogEntry, ...]
     local_range: tuple[int, int]
-    _est_size: int | None = _size_memo()
+    _est_size: int | None = size_memo()
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -15,26 +15,21 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.consensus.entry import LogEntry
-from repro.net.sizes import HEADER_SIZE, SCALAR_SIZE, estimate_size
+from repro.net.sizes import (FRAME_SIZE, HEADER_SIZE, SCALAR_SIZE,
+                             estimate_size, size_memo)
 from repro.net.sizes import payload_size as _payload_size
 
 IndexedEntries = tuple[tuple[int, LogEntry], ...]
 
 
-def _wire_memo() -> Any:
-    """Wire-size memo slot for messages with a ``payload_size`` method:
-    messages are frozen, and sending one costs a size lookup per
-    destination (and per retry under a size-aware latency model), so the
-    first computation is stored on the instance. Excluded from sizing,
-    comparison, and repr; ``init=False`` keeps constructors unchanged."""
-    return field(default=None, init=False, repr=False, compare=False)
-
-
-def _est_memo() -> Any:
-    """Structural-estimate memo slot for messages sized by the generic
-    :func:`repro.net.sizes.estimate_size` walk (see ``_est_size`` there):
-    the walk itself fills and reuses it."""
-    return field(default=None, init=False, repr=False, compare=False)
+def _entries_size(entries: IndexedEntries) -> int:
+    """``estimate_size(entries)`` without the walk: one frame for the
+    tuple, one frame and an index per pair, and each entry's memo."""
+    total = FRAME_SIZE + len(entries) * (FRAME_SIZE + SCALAR_SIZE)
+    for _, entry in entries:
+        size = entry._est_size
+        total += size if size is not None else estimate_size(entry)
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -100,7 +95,7 @@ class ProposeToLeader:
     """Classic Raft: a site forwards a proposal to the term's leader."""
 
     entry: LogEntry
-    _est_size: int | None = _est_memo()
+    _est_size: int | None = size_memo()
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +105,7 @@ class ProposeEntry:
 
     index: int
     entry: LogEntry
-    _est_size: int | None = _est_memo()
+    _est_size: int | None = size_memo()
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,7 +118,7 @@ class VoteEntry:
     entry: LogEntry
     commit_index: int
     voter: str
-    _est_size: int | None = _est_memo()
+    _est_size: int | None = size_memo()
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,7 +152,7 @@ class AppendEntries:
     #: travel meaningfully when the lease feature is switched on.
     sent_at: float = 0.0
     lease_until: float = 0.0
-    _wire_size: int | None = _wire_memo()
+    _wire_size: int | None = size_memo()
 
     def payload_size(self) -> int:
         """Wire size: fixed header fields plus the carried entries (the
@@ -168,7 +163,7 @@ class AppendEntries:
         cached = self._wire_size
         if cached is None:
             cached = (HEADER_SIZE + 5 * SCALAR_SIZE + len(self.leader_id)
-                      + estimate_size(self.entries))
+                      + _entries_size(self.entries))
             object.__setattr__(self, "_wire_size", cached)
         return cached
 
@@ -202,7 +197,7 @@ class InstallSnapshotRequest:
     term: int
     leader_id: str
     snapshot: Any
-    _wire_size: int | None = _wire_memo()
+    _wire_size: int | None = size_memo()
 
     def payload_size(self) -> int:
         """The whole serialized image in one charge -- the same image
@@ -296,7 +291,7 @@ class RequestVoteResponse:
     #: Fast Raft recovery: granting voters attach every self-approved
     #: entry in their log.
     self_approved: IndexedEntries = ()
-    _est_size: int | None = _est_memo()
+    _est_size: int | None = size_memo()
 
 
 # ----------------------------------------------------------------------
@@ -388,7 +383,7 @@ class RecoveryProbeReply:
     members: tuple[str, ...]
     leader_hint: str | None
     is_member: bool
-    _wire_size: int | None = _wire_memo()
+    _wire_size: int | None = size_memo()
 
     def payload_size(self) -> int:
         """Fixed header plus the carried member list: like the other
@@ -418,7 +413,7 @@ class Envelope:
     level: str
     scope: str
     inner: Any
-    _wire_size: int | None = _wire_memo()
+    _wire_size: int | None = size_memo()
 
     def payload_size(self) -> int:
         """Routing tag plus the wrapped message's own wire size (so a

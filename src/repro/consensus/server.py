@@ -10,6 +10,7 @@ volatile state).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.consensus.config import Configuration, TransferConfig
@@ -94,8 +95,11 @@ class ConsensusServer(Actor):
     # Engine wiring
     # ------------------------------------------------------------------
     def _build_engine(self) -> BaseEngine:
+        # The engine's transport is the fabric's send with this site's
+        # address bound: no forwarding frame per outbound message.
         ctx = EngineContext(
-            name=self.name, loop=self.loop, send=self._send,
+            name=self.name, loop=self.loop,
+            send=partial(self._network.send, self.name),
             rng=self._rng.stream(f"node.{self.name}"), trace=self._trace,
             store=self._store, timing=self._timing,
             on_apply=self._on_apply, on_origin_commit=self._on_origin_commit,
@@ -105,9 +109,6 @@ class ConsensusServer(Actor):
         engine = type(self).engine_cls(ctx, self._bootstrap_config)
         engine.on_lease_beat = self._on_lease_beat
         return engine
-
-    def _send(self, dst: str, message: Any) -> None:
-        self._network.send(self.name, dst, message)
 
     def start(self) -> None:
         self.engine.start()

@@ -26,7 +26,7 @@ from repro.net.loss import (
     ScheduledLoss,
 )
 from repro.net.network import Network
-from repro.net.sizes import SizedMessage, estimate_size, payload_size
+from repro.net.sizes import estimate_size, payload_size
 from repro.net.stats import NetworkStats
 from repro.net.topology import Topology
 
@@ -42,7 +42,6 @@ __all__ = [
     "PerLinkLoss",
     "RegionLatencyModel",
     "ScheduledLoss",
-    "SizedMessage",
     "Topology",
     "UniformLatency",
     "estimate_size",

@@ -42,6 +42,19 @@ class Network:
     test while no fault is installed. The flags refresh whenever a model
     is swapped or a fault installed; ``repro.perf``'s legacy core
     disables the fast paths entirely so ``bench_perf`` can price them.
+
+    The send and deliver paths bump :class:`NetworkStats` counters
+    inline, and deliveries call :meth:`Actor.on_message` directly: the
+    fabric has just checked ``actor.alive``, which is all
+    :meth:`Actor.deliver` adds.
+
+    Model call order (what the RNG streams depend on): a remote send
+    that is not blocked asks ``should_drop`` on the ``net.loss`` stream
+    first and, only if kept, ``transfer_delay`` (size-aware model) or
+    ``sample`` on the ``net.latency`` stream. Loopback, blocked and
+    dropped sends draw no latency; loopback and blocked sends draw
+    nothing at all. A size-aware model's bytes are charged to the stats
+    before the blocked and loss checks.
     """
 
     def __init__(self, loop: SimLoop, rng: RngRegistry,
@@ -65,6 +78,7 @@ class Network:
 
     def _refresh_model_flags(self) -> None:
         """Recompute the trivial-model fast-path flags (see class doc)."""
+        self._size_aware = self._latency.size_aware
         if not self._fast_path:
             self._no_loss = False
             self._fixed_delay = None
@@ -77,7 +91,7 @@ class Network:
         # Size-blind models never inspect the payload, so the enveloped
         # fast path (no wrapper allocation) is observably identical; a
         # size-aware model must see the real Envelope to price it.
-        self.env_fast = not self._latency.size_aware
+        self.env_fast = not self._size_aware
 
     def _refresh_fault_flag(self) -> None:
         self._faults_installed = (bool(self._disconnected)
@@ -180,21 +194,26 @@ class Network:
         and lossless, exactly as ``tc``-shaped NIC traffic behaves on a
         real host (the paper's loss shaping never touches loopback).
         """
-        type_name = type(message).__name__
+        type_name = message.__class__.__name__
+        stats = self.stats
+        stats.sent += 1
+        stats.by_type[type_name] += 1
         if src == dst:
-            self.stats.record_sent(type_name)
             self._loop.call_soon(self._deliver_colocated, src, dst, message)
             return
-        size_aware = self._latency.size_aware
-        size = payload_size(message) if size_aware else 0
-        self.stats.record_sent(type_name, size)
+        size_aware = self._size_aware
+        if size_aware:
+            size = payload_size(message)
+            if size:
+                stats.bytes_sent += size
+                stats.bytes_by_type[type_name] += size
         if self._faults_installed and self._is_blocked(src, dst):
-            self.stats.record_blocked()
+            stats.blocked += 1
             return
         # NoLoss draws no randomness, so skipping its call is identical.
         if not self._no_loss and self._loss.should_drop(
                 self._loss_rng, src, dst, self._loop.now()):
-            self.stats.record_dropped()
+            stats.dropped += 1
             if self._trace is not None:
                 self._trace.record(self._loop.now(), src, "net.drop",
                                    dst=dst, type=type_name)
@@ -231,8 +250,9 @@ class Network:
         Bypasses loss, latency, and partitions: the two endpoints share a
         box. A crashed destination still drops the message.
         """
-        type_name = type(message).__name__
-        self.stats.record_sent(type_name)
+        stats = self.stats
+        stats.sent += 1
+        stats.by_type[message.__class__.__name__] += 1
         self._loop.call_soon(self._deliver_colocated, src, dst, message)
 
     def send_enveloped(self, src: str, dst: str, level: str, scope: str,
@@ -268,7 +288,7 @@ class Network:
             return
         if not self._no_loss and self._loss.should_drop(
                 self._loss_rng, src, dst, self._loop.now()):
-            self.stats.record_dropped()
+            stats.dropped += 1
             if self._trace is not None:
                 self._trace.record(self._loop.now(), src, "net.drop",
                                    dst=dst, type="Envelope")
@@ -285,36 +305,38 @@ class Network:
         # Same re-checks as _deliver; the actor is looked up by name at
         # delivery time because crash recovery re-binds addresses to new
         # actor objects (see replace()).
+        stats = self.stats
         if self._faults_installed and self._is_blocked(src, dst):
-            self.stats.record_blocked()
+            stats.blocked += 1
             return
         actor = self._actors.get(dst)
         if actor is None or not actor.alive:
-            self.stats.record_dead_letter()
+            stats.dead_letter += 1
             return
-        stats = self.stats
         stats.delivered += 1
         stats.delivered_by_type["Envelope"] += 1
         actor.on_enveloped(level, scope, inner, src)
 
     def _deliver_enveloped_colocated(self, src: str, dst: str, level: str,
                                      scope: str, inner: Any) -> None:
+        stats = self.stats
         actor = self._actors.get(dst)
         if actor is None or not actor.alive:
-            self.stats.record_dead_letter()
+            stats.dead_letter += 1
             return
-        stats = self.stats
         stats.delivered += 1
         stats.delivered_by_type["Envelope"] += 1
         actor.on_enveloped(level, scope, inner, src)
 
     def _deliver_colocated(self, src: str, dst: str, message: Any) -> None:
+        stats = self.stats
         actor = self._actors.get(dst)
         if actor is None or not actor.alive:
-            self.stats.record_dead_letter()
+            stats.dead_letter += 1
             return
-        self.stats.record_delivered(type(message).__name__)
-        actor.deliver(message, src)
+        stats.delivered += 1
+        stats.delivered_by_type[message.__class__.__name__] += 1
+        actor.on_message(message, src)
 
     # ------------------------------------------------------------------
     # Internals
@@ -335,12 +357,14 @@ class Network:
         # Re-check blockage at delivery time: a partition installed while
         # the message was in flight still cuts it off, matching how long
         # one-way WAN delays interact with sudden failures.
+        stats = self.stats
         if self._faults_installed and self._is_blocked(src, dst):
-            self.stats.record_blocked()
+            stats.blocked += 1
             return
         actor = self._actors.get(dst)
         if actor is None or not actor.alive:
-            self.stats.record_dead_letter()
+            stats.dead_letter += 1
             return
-        self.stats.record_delivered(type(message).__name__)
-        actor.deliver(message, src)
+        stats.delivered += 1
+        stats.delivered_by_type[message.__class__.__name__] += 1
+        actor.on_message(message, src)

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 @dataclass
 class NetworkStats:
-    """Counters maintained by :class:`repro.net.network.Network`.
+    """Counters maintained by :class:`repro.net.network.Network`, which
+    bumps them inline on its send and deliver paths.
 
     ``sent`` counts every ``send`` call; a message is then exactly one of
     ``delivered``, ``dropped`` (loss model), ``blocked`` (partition or
@@ -28,26 +29,6 @@ class NetworkStats:
     by_type: Counter = field(default_factory=Counter)
     bytes_by_type: Counter = field(default_factory=Counter)
     delivered_by_type: Counter = field(default_factory=Counter)
-
-    def record_sent(self, type_name: str, size: int = 0) -> None:
-        self.sent += 1
-        self.by_type[type_name] += 1
-        if size:
-            self.bytes_sent += size
-            self.bytes_by_type[type_name] += size
-
-    def record_delivered(self, type_name: str) -> None:
-        self.delivered += 1
-        self.delivered_by_type[type_name] += 1
-
-    def record_dropped(self) -> None:
-        self.dropped += 1
-
-    def record_blocked(self) -> None:
-        self.blocked += 1
-
-    def record_dead_letter(self) -> None:
-        self.dead_letter += 1
 
     @property
     def loss_fraction(self) -> float:

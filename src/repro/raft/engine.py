@@ -134,7 +134,9 @@ class ClassicRaftEngine(BaseEngine):
     def _append_as_leader(self, entry: LogEntry) -> int:
         stamped = entry.with_mark(self.current_term, InsertedBy.LEADER)
         index = self.log.append(stamped)
-        self.ctx.store.touch("log", size=estimate_size(stamped))
+        size = stamped._est_size
+        self.ctx.store.touch(
+            "log", size=size if size is not None else estimate_size(stamped))
         if stamped.kind is EntryKind.CONFIG:
             self._refresh_configuration()
         if self.timing.eager_append:
@@ -319,7 +321,9 @@ class ClassicRaftEngine(BaseEngine):
                 self.log.truncate_from(index)
                 truncated = True
             self.log.insert(index, entry)
-            inserted_bytes += estimate_size(entry)
+            size = entry._est_size
+            inserted_bytes += (size if size is not None
+                               else estimate_size(entry))
         if inserted_bytes or truncated:
             self.ctx.store.touch("log", size=max(1, inserted_bytes))
         if entries:

@@ -2,9 +2,10 @@
 
 An actor is anything that lives on the simulation loop and receives
 messages from the network: consensus nodes, clients, fault injectors.
-Subclasses implement :meth:`on_message`; the network delivers into
-:meth:`deliver` (which alive-gates the call so crashed actors drop
-traffic, the same observable behaviour as a dead process).
+Subclasses implement :meth:`on_message`. The network checks
+:attr:`alive` itself (a crashed actor's traffic is a dead letter) and
+calls :meth:`on_message` directly; :meth:`deliver` is the same gate for
+callers that hold an actor and not the fabric.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class Actor:
     # Messaging
     # ------------------------------------------------------------------
     def deliver(self, message: Any, sender: str) -> None:
-        """Entry point used by the network. Drops traffic when dead."""
+        """Hand ``message`` to the actor; dropped when it is dead."""
         if not self._alive:
             return
         self.on_message(message, sender)

@@ -1,0 +1,344 @@
+"""Sizer equivalence battery.
+
+A message's size feeds ``serialization_delay``, hence delivery order,
+hence everything a size-aware run produces -- so every sizer in the
+:mod:`repro.net.sizes` registry must agree, bit for bit, with the
+reference: the generic structural walk for compiled sizers, the
+documented formula for hand-written ``payload_size`` methods.
+
+The reference is always computed on a *memo-free rebuild* of the object
+under test (``fresh``), so it can neither read nor leave behind any memo
+the registry's answer depends on.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import enum
+import types
+import typing
+from typing import Any
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.consensus import messages as msgs
+from repro.consensus.entry import (BatchPayload, ConfigPayload, EntryKind,
+                                   GlobalStatePayload, InsertedBy, LogEntry)
+from repro.net import sizes
+from repro.net.sizes import (FRAME_SIZE, HEADER_SIZE, SCALAR_SIZE,
+                             estimate_size, payload_size, size_memo,
+                             sizer_for, walk_size)
+from repro.smr.kv import KVCommand
+from repro.snapshot import Snapshot
+from repro.snapshot.chunking import snapshot_wire_size
+from test_dispatch_tables import message_types
+
+PAYLOAD_CLASSES = (ConfigPayload, GlobalStatePayload, BatchPayload)
+CATALOG = tuple(message_types().values())
+#: Everything the battery sizes at top level.
+SIZED_CLASSES = CATALOG + (LogEntry,) + PAYLOAD_CLASSES
+
+
+# ----------------------------------------------------------------------
+# Reference
+# ----------------------------------------------------------------------
+def fresh(obj: Any) -> Any:
+    """Deep rebuild with every memo slot empty."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return type(obj)(**{f.name: fresh(getattr(obj, f.name))
+                            for f in dataclasses.fields(obj) if f.init})
+    if isinstance(obj, tuple):
+        return tuple(fresh(item) for item in obj)
+    if isinstance(obj, list):
+        return [fresh(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: fresh(value) for key, value in obj.items()}
+    return obj
+
+
+def reference(message: Any) -> int:
+    """What ``payload_size(message)`` must return."""
+    m = fresh(message)
+    if isinstance(m, msgs.AppendEntries):
+        return (HEADER_SIZE + 5 * SCALAR_SIZE + len(m.leader_id)
+                + estimate_size(m.entries))
+    if isinstance(m, msgs.InstallSnapshotRequest):
+        return (HEADER_SIZE + SCALAR_SIZE + len(m.leader_id)
+                + snapshot_wire_size(m.snapshot))
+    if isinstance(m, msgs.InstallSnapshotChunk):
+        return (HEADER_SIZE + 5 * SCALAR_SIZE + len(m.leader_id)
+                + len(m.data))
+    if isinstance(m, msgs.RecoveryProbeReply):
+        return (HEADER_SIZE + 3 * SCALAR_SIZE
+                + sum(len(member) for member in m.members)
+                + len(m.leader_hint or ""))
+    if isinstance(m, msgs.Envelope):
+        return (len(m.level) + len(m.scope) + SCALAR_SIZE
+                + reference(m.inner))
+    return HEADER_SIZE + estimate_size(m)
+
+
+# ----------------------------------------------------------------------
+# Strategies over field values, derived from the annotations
+# ----------------------------------------------------------------------
+names = st.text(alphabet="abcn0123:-", max_size=9)
+plain = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**40, 2**40)
+    | st.floats(allow_nan=False) | names | st.binary(max_size=40),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(names, inner, max_size=3)),
+    max_leaves=6)
+commands = st.one_of(
+    st.builds(KVCommand.put, names, plain),
+    st.builds(KVCommand.delete, names),
+    st.builds(KVCommand.append, names, names))
+snapshots = st.builds(
+    Snapshot, last_included_index=st.integers(0, 10**6),
+    last_included_term=st.integers(0, 99), machine_state=plain,
+    applied_ids=st.lists(names, max_size=4).map(tuple), origin=names)
+
+
+def entries_with(payloads) -> st.SearchStrategy:
+    return st.builds(LogEntry, entry_id=names,
+                     kind=st.sampled_from(EntryKind), payload=payloads,
+                     origin=names, term=st.integers(0, 10**6),
+                     inserted_by=st.sampled_from(InsertedBy))
+
+
+leaf_entries = entries_with(commands | st.none())
+
+#: Fields whose annotation alone does not say what they carry.
+OVERRIDES = {
+    (msgs.InstallSnapshotRequest, "snapshot"): snapshots,
+    (msgs.ClientRequest, "command"): commands,
+    (GlobalStatePayload, "snapshot"): st.none() | snapshots,
+    (msgs.Envelope, "inner"): st.deferred(lambda: any_message),
+}
+
+
+def strategy_for(hint: Any, entry_strategy) -> st.SearchStrategy:
+    origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):
+        return st.one_of(*(strategy_for(arg, entry_strategy)
+                           for arg in typing.get_args(hint)))
+    if origin is tuple:
+        args = typing.get_args(hint)
+        if len(args) == 2 and args[1] is Ellipsis:
+            return st.lists(strategy_for(args[0], entry_strategy),
+                            max_size=3).map(tuple)
+        return st.tuples(*(strategy_for(arg, entry_strategy)
+                           for arg in args))
+    if origin is dict:
+        return st.dictionaries(names, plain, max_size=2)
+    if hint is LogEntry:
+        return entry_strategy
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return st.sampled_from(hint)
+    return {type(None): st.none(), bool: st.booleans(),
+            int: st.integers(-2**40, 2**40),
+            float: st.floats(allow_nan=False), str: names,
+            bytes: st.binary(max_size=40), Any: plain}[hint]
+
+
+def instances(cls: type, entry_strategy=leaf_entries) -> st.SearchStrategy:
+    hints = typing.get_type_hints(cls)
+    return st.builds(cls, **{
+        f.name: (OVERRIDES[cls, f.name] if (cls, f.name) in OVERRIDES
+                 else strategy_for(hints[f.name], entry_strategy))
+        for f in dataclasses.fields(cls) if f.init})
+
+
+payloads = st.one_of(*(instances(cls) for cls in PAYLOAD_CLASSES))
+rich_entries = entries_with(commands | st.none() | payloads)
+STRATEGIES = {cls: (rich_entries if cls is LogEntry
+                    else instances(cls, rich_entries))
+              for cls in SIZED_CLASSES}
+any_message = st.one_of(*(STRATEGIES[cls] for cls in CATALOG
+                          if cls is not msgs.Envelope))
+
+battery = pytest.mark.parametrize("cls", SIZED_CLASSES,
+                                  ids=lambda cls: cls.__name__)
+quick = settings(deadline=None, max_examples=40)
+
+
+# ----------------------------------------------------------------------
+# The battery
+# ----------------------------------------------------------------------
+@battery
+@given(data=st.data())
+@quick
+def test_fresh_and_memoised_sizes_match_the_reference(cls, data):
+    message = data.draw(STRATEGIES[cls])
+    want = reference(message)
+    assert payload_size(message) == want          # fresh
+    assert payload_size(message) == want          # memo slots now filled
+    if "_est_size" in getattr(cls, "__slots__", ()) and not hasattr(
+            cls, "payload_size"):
+        # Same slot, same content as the walker's memo.
+        assert message._est_size == want - HEADER_SIZE
+        assert estimate_size(message) == want - HEADER_SIZE
+    # Equal objects, equal sizes: memo slots never leak into equality.
+    assert fresh(message) == message
+
+
+@battery
+@given(data=st.data())
+@quick
+def test_enveloped_size_is_routing_tag_plus_inner(cls, data):
+    message = data.draw(STRATEGIES[cls])
+    level, scope = data.draw(names), data.draw(names)
+    envelope = msgs.Envelope(level, scope, message)
+    want = len(level) + len(scope) + SCALAR_SIZE + reference(message)
+    assert payload_size(envelope) == want
+    assert payload_size(envelope) == want
+    assert reference(envelope) == want
+
+
+@given(entry=rich_entries, term=st.integers(0, 10**6),
+       by=st.sampled_from(InsertedBy), measured_first=st.booleans())
+@quick
+def test_with_mark_copy_sizes_like_a_fresh_entry(entry, term, by,
+                                                 measured_first):
+    if measured_first:
+        payload_size(entry)
+    stamped = entry.with_mark(term, by)
+    assert payload_size(stamped) == reference(stamped)
+    assert payload_size(entry) == reference(entry)
+    # A stamp memo pointing at ``stamped`` is a memo slot: an entry
+    # re-measured from scratch must not count it.
+    object.__setattr__(entry, "_stamp_memo", (term, by, stamped))
+    object.__setattr__(entry, "_est_size", None)
+    assert payload_size(entry) == reference(entry)
+    object.__setattr__(entry, "_est_size", None)
+    assert estimate_size(entry) == reference(entry) - HEADER_SIZE
+
+
+@pytest.mark.parametrize("cls", [msgs.ProposeToLeader, msgs.ProposeEntry,
+                                 msgs.VoteEntry],
+                         ids=lambda cls: cls.__name__)
+@given(data=st.data())
+@quick
+def test_entry_carriers_size_a_with_mark_copy(cls, data):
+    message = data.draw(STRATEGIES[cls])
+    stamped = message.entry.with_mark(data.draw(st.integers(0, 99)),
+                                      data.draw(st.sampled_from(InsertedBy)))
+    restamped = dataclasses.replace(message, entry=stamped)
+    assert payload_size(restamped) == reference(restamped)
+
+
+@given(command=commands)
+def test_commands_are_priced_by_the_generic_walk(command):
+    assert sizer_for(type(command)) is walk_size
+    assert payload_size(command) == HEADER_SIZE + estimate_size(command)
+
+
+@battery
+def test_no_catalog_class_falls_back_to_the_generic_walk(cls):
+    sizer = sizer_for(cls)
+    assert sizer is not walk_size
+    own = getattr(cls, "payload_size", None)
+    assert sizer is own or own is None
+
+
+# ----------------------------------------------------------------------
+# The walker's quirks, pinned
+# ----------------------------------------------------------------------
+class Colour(enum.Enum):
+    RED = "a-long-enum-value"
+
+
+@dataclasses.dataclass(frozen=True)
+class Plain:
+    a: int
+    b: str
+
+
+@dataclasses.dataclass(frozen=True)
+class Memoised:
+    a: int
+    b: Any
+    _est_size: int | None = size_memo()
+
+
+class TestWalkerQuirks:
+    @pytest.mark.parametrize("obj, size", [
+        (None, 0), (True, 1), (False, 1), (0, 8), (2**80, 8), (1.5, 8),
+        (Colour.RED, 8), ("", 0), ("héllo", 5), (b"abc", 3),
+        (bytearray(b"abcd"), 4), ((), 16), ([], 16), ({}, 16),
+        (frozenset(), 16), ((1, "ab", None, True), 16 + 8 + 2 + 0 + 1),
+        ({"k": [1, 2], "kk": None}, 16 + 1 + (16 + 16) + 2),
+        (object(), 16), (Plain(1, "xyz"), 16 + 8 + 3),
+        ((Plain(1, ""), Plain(2, "")), 16 + 2 * 24),
+    ])
+    def test_structural_sizes(self, obj, size):
+        assert estimate_size(obj) == size
+        assert payload_size(obj) == HEADER_SIZE + size
+
+    def test_memo_slot_is_filled_and_never_counted(self):
+        inner = Memoised(1, "abc")
+        outer = Memoised(2, (inner, inner))
+        assert estimate_size(outer) == 16 + 8 + (16 + 2 * (16 + 8 + 3))
+        assert inner._est_size == 27
+        assert outer._est_size == 16 + 8 + 16 + 54
+        assert estimate_size(outer) == outer._est_size
+        assert payload_size(Memoised(2, (inner, inner))) == (
+            HEADER_SIZE + outer._est_size)
+
+    def test_compiled_sizer_folds_fixed_width_fields(self):
+        response = msgs.AppendEntriesResponse(
+            term=3, success=True, follower="n1", match_index=7,
+            last_log_index=9, beat_sent_at=0.25)
+        assert payload_size(response) == (
+            HEADER_SIZE + FRAME_SIZE + 4 * SCALAR_SIZE + 1 + len("n1"))
+        assert "estimate_size" not in sizer_for(
+            msgs.AppendEntriesResponse).__code__.co_names
+
+    def test_nullable_fields(self):
+        assert (payload_size(msgs.JoinRequest("n1", replaces="n22"))
+                - payload_size(msgs.JoinRequest("n1"))) == 3
+        assert (payload_size(msgs.ClientReply("r", True, index=4))
+                - payload_size(msgs.ClientReply("r", True))) == SCALAR_SIZE
+
+
+# ----------------------------------------------------------------------
+# Stale-memo guard
+# ----------------------------------------------------------------------
+@dataclasses.dataclass
+class MutableMemoised:
+    value: str
+    _est_size: int | None = size_memo()
+
+
+@dataclasses.dataclass
+class MutableWithOwnMethod:
+    value: str
+    _wire_size: int | None = size_memo()
+
+    def payload_size(self) -> int:
+        return len(self.value)
+
+
+class TestStaleMemoGuard:
+    @pytest.mark.parametrize("cls", [MutableMemoised,
+                                     MutableWithOwnMethod])
+    def test_mutable_class_with_a_memo_slot_is_refused(self, cls):
+        with pytest.raises(TypeError, match=cls.__name__):
+            payload_size(cls("x"))
+        with pytest.raises(TypeError, match=cls.__name__):
+            sizer_for(cls)            # a failed registration is not kept
+        assert cls not in sizes._SIZERS
+
+    def test_the_walker_refuses_it_too(self):
+        with pytest.raises(TypeError, match="MutableMemoised"):
+            estimate_size(("nested", MutableMemoised("x")))
+
+    def test_mutable_class_without_memo_is_fine(self):
+        pending = msgs.PendingClient("r1", "c1", LogEntry(
+            "n0:r1", EntryKind.DATA, None, "n0", 1, InsertedBy.SELF))
+        before = payload_size(pending)
+        pending.replied = True
+        pending.extra["k"] = "vvvv"
+        assert payload_size(pending) == before + len("k") + len("vvvv")
+        assert payload_size(pending) == reference(pending)
