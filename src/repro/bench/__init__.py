@@ -1,35 +1,5 @@
-"""Performance measurement harness.
-
-:mod:`repro.bench.perf` measures the simulation core itself -- events
-per second and wall clock on fixed cells, current core vs the legacy
-(pre-refactor) core kept behind :mod:`repro.perf` -- and maintains the
-``BENCH_perf.json`` trajectory at the repository root. The scientific
-benchmarks (figures, catch-up, chunking) live under ``benchmarks/``;
-this package is about how fast the simulator runs them.
+"""Empty on purpose. ``benchmarks/suite/`` is the repo's only benchmark;
+this package stays only because the suite's frozen layer map
+(``benchmarks/suite/layers.py``) lists ``bench`` and its test compares
+that map with the directories here. Remove both in one benchmark PR.
 """
-
-from repro.bench.perf import (
-    CellComparison,
-    PerfReport,
-    PerfSample,
-    default_output_path,
-    run_bench_perf,
-    write_trajectory,
-)
-from repro.bench.serving import (
-    ServingReport,
-    run_bench_serving,
-    write_serving_trajectory,
-)
-
-__all__ = [
-    "CellComparison",
-    "PerfReport",
-    "PerfSample",
-    "ServingReport",
-    "default_output_path",
-    "run_bench_perf",
-    "run_bench_serving",
-    "write_serving_trajectory",
-    "write_trajectory",
-]

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import perf
 from repro.consensus.quorum import classic_quorum_size, fast_quorum_size
 from repro.errors import ConfigurationError
 
@@ -203,11 +202,7 @@ class Configuration:
         not re-derive the union themselves.
 
         Computed once per (immutable) configuration: proposal broadcasts
-        and heartbeat fan-outs read this on every round, and the sorted
-        union was being rebuilt for each (the legacy core still does,
-        so bench_perf prices the memo)."""
-        if perf.LEGACY_CORE:
-            return tuple(sorted(set(self.members) | set(self.observers)))
+        and heartbeat fan-outs read this on every round."""
         cached = self.__dict__.get("_replicas")
         if cached is None:
             cached = tuple(sorted(set(self.members) | set(self.observers)))

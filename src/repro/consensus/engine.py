@@ -46,7 +46,6 @@ from repro.consensus.messages import (
     VoteEntry,
 )
 from repro.consensus.timing import TimingConfig
-from repro import perf
 from repro.errors import ConsensusError
 from repro.net.sizes import estimate_size
 from repro.sim.loop import SimLoop
@@ -111,17 +110,14 @@ class EngineContext:
     transfer: TransferConfig = field(default_factory=TransferConfig)
 
 
-#: Message types consensus-gated on sender membership.
-_GATED_TYPES = (AppendEntries, AppendEntriesResponse, RequestVote,
-                RequestVoteResponse, VoteEntry, ProposeEntry,
-                ProposeToLeader, InstallSnapshotRequest,
-                InstallSnapshotResponse, InstallSnapshotChunk,
-                InstallSnapshotChunkAck)
-
-#: The same gate as a type set: messages are final classes, so exact-type
-#: membership is equivalent to the isinstance walk and costs one hash
-#: lookup instead of scanning an 11-class tuple per delivered message.
-_GATED_TYPE_SET = frozenset(_GATED_TYPES)
+#: Message types consensus-gated on sender membership. Messages are
+#: final classes, so exact-type membership (one hash lookup per
+#: delivered message) is equivalent to an isinstance walk.
+_GATED_TYPE_SET = frozenset({
+    AppendEntries, AppendEntriesResponse, RequestVote,
+    RequestVoteResponse, VoteEntry, ProposeEntry, ProposeToLeader,
+    InstallSnapshotRequest, InstallSnapshotResponse,
+    InstallSnapshotChunk, InstallSnapshotChunkAck})
 
 #: Catch-up traffic a non-member accepts from anyone (see the gate).
 _CATCHUP_OPEN_SET = frozenset({AppendEntries, InstallSnapshotRequest,
@@ -181,11 +177,11 @@ class BaseEngine:
                  bootstrap_config: Configuration) -> None:
         self.ctx = ctx
         self.timing = ctx.timing
+        # Every outbound message goes straight to the injected transport.
+        self._send: Callable[[str, Any], None] = ctx.send
         # Tracing is fixed at recorder construction; cache the flag so
         # per-event call sites can skip building trace payload kwargs.
-        # The legacy core pins it True: call sites then always build the
-        # payload and let _trace's own check drop it, the pre-change cost.
-        self._tracing = True if perf.LEGACY_CORE else ctx.trace.enabled
+        self._tracing = ctx.trace.enabled
         # --- persistent state (survives crashes via the stable store) ---
         store = ctx.store
         self.log: RaftLog = store.get("log")
@@ -271,17 +267,6 @@ class BaseEngine:
         #: ``hook(sent_at, leader_commit, lease_until)``. Follower lease
         #: reads drain against it.
         self.on_lease_beat: Any = None
-        if perf.LEGACY_CORE:
-            # Pre-flattening core: per-instance bound-method dict plus
-            # the isinstance-walk sender gate, kept selectable so
-            # bench_perf prices the flattened dispatch against it.
-            self._dispatch = self._build_dispatch()
-            self.handle = self._legacy_handle  # type: ignore[method-assign]
-        else:
-            # _send is a pure forwarder to the injected transport; bind
-            # the transport directly so every outbound message skips one
-            # frame (the legacy core keeps the forwarder, pre-change).
-            self._send = ctx.send  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -324,9 +309,6 @@ class BaseEngine:
             trace.record(self.now(), self.name,
                          f"{self.protocol_name}.{category}",
                          scope=self.ctx.scope, **payload)
-
-    def _send(self, dst: str, message: Any) -> None:
-        self.ctx.send(dst, message)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -405,33 +387,11 @@ class BaseEngine:
     # ------------------------------------------------------------------
     # Message dispatch
     # ------------------------------------------------------------------
-    def _build_dispatch(self) -> dict[type, Callable[[Any, str], None]]:
-        return {
-            AppendEntries: self._handle_append_entries,
-            AppendEntriesResponse: self._handle_append_entries_response,
-            RequestVote: self._handle_request_vote,
-            RequestVoteResponse: self._handle_request_vote_response,
-            CommitNotice: self._handle_commit_notice,
-            ClientRequest: self._handle_client_request,
-            JoinRequest: self._handle_join_request,
-            LeaveRequest: self._handle_leave_request,
-            JoinAccepted: self._handle_join_accepted,
-            LeaveAccepted: self._handle_leave_accepted,
-            NotInConfiguration: self._handle_not_in_configuration,
-            RecoveryProbe: self._handle_recovery_probe,
-            RecoveryProbeReply: self._handle_recovery_probe_reply,
-            InstallSnapshotRequest: self._handle_install_snapshot,
-            InstallSnapshotResponse: self._handle_install_snapshot_response,
-            InstallSnapshotChunk: self._handle_install_snapshot_chunk,
-            InstallSnapshotChunkAck: self._handle_install_snapshot_chunk_ack,
-        }
-
     def handle(self, message: Any, sender: str) -> None:
         """Entry point for every delivered message.
 
         Flat dispatch: one type-set membership check for the sender gate
-        and one dict lookup in the class-level ``@handles`` table. The
-        legacy core swaps in :meth:`_legacy_handle` at construction.
+        and one dict lookup in the class-level ``@handles`` table.
         """
         if self._stopped:
             return
@@ -446,20 +406,6 @@ class BaseEngine:
                 f"{self.name}: no handler for {message_type.__name__}")
         handler(self, message, sender)
 
-    def _legacy_handle(self, message: Any, sender: str) -> None:
-        """Pre-flattening entry point (isinstance gate + per-instance
-        bound-method dict), selected under ``REPRO_LEGACY_CORE``."""
-        if self._stopped:
-            return
-        if not self._sender_allowed(message, sender):
-            self._on_gated_message(message, sender)
-            return
-        handler = self._dispatch.get(type(message))
-        if handler is None:
-            raise ConsensusError(
-                f"{self.name}: no handler for {type(message).__name__}")
-        handler(message, sender)
-
     def _rebuild_gate_senders(self) -> None:
         config = self._configuration
         self._gate_senders = frozenset(
@@ -467,8 +413,7 @@ class BaseEngine:
 
     def _gated_sender_ok(self, message_type: type, sender: str) -> bool:
         """Membership gate for a type already known to be in
-        ``_GATED_TYPE_SET`` (same acceptance rule as the legacy
-        :meth:`_sender_allowed`, minus the isinstance and tuple walks).
+        ``_GATED_TYPE_SET``.
 
         ``_gate_senders`` covers self + members + observers (observers
         replicate the log: their acks and slot votes must reach the
@@ -480,21 +425,6 @@ class BaseEngine:
         # configuration view is stale by definition, and stale *leaders*
         # are rejected by the term check inside the handler.
         if message_type in _CATCHUP_OPEN_SET and not self.is_member:
-            return True
-        return False
-
-    def _sender_allowed(self, message: Any, sender: str) -> bool:
-        if not isinstance(message, _GATED_TYPES):
-            return True
-        if sender == self.name or sender in self._configuration:
-            return True
-        if sender in self._configuration.observers:
-            return True
-        if sender in self._extra_allowed:
-            return True
-        if (isinstance(message, (AppendEntries, InstallSnapshotRequest,
-                                 InstallSnapshotChunk))
-                and not self.is_member):
             return True
         return False
 
@@ -831,41 +761,15 @@ class BaseEngine:
         Stops early at a hole: a site never considers an entry committed
         before holding it (contiguity guard; see DESIGN.md).
 
-        The current core runs the sweep batch-natively: the loop
-        constants (log accessor, apply/origin callbacks, trace flag)
-        resolve once per sweep instead of once per entry. The per-entry
-        *callback order* is untouched -- apply callbacks send messages
-        (client replies, C-Raft batch proposals), so reordering them
-        against each other would shift the network RNG stream and break
-        the identical-trajectory invariant between the cores.
-        ``commit_index`` is still read back each iteration because an
-        apply callback may advance it reentrantly.
+        The loop constants (log accessor, apply/origin callbacks, trace
+        flag) resolve once per sweep instead of once per entry. The
+        per-entry *callback order* is load-bearing -- apply callbacks
+        send messages (client replies, C-Raft batch proposals), so
+        reordering them against each other would shift the network RNG
+        stream and with it every pinned trajectory. ``commit_index`` is
+        read back each iteration because an apply callback may advance
+        it reentrantly.
         """
-        if perf.LEGACY_CORE:
-            advanced = False
-            while self.commit_index < new_commit:
-                next_index = self.commit_index + 1
-                entry = self.log.get(next_index)
-                if entry is None:
-                    break
-                self.commit_index = next_index
-                advanced = True
-                if self._tracing:
-                    self._trace("commit", index=next_index,
-                                entry_id=entry.entry_id,
-                                kind=entry.kind.value, term=entry.term)
-                if entry.kind is EntryKind.CONFIG:
-                    # A fast-track commit can land on a still-self-approved
-                    # copy of the entry; tentative configs do not govern
-                    # until decided, so activation happens here at latest.
-                    self._refresh_configuration()
-                self._on_entry_committed(next_index, entry)
-                self.ctx.on_apply(next_index, entry)
-                if entry.origin == self.name:
-                    self.ctx.on_origin_commit(entry, next_index)
-            if advanced:
-                self._maybe_compact()
-            return
         start = self.commit_index
         if start >= new_commit:
             return
@@ -887,6 +791,9 @@ class BaseEngine:
                             entry_id=entry.entry_id,
                             kind=entry.kind.value, term=entry.term)
             if entry.kind is EntryKind.CONFIG:
+                # A fast-track commit can land on a still-self-approved
+                # copy of the entry; tentative configs do not govern
+                # until decided, so activation happens here at latest.
                 self._refresh_configuration()
             committed_hook(next_index, entry)
             on_apply(next_index, entry)

@@ -23,7 +23,6 @@ import enum
 from dataclasses import dataclass
 from typing import Any
 
-from repro import perf
 from repro.net.sizes import estimate_size, size_memo
 
 
@@ -84,24 +83,19 @@ class LogEntry:
         The stamp itself is memoized too: a broadcast proposal reaches
         every configuration member as *one* shared message object, and
         each member stamps it with the same ``(term, inserted_by)`` --
-        entries are immutable, so they can all hold the identical copy.
-        The legacy core keeps the pre-change fresh-copy, fresh-memo
-        behaviour so ``bench_perf`` prices both memos."""
-        if not perf.LEGACY_CORE:
-            memo = self._stamp_memo
-            if (memo is not None and memo[0] == term
-                    and memo[1] is inserted_by):
-                return memo[2]
+        entries are immutable, so they can all hold the identical copy."""
+        memo = self._stamp_memo
+        if (memo is not None and memo[0] == term
+                and memo[1] is inserted_by):
+            return memo[2]
         stamped = LogEntry(entry_id=self.entry_id, kind=self.kind,
                            payload=self.payload, origin=self.origin,
                            term=term, inserted_by=inserted_by)
-        if not perf.LEGACY_CORE:
-            size = self._est_size
-            if size is None:
-                size = estimate_size(self)
-            object.__setattr__(stamped, "_est_size", size)
-            object.__setattr__(self, "_stamp_memo",
-                               (term, inserted_by, stamped))
+        size = self._est_size
+        if size is None:
+            size = estimate_size(self)
+        object.__setattr__(stamped, "_est_size", size)
+        object.__setattr__(self, "_stamp_memo", (term, inserted_by, stamped))
         return stamped
 
     @property

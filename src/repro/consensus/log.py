@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro import perf
 from repro.consensus.entry import EntryKind, InsertedBy, LogEntry
 from repro.errors import LogError
 
@@ -243,16 +242,10 @@ class RaftLog:
         relies on; committed ones govern regardless of provenance.
 
         This runs per absorbed AppendEntries, so the scan covers only
-        the tracked CONFIG indices (the pre-refactor full-log walk stays
-        behind the legacy-core switch as the reference implementation)."""
-        if perf.LEGACY_CORE:
-            candidates = (pair for pair in self
-                          if pair[1].kind is EntryKind.CONFIG)
-        else:
-            candidates = ((index, self._slots[index])
-                          for index in sorted(self._config_indices))
+        the tracked CONFIG indices, not the whole log."""
         best: tuple[int, LogEntry] | None = None
-        for index, entry in candidates:
+        for index in sorted(self._config_indices):
+            entry = self._slots[index]
             if upto is not None and index > upto:
                 break  # iteration is index-ordered
             if (decided_upto is not None and index > decided_upto
@@ -287,9 +280,6 @@ class RaftLog:
         indices = self._id_indices.get(entry_id)
         if not indices:
             return None
-        if perf.LEGACY_CORE:
-            committed = [i for i in indices if i <= commit_index]
-            return min(committed) if committed else None
         best = None
         for i in indices:  # no list build: runs per proposal delivery
             if i <= commit_index and (best is None or i < best):

@@ -134,7 +134,10 @@ class Batcher:
     # ------------------------------------------------------------------
     def observe_local_commit(self, index: int, entry: LogEntry,
                              now: float) -> None:
-        """Called for every locally applied entry, in order."""
+        """Feed one locally applied entry (entries arrive in order).
+        The server's apply loop uses :meth:`observe_and_check`; this
+        split form is what tests/test_craft_batching.py proves it equal
+        to (observe, then :meth:`ready`)."""
         if index < self._next_unbatched:
             return  # already covered by an earlier batch
         if entry.kind is not EntryKind.DATA:
@@ -142,20 +145,6 @@ class Batcher:
         if not self._pending:
             self._pending_since = now
         self._pending.append((index, entry))
-
-    def observe_local_commit_range(self, pairs: list[tuple[int, LogEntry]],
-                                   now: float) -> None:
-        """Range form of :meth:`observe_local_commit`: one call per apply
-        sweep instead of one per entry. Pure bookkeeping -- identical
-        pending state to feeding the entries one at a time."""
-        pending = self._pending
-        floor = self._next_unbatched
-        for index, entry in pairs:
-            if index < floor or entry.kind is not EntryKind.DATA:
-                continue
-            if not pending:
-                self._pending_since = now
-            pending.append((index, entry))
 
     def observe_and_check(self, index: int, entry: LogEntry,
                           now: float) -> bool:

@@ -60,7 +60,6 @@ from repro.consensus.messages import (
     LeaveRequest,
 )
 from repro.consensus.timing import TimingConfig
-from repro import perf
 from repro.craft.batching import Batcher, BatchPolicy
 from repro.craft.global_engine import CRaftGlobalEngine
 from repro.craft.local import CRaftLocalEngine
@@ -100,19 +99,15 @@ class CRaftServer(Actor):
         self._global_timing = global_timing
         self._rng = rng
         self._trace = trace
-        # Mirrors BaseEngine._tracing: pinned True under the legacy core
-        # so gate call sites always build their trace payloads
-        # (pre-change cost); the recorder still drops them when disabled.
-        self._tracing = True if perf.LEGACY_CORE else trace.enabled
+        # Mirrors BaseEngine._tracing: gate call sites skip building
+        # their trace payloads when the recorder is off.
+        self._tracing = trace.enabled
         self._batch_policy = batch_policy or BatchPolicy()
         self._sm_factory = state_machine_factory
         self._local_compaction = local_compaction
         self._global_compaction = global_compaction
         self._transfer = transfer if transfer is not None else TransferConfig()
         self._seq = itertools.count(1)
-        if perf.LEGACY_CORE:
-            self.on_message = self._legacy_on_message  # type: ignore[method-assign]
-            self._on_local_apply = self._legacy_on_local_apply  # type: ignore[method-assign]
         # Sticky across crashes (deployment property, like the factory
         # args): whether to maintain the per-session dedup table.
         self._session_tracking = False
@@ -257,8 +252,7 @@ class CRaftServer(Actor):
     # ------------------------------------------------------------------
     def _send_local_level(self, dst: str, message: Any) -> None:
         # env_fast is checked per call, not at construction: set_latency
-        # can swap in a size-aware model mid-run, and the legacy core
-        # keeps the wrapper allocation so bench_perf prices it.
+        # can swap in a size-aware model mid-run.
         if self._network.env_fast:
             self._network.send_enveloped(self.name, dst, "local",
                                          self.cluster, message)
@@ -326,18 +320,10 @@ class CRaftServer(Actor):
         # final classes (Envelope for all consensus traffic, ClientRequest
         # from clients), so exact-type tests replace the isinstance walk;
         # Envelope first because steady-state traffic is all envelopes.
-        # The legacy core swaps in _legacy_on_message at construction.
         message_type = type(message)
         if message_type is Envelope:
-            level = message.level
-            if level == "local":
-                if message.scope == self.cluster:
-                    self.local_engine.handle(message.inner, sender)
-            elif level == "global":
-                if self.global_engine is not None:
-                    self.global_engine.handle(message.inner, sender)
-                else:
-                    self._relay_global_without_engine(message.inner, sender)
+            self.on_enveloped(message.level, message.scope, message.inner,
+                              sender)
             return
         if message_type is ClientRequest:
             if (self._session_tracking and message.sequence
@@ -371,9 +357,10 @@ class CRaftServer(Actor):
 
     def on_enveloped(self, level: str, scope: str, inner: Any,
                      sender: str) -> None:
-        """Routing target of :meth:`Network.send_enveloped`: the Envelope
-        branch of :meth:`on_message` with the wrapper fields passed loose
-        (the fast path never allocates the wrapper)."""
+        """Level/scope routing of consensus traffic. Reached directly
+        from :meth:`Network.send_enveloped` (wrapper fields passed loose,
+        the Envelope never allocated) and from :meth:`on_message` for a
+        materialized Envelope."""
         if level == "local":
             if scope == self.cluster:
                 self.local_engine.handle(inner, sender)
@@ -382,33 +369,6 @@ class CRaftServer(Actor):
                 self.global_engine.handle(inner, sender)
             else:
                 self._relay_global_without_engine(inner, sender)
-
-    def _legacy_on_message(self, message: Any, sender: str) -> None:
-        """Pre-flattening routing (isinstance chain), selected under
-        ``REPRO_LEGACY_CORE``."""
-        if isinstance(message, ClientRequest):
-            # Session dedup is serving semantics, not a perf-gated
-            # optimization: both cores answer retries without consensus.
-            if (self._session_tracking and message.sequence
-                    and self._sessions.is_duplicate(message.session_id,
-                                                    message.sequence)):
-                self._reply_duplicate(message, sender)
-                return
-            self._clients[message.request_id] = sender
-            self.local_engine.handle(message, sender)
-            return
-        if not isinstance(message, Envelope):
-            return  # stray unwrapped message; C-Raft traffic is enveloped
-        if message.level == "local":
-            if message.scope == self.cluster:
-                self.local_engine.handle(message.inner, sender)
-            return
-        if message.level == "global":
-            if self.global_engine is not None:
-                self.global_engine.handle(message.inner, sender)
-            else:
-                self._relay_global_without_engine(message.inner, sender)
-            return
 
     def _relay_global_without_engine(self, inner: Any, sender: str) -> None:
         """This site no longer runs a global engine (e.g. the retired
@@ -491,8 +451,8 @@ class CRaftServer(Actor):
             # Fused observe+readiness check: one Batcher call per applied
             # entry instead of two, and the (role, membership, take)
             # pipeline in _maybe_propose_batch runs only when a batch can
-            # actually form. Equivalent to the legacy body because
-            # _maybe_propose_batch is a no-op whenever ready() is False.
+            # actually form (_maybe_propose_batch is a no-op whenever
+            # ready() is False).
             if self.batcher.observe_and_check(index, entry, self.now()):
                 self._maybe_propose_batch()
             elif self.batcher.has_age_flush:
@@ -506,28 +466,6 @@ class CRaftServer(Actor):
                 self._view_insert(gindex, gentry)
             # Effective global commit advances only here (local-log order
             # guarantees every corrective insert below it arrived first).
-            if entry.payload.global_commit > self.global_commit:
-                self.global_commit = entry.payload.global_commit
-            self._advance_global_apply()
-            self._complete_gate(entry.entry_id)
-
-    def _legacy_on_local_apply(self, index: int, entry: LogEntry) -> None:
-        """Pre-restructure apply path (separate observe and readiness
-        calls), selected under ``REPRO_LEGACY_CORE`` at construction."""
-        self.applied_log.append((index, entry))
-        if entry.kind is EntryKind.DATA:
-            self._uncovered_data.append((index, entry))
-            if self._session_tracking:
-                # Session dedup is serving semantics, not a perf-gated
-                # optimization: both cores must observe applied ids.
-                self._sessions.observe(entry.entry_id, index)
-            self.batcher.observe_local_commit(index, entry, self.now())
-            self._maybe_propose_batch()
-        elif entry.kind is EntryKind.GLOBAL_STATE:
-            if entry.payload.snapshot is not None:
-                self._adopt_global_snapshot(entry.payload.snapshot)
-            for gindex, gentry in entry.payload.inserts:
-                self._view_insert(gindex, gentry)
             if entry.payload.global_commit > self.global_commit:
                 self.global_commit = entry.payload.global_commit
             self._advance_global_apply()

@@ -42,7 +42,12 @@ from repro.experiments.regions import regions_for
 from repro.metrics.summary import StreamingReservoir, SummaryStats
 from repro.net.topology import Topology
 from repro.scenarios.registry import Scenario, register_scenario
-from repro.scenarios.runner import SweepRunner, drive
+from repro.scenarios.runner import (
+    RunContext,
+    SweepRunner,
+    arm_timed_events,
+    drive,
+)
 from repro.scenarios.spec import (
     Cell,
     EventSchedule,
@@ -115,6 +120,8 @@ class HeavyTrafficResult:
     latency: SummaryStats         # client-observed commit latency
     abandoned_fraction: float
     duplicates_suppressed: int
+    #: Flap-schedule events (partition / heal) that fired during the run.
+    fired: int
 
     def table(self) -> ResultTable:
         config = self.config
@@ -131,7 +138,7 @@ class HeavyTrafficResult:
                       round(self.abandoned_fraction, 4))
         table.add_note(
             f"{config.duration:.0f}s window, adaptive batching, "
-            f"{config.cycles} WAN flap cycles, "
+            f"{self.fired} WAN flap events fired, "
             f"{self.duplicates_suppressed} duplicate retries suppressed "
             f"without consensus")
         return table
@@ -184,8 +191,9 @@ def drive_serving_window(system, spec: ScenarioSpec) -> dict:
     """Open-loop session fleet against a C-Raft deployment.
 
     Returns ``{"throughput", "latency", "abandoned_fraction",
-    "duplicates_suppressed", "sessions_used"}``; raises ExperimentError
-    if ``spec.slo`` is violated.
+    "duplicates_suppressed", "sessions_used", "saturated_arrivals",
+    "fired"}`` (``fired`` counts the schedule events that took effect);
+    raises ExperimentError if ``spec.slo`` is violated.
     """
     params = spec.params
     n_sessions = params["sessions"]
@@ -237,6 +245,8 @@ def drive_serving_window(system, spec: ScenarioSpec) -> dict:
         loop.call_at(loop.now() + arrivals.expovariate(rate), on_arrival)
 
     loop.call_at(loop.now() + arrivals.expovariate(rate), on_arrival)
+    ctx = RunContext(system, spec)
+    arm_timed_events(ctx)
     system.run_for(params["warmup"])
     state["measuring"] = True
     window_start_applied = system.total_global_applied()
@@ -259,7 +269,8 @@ def drive_serving_window(system, spec: ScenarioSpec) -> dict:
             "abandoned_fraction": fraction,
             "duplicates_suppressed": duplicates,
             "sessions_used": n_sessions - len(idle),
-            "saturated_arrivals": state["saturated"]}
+            "saturated_arrivals": state["saturated"],
+            "fired": len(ctx.fired)}
 
 
 def heavy_traffic_cells(config: HeavyTrafficConfig) -> list[Cell]:
@@ -275,7 +286,8 @@ def run_heavy_traffic(config: HeavyTrafficConfig | None = None,
         config=config, throughput=metrics["throughput"],
         latency=metrics["latency"],
         abandoned_fraction=metrics["abandoned_fraction"],
-        duplicates_suppressed=metrics["duplicates_suppressed"])
+        duplicates_suppressed=metrics["duplicates_suppressed"],
+        fired=metrics["fired"])
 
 
 register_scenario(Scenario(

@@ -2,18 +2,13 @@
 flapping inter-region links.
 
 The paper's own figures stop at 20 sites; this scenario is the dynamic-
-network workload the scenario subsystem (PR 3) was built to express and
-the simulation-core speedup (PR 5) makes tractable in CI smoke: thirty
+network workload the scenario subsystem was built to express, small enough for CI
+smoke: thirty
 sites running two consensus levels each, with one region's WAN uplink
 flapping on a cycle (the short-lived-stability regime of Winkler et
 al.) while every cluster keeps proposing. The metric is the Fig. 5
 metric -- entries committed to the global log per second over a
 measurement window -- now under sustained churn of the mesh itself.
-
-Also the ``craft_mesh_6x5`` cell of ``benchmarks/bench_perf.py``: the
-multi-cluster, two-level-engine shape exercises the simulation core
-differently from the flat cells (an order of magnitude more timers and
-messages in flight), so the perf trajectory tracks it separately.
 """
 
 from __future__ import annotations

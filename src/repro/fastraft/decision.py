@@ -26,7 +26,6 @@ DESIGN.md):
 
 from __future__ import annotations
 
-from repro import perf
 from repro.consensus.engine import Role
 from repro.consensus.entry import EntryKind, InsertedBy, LogEntry, make_noop
 from repro.consensus.messages import ProposeEntry
@@ -128,15 +127,12 @@ class DecisionMixin:
     def _after_decision(self, k: int) -> str:
         """Steps (c)-(e): update fastMatchIndex, try the fast commit.
 
-        The current core defers the fast-quorum member count until the
-        fast track is actually reachable (``k`` right above the commit
-        index, current-term entry): for a decided-ahead range riding the
-        classic track, the count's outcome is discarded, so skipping it
-        drops an O(members) sweep per decided index with no observable
-        difference. The legacy core keeps the unconditional count.
+        The fast-quorum member count is deferred until the fast track
+        is actually reachable (``k`` right above the commit index,
+        current-term entry): for a decided-ahead range riding the
+        classic track the count's outcome would be discarded, and it is
+        an O(members) sweep per decided index.
         """
-        if perf.LEGACY_CORE:
-            return self._legacy_after_decision(k)
         entry = self.log.get(k)
         if entry is None:
             return "blocked"
@@ -162,32 +158,6 @@ class DecisionMixin:
             # "The fast track can only be taken here if the last index was
             # committed" -- otherwise commitIndex would cover earlier,
             # undecided indices.
-            if self._tracing:
-                self._trace("fast_commit", index=k, entry_id=entry.entry_id,
-                            matches=matches)
-            self._advance_commit_index(k)
-            self.possible_entries.drop_through(k)
-            return "committed"
-        return "classic"
-
-    def _legacy_after_decision(self, k: int) -> str:
-        """Pre-restructure steps (c)-(e), kept selectable for bench_perf."""
-        entry = self.log.get(k)
-        if entry is None:
-            return "blocked"
-        record = self.possible_entries.record_for(k, entry.entry_id)
-        if record is not None:
-            for voter in record.voters:
-                if voter in self.fast_match_index:
-                    self.fast_match_index[voter] = max(
-                        self.fast_match_index[voter], k)
-        self.fast_match_index[self.name] = max(
-            self.fast_match_index.get(self.name, 0), k)
-        matches = sum(1 for m in self.configuration.members
-                      if self.fast_match_index.get(m, 0) >= k)
-        if (k == self.commit_index + 1
-                and self.configuration.is_fast_quorum(matches)
-                and entry.term == self.current_term):
             if self._tracing:
                 self._trace("fast_commit", index=k, entry_id=entry.entry_id,
                             matches=matches)

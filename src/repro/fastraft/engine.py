@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro import perf
 from repro.consensus.config import Configuration
 from repro.consensus.engine import BaseEngine, EngineContext, Role
 from repro.consensus.entry import EntryKind, InsertedBy, LogEntry
-from repro.consensus.messages import ProposeEntry, VoteEntry
 from repro.net.sizes import estimate_size
 from repro.fastraft.decision import DecisionMixin
 from repro.fastraft.election import ElectionMixin
@@ -206,7 +204,7 @@ class FastRaftEngine(ProposalMixin, DecisionMixin, ReplicationMixin,
         simultaneous reclaim waves would otherwise all target the same
         next index and collide again.
         """
-        if not self._outstanding_proposals and not perf.LEGACY_CORE:
+        if not self._outstanding_proposals:
             return  # the common case: nothing of ours is in flight
         jitter = self.timing.repropose_jitter
         for entry_id, entry in list(self._outstanding_proposals.items()):
@@ -246,12 +244,3 @@ class FastRaftEngine(ProposalMixin, DecisionMixin, ReplicationMixin,
             self.next_index.setdefault(site, start)
             self.match_index.setdefault(site, 0)
             self.fast_match_index.setdefault(site, 0)
-
-    # ------------------------------------------------------------------
-    # Dispatch additions
-    # ------------------------------------------------------------------
-    def _build_dispatch(self):
-        dispatch = super()._build_dispatch()
-        dispatch[ProposeEntry] = self._handle_propose_entry
-        dispatch[VoteEntry] = self._handle_vote_entry
-        return dispatch

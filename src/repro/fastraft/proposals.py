@@ -9,7 +9,6 @@ commit index.
 
 from __future__ import annotations
 
-from repro import perf
 from repro.consensus.engine import Role, handles
 from repro.consensus.entry import EntryKind, InsertedBy, LogEntry
 from repro.consensus.messages import (
@@ -62,7 +61,7 @@ class ProposalMixin:
         votes are counted only where the quorum rules say so (tiebreaker
         CONFIG decisions), but they must mirror the slots to vote at
         all."""
-        if not self._catchup_targets and not perf.LEGACY_CORE:
+        if not self._catchup_targets:
             # Common case: no joiners catching up, and the replica tuple
             # is already deduplicated -- skip the merge/dedup rebuild.
             return self.configuration.replicas
@@ -75,37 +74,14 @@ class ProposalMixin:
     # ------------------------------------------------------------------
     @handles(ProposeEntry)
     def _handle_propose_entry(self, msg: ProposeEntry, sender: str) -> None:
-        proposed, index = msg.entry, msg.index
-        committed_at = self.log.committed_index_of(proposed.entry_id,
-                                                   self.commit_index)
-        if committed_at is not None:
-            self._notify_origin(self.log.get(committed_at), committed_at)
-            return
-        if index <= self.commit_index:
-            # The slot committed with a different entry; a vote would be
-            # ignored. The proposer's timeout re-targets a fresh index.
-            return
-        if self.log.get(index) is None:
-            stamped = proposed.with_mark(self.current_term, InsertedBy.SELF)
-            self._gate_insert([(index, stamped)],
-                              lambda: self._send_slot_vote(index))
-        else:
-            # Slot occupied: do not overwrite; vote for the occupant
-            # (step 4 sends log[i] regardless of insertion).
-            self._send_slot_vote(index)
+        """Steps 3-4 of "To propose an entry": insert into the targeted
+        slot if it is empty, then vote for whatever the slot holds.
 
-    @handles(ProposeEntry)
-    def _handle_propose_entry_fast(self, msg: ProposeEntry,
-                                   sender: str) -> None:
-        """Current-core variant of :meth:`_handle_propose_entry`: same
-        decisions in the same order, with the synchronous-gate insert
-        fused in. Engines whose ``_gate_insert`` runs inline
-        (``_SYNC_GATE``) skip the pair-list, the completion closure, and
-        the post-gate slot re-read -- an empty winnable slot here always
-        ends up holding exactly the entry just stamped. The asynchronous
-        C-Raft global gate keeps the closure path. Registered after the
-        reference handler so the flat dispatch table picks this one; the
-        legacy ``_build_dispatch`` binds the reference explicitly."""
+        Engines whose ``_gate_insert`` runs inline (``_SYNC_GATE``) take
+        the insert fused in: no pair-list, no completion closure, no
+        post-gate slot re-read -- an empty winnable slot always ends up
+        holding exactly the entry just stamped. The asynchronous C-Raft
+        global gate keeps the closure path."""
         proposed, index = msg.entry, msg.index
         log = self.log
         committed_at = log.committed_index_of(proposed.entry_id,
@@ -114,9 +90,13 @@ class ProposalMixin:
             self._notify_origin(log.get(committed_at), committed_at)
             return
         if index <= self.commit_index:
+            # The slot committed with a different entry; a vote would be
+            # ignored. The proposer's timeout re-targets a fresh index.
             return
         occupant = log.get(index)
         if occupant is not None:
+            # Slot occupied: do not overwrite; vote for the occupant
+            # (step 4 sends log[i] regardless of insertion).
             self._send_slot_vote(index, occupant)
             return
         stamped = proposed.with_mark(self.current_term, InsertedBy.SELF)

@@ -13,7 +13,6 @@ is proposed out of the configuration.
 
 from __future__ import annotations
 
-from repro import perf
 from repro.consensus.engine import Role
 from repro.consensus.entry import InsertedBy
 from repro.consensus.messages import AppendEntries, AppendEntriesResponse
@@ -37,14 +36,13 @@ class ReplicationMixin:
         As in classic Raft's beat, followers sharing a nextIndex get the
         *same* immutable AppendEntries object (one entries slice and one
         size memo per distinct nextIndex per round, instead of one per
-        follower); the legacy-core switch restores the per-follower
-        construction for benchmarking. Send order is unchanged, so the
-        fabric's RNG stream is untouched.
+        follower). Send order is per target, so the fabric's RNG stream
+        does not depend on the sharing.
         """
         if self.role is not Role.LEADER:
             return
         self._tick_member_timeouts()
-        round_cache = None if perf.LEGACY_CORE else {}
+        round_cache: dict[int, AppendEntries] = {}
         for target in self._append_targets():
             self._send_append_entries(target, round_cache)
 
@@ -121,14 +119,16 @@ class ReplicationMixin:
         bounded by the leader-approved region). A leader that is no
         longer a configuration member (lingering step-down after its own
         exclusion committed) holds no vote of its own -- counting itself
-        would let it commit entries its successors never saw."""
-        if perf.LEGACY_CORE:
-            self._legacy_classic_track_commit()
-            return
-        # Current core: quorum coverage is monotone in the index (match
-        # counts only shrink as k grows), so the per-index member
-        # recount collapses to one order statistic -- the quorum-th
-        # largest match -- giving the replication frontier directly.
+        would let it commit entries its successors never saw.
+
+        The paper's rule -- walk k upward from commitIndex + 1 while a
+        classic quorum of matchIndex covers k, keep the highest
+        current-term k -- is stated naively in
+        tests/test_fastraft_basic.py and held equal to this form."""
+        # Quorum coverage is monotone in the index (match counts only
+        # shrink as k grows), so the per-index member recount collapses
+        # to one order statistic -- the quorum-th largest match --
+        # giving the replication frontier directly.
         # Unlike classic Raft, Fast Raft's overwrite semantics leave
         # terms non-monotonic along the log, so the highest
         # current-term entry at or below the frontier is found by a
@@ -158,27 +158,6 @@ class ReplicationMixin:
                 best = k
                 break
         if best > commit:
-            self._trace("classic_commit", index=best)
-            self._advance_commit_index(best)
-            self.possible_entries.drop_through(self.commit_index)
-            self.ctx.loop.call_soon(self._run_decision)
-
-    def _legacy_classic_track_commit(self) -> None:
-        """Pre-restructure commit rule: per-index member recount, kept
-        selectable so bench_perf prices the frontier rewrite."""
-        best = self.commit_index
-        for k in range(self.commit_index + 1, self.last_leader_index + 1):
-            votes = 1 if self.name in self.configuration else 0
-            for member in self.configuration.members:
-                if (member != self.name
-                        and self.match_index.get(member, 0) >= k):
-                    votes += 1
-            if not self.configuration.is_classic_quorum(votes):
-                break
-            entry = self.log.get(k)
-            if entry is not None and entry.term == self.current_term:
-                best = k
-        if best > self.commit_index:
             self._trace("classic_commit", index=best)
             self._advance_commit_index(best)
             self.possible_entries.drop_through(self.commit_index)
@@ -242,7 +221,7 @@ class ReplicationMixin:
                 continue  # already absorbed
             to_insert.append((index, entry))
         last_new = msg.prev_log_index + len(msg.entries)
-        if self._SYNC_GATE and not perf.LEGACY_CORE:
+        if self._SYNC_GATE:
             # The gate completes inline for these engines: skip the
             # completion closure (and its allocation) entirely.
             self._insert_batch(to_insert)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 
-from repro import perf
 from repro.errors import NetworkError
 
 
@@ -180,14 +179,15 @@ class RegionLatencyModel(LatencyModel):
         # ``a + (b - a) * rng.random()``, so with ``a = 1 - jitter`` and
         # ``b = 1 + jitter`` precomputed exactly as uniform() would
         # combine them, ``base * (lo + span * rng.random())`` is
-        # bit-identical to the legacy draw -- same single RNG call, same
-        # float operations in the same order. ``_sample_flat`` is
-        # installed per instance so the per-message hot path skips the
-        # jitter branch and the uniform() frame; the zero-jitter model
-        # keeps the draw-free legacy path on both cores.
+        # bit-identical to the ``rng.uniform`` draw of the class-level
+        # :meth:`sample` -- same single RNG call, same float operations
+        # in the same order (tests/test_net_latency.py holds the two
+        # together). ``_sample_flat`` is installed per instance so the
+        # per-message hot path skips the jitter branch and the uniform()
+        # frame; the zero-jitter model keeps the draw-free ``sample``.
         self._jitter_lo = 1.0 - jitter
         self._jitter_span = (1.0 + jitter) - self._jitter_lo
-        if jitter and not perf.LEGACY_CORE:
+        if jitter:
             self.sample = self._sample_flat  # type: ignore[method-assign]
 
     @staticmethod
@@ -224,8 +224,8 @@ class RegionLatencyModel(LatencyModel):
         return one_way
 
     def _sample_flat(self, rng: random.Random, src: str, dst: str) -> float:
-        """Flat jittered sampler (see __init__); replaces ``sample`` on
-        the current core when the model jitters."""
+        """Flat jittered sampler (see __init__); replaces ``sample``
+        whenever the model jitters."""
         one_way = self._pair_one_way.get((src, dst))
         if one_way is None:
             rtt = self.rtt_between(self.region_of(src), self.region_of(dst))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro import perf
 from repro.errors import NetworkError
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.loss import LossModel, NoLoss
@@ -39,9 +38,9 @@ class Network:
     call is observably identical), an exact :class:`ConstantLatency`
     model's delay is read from a cached float (its ``sample`` ignores
     the RNG), and the partition/disconnect check collapses to one flag
-    test while no fault is installed. The flags refresh whenever a model
-    is swapped or a fault installed; ``repro.perf``'s legacy core
-    disables the fast paths entirely so ``bench_perf`` can price them.
+    test while no fault is installed. The flags are selected from what
+    the fabric can observe about its models and refresh whenever a model
+    is swapped or a fault installed.
 
     The send and deliver paths bump :class:`NetworkStats` counters
     inline, and deliveries call :meth:`Actor.on_message` directly: the
@@ -70,20 +69,12 @@ class Network:
         self._disconnected: set[str] = set()
         self._partition_groups: dict[str, int] | None = None
         self.stats = NetworkStats()
-        self._fast_path = not perf.LEGACY_CORE
-        self._no_loss = False
-        self._fixed_delay: float | None = None
         self._refresh_model_flags()
         self._refresh_fault_flag()
 
     def _refresh_model_flags(self) -> None:
         """Recompute the trivial-model fast-path flags (see class doc)."""
         self._size_aware = self._latency.size_aware
-        if not self._fast_path:
-            self._no_loss = False
-            self._fixed_delay = None
-            self.env_fast = False
-            return
         self._no_loss = type(self._loss) is NoLoss
         self._fixed_delay = (self._latency.delay
                              if type(self._latency) is ConstantLatency
@@ -95,8 +86,7 @@ class Network:
 
     def _refresh_fault_flag(self) -> None:
         self._faults_installed = (bool(self._disconnected)
-                                  or self._partition_groups is not None
-                                  or not self._fast_path)
+                                  or self._partition_groups is not None)
 
     # ------------------------------------------------------------------
     # Membership of the fabric
@@ -268,7 +258,7 @@ class Network:
         scheduled delivery instead, and hands them straight to the
         destination's :meth:`on_enveloped` hook. Callers must check
         :attr:`env_fast` per send: it is False under a size-aware model
-        (which must price the real wrapper) and under the legacy core.
+        (which must price the real wrapper).
 
         Parity with :meth:`send` for an Envelope: stats record under the
         literal ``"Envelope"`` type name, the loss and latency models see

@@ -30,7 +30,6 @@ from repro.consensus.messages import (
     ProposeToLeader,
     RequestVote,
 )
-from repro import perf
 from repro.errors import ConsensusError, NotLeaderError
 from repro.net.sizes import estimate_size
 from repro.sim.timers import PeriodicTimer
@@ -172,14 +171,12 @@ class ClassicRaftEngine(BaseEngine):
         Followers with equal nextIndex need byte-identical messages, so
         the beat builds one immutable AppendEntries per distinct
         nextIndex and reuses it (entries slice, size memo and all)
-        across those followers -- the pre-refactor core built a fresh
-        message and entries tuple per follower, which the legacy-core
-        switch preserves for benchmarking. Send order is unchanged
-        either way, so the fabric's RNG stream is untouched.
+        across those followers. Send order is per target, so the
+        fabric's RNG stream does not depend on the sharing.
         """
         if self.role is not Role.LEADER:
             return
-        round_cache = None if perf.LEGACY_CORE else {}
+        round_cache: dict[int, AppendEntries] = {}
         for target in self._append_targets():
             self._send_append_entries(target, round_cache)
 
@@ -431,11 +428,3 @@ class ClassicRaftEngine(BaseEngine):
                 self._become_follower()
                 return
         self._start_next_config_change()
-
-    # ------------------------------------------------------------------
-    # Dispatch additions
-    # ------------------------------------------------------------------
-    def _build_dispatch(self):
-        dispatch = super()._build_dispatch()
-        dispatch[ProposeToLeader] = self._handle_propose_to_leader
-        return dispatch

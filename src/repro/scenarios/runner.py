@@ -360,11 +360,7 @@ _PROFILE_DIR: str | None = None
 
 def sweep_pool(workers: int):
     """The shared pool, rebuilt only when the requested shape changes.
-
-    Callers outside this module (the perf benchmark) use it to run work
-    in a warm, quiet worker process without paying pool spin-up per
-    call; they must not close it -- :func:`close_sweep_pool` owns that.
-    """
+    Callers must not close it -- :func:`close_sweep_pool` owns that."""
     global _POOL, _POOL_KEY
     methods = multiprocessing.get_all_start_methods()
     method = "fork" if "fork" in methods else "spawn"

@@ -14,12 +14,10 @@ Two schedulers implement that contract:
   heap and migrate in as the wheel turns. Cancellation is O(1)
   cancel-and-forget, and fired or cancelled handles are recycled
   through a small free-list when nothing else references them.
-- ``"heap"`` -- the pre-refactor single binary heap of ``Handle``
-  objects ordered by ``Handle.__lt__``. Kept as the reference
-  implementation: the equivalence property test replays random
-  schedule/cancel traces through both, and ``repro.perf``'s legacy-core
-  switch selects it so ``bench_perf`` can measure the speedup on the
-  same machine in the same run.
+- ``"heap"`` -- a single binary heap of ``Handle`` objects ordered by
+  ``Handle.__lt__``. The reference implementation, reachable only
+  through an explicit ``SimLoop(scheduler="heap")``: the equivalence
+  property test replays random schedule/cancel traces through both.
 
 Both produce the exact same firing order and clock reads for the same
 calls; tests pin that equivalence.
@@ -33,7 +31,6 @@ import itertools
 import sys
 from typing import Any, Callable
 
-from repro import perf
 from repro.errors import SimulationError
 
 #: Convenience unit: ``loop.call_later(100 * MS, fn)`` reads like the paper.
@@ -96,9 +93,9 @@ class Handle:
             self._callback(*self._args)
 
     def __lt__(self, other: "Handle") -> bool:
-        # Only the legacy heap compares handles directly; the wheel
-        # stores (when, seq, handle) tuples so comparisons never
-        # allocate. Kept for the legacy scheduler and external sorts.
+        # Only the reference heap scheduler (and external sorts)
+        # compare handles directly; the wheel stores (when, seq, handle)
+        # tuples so comparisons never allocate.
         return (self.when, self.seq) < (other.when, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -116,17 +113,13 @@ class SimLoop:
         loop.call_later(0.5, do_something)
         loop.run_until(60.0)
 
-    ``scheduler`` picks the implementation (``"wheel"`` / ``"heap"``);
-    None follows :data:`repro.perf.LEGACY_CORE` (wheel unless the
-    legacy core is selected).
+    ``scheduler`` picks the implementation (``"wheel"`` / ``"heap"``).
     """
 
     #: Compaction never bothers with structures smaller than this.
     _COMPACT_MIN = 64
 
-    def __init__(self, scheduler: str | None = None) -> None:
-        if scheduler is None:
-            scheduler = "heap" if perf.LEGACY_CORE else "wheel"
+    def __init__(self, scheduler: str = "wheel") -> None:
         if scheduler not in ("wheel", "heap"):
             raise SimulationError(f"unknown scheduler: {scheduler!r}")
         self.scheduler = scheduler
@@ -145,8 +138,8 @@ class SimLoop:
             self._in_wheel = 0        # entries in wheel slots (incl. cancelled)
             # Scheduling runs once per simulated event (often twice);
             # the fused wheel variants skip the call_later -> call_at
-            # dispatch frame and its redundant past-check. The heap
-            # scheduler keeps the generic methods (pre-change cost).
+            # dispatch frame and its redundant past-check. The reference
+            # heap scheduler keeps the generic methods.
             self.call_later = self._call_later_wheel  # type: ignore[method-assign]
             self.call_soon = self._call_soon_wheel  # type: ignore[method-assign]
         else:
@@ -286,9 +279,8 @@ class SimLoop:
                 # collector's young-generation scans during the run are
                 # pure overhead. Pause it for the duration -- cycles
                 # created inside are picked up once the caller allocates
-                # again with the collector back on. The legacy heap
-                # runner leaves the collector untouched (pre-change
-                # behaviour), so bench_perf prices the pause.
+                # again with the collector back on. The reference heap
+                # runner leaves the collector untouched.
                 paused = gc.isenabled()
                 if paused:
                     gc.disable()
@@ -305,7 +297,7 @@ class SimLoop:
 
     def _run_heap(self, deadline: float,
                   max_events: int | None = None) -> int:
-        """Legacy scheduler run; returns the number of events fired."""
+        """Reference heap-scheduler run; returns the number of events fired."""
         heap = self._heap
         fired = 0
         while heap and heap[0].when <= deadline:

@@ -1,6 +1,8 @@
 """Tests for the replicated log (holes, overwrite, provenance)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.consensus.entry import EntryKind, InsertedBy, LogEntry, ConfigPayload
 from repro.consensus.log import RaftLog
@@ -163,3 +165,91 @@ class TestDuplicateDetection:
         log.insert(2, entry("b"))
         assert log.indices_of("a") == set()
         assert log.indices_of("b") == {2}
+
+
+class TestIndexedLookupsMatchFullScans:
+    """``best_config_entry`` / ``max_config_version`` read a tracked set
+    of CONFIG indices and ``committed_index_of`` the id reverse map, both
+    maintained incrementally by every mutation. The full index-ordered
+    scans written here are the plain statement they must agree with."""
+
+    @staticmethod
+    def scan_best_config(log, upto, decided_upto):
+        best_key, best = None, None
+        for index, e in log:  # every occupied slot, index order
+            if e.kind is not EntryKind.CONFIG:
+                continue
+            if upto is not None and index > upto:
+                continue
+            if (decided_upto is not None and index > decided_upto
+                    and e.inserted_by is not InsertedBy.LEADER):
+                continue  # tentative: self-approved above the commit
+            key = (getattr(e.payload, "version", 0), index)
+            if best_key is None or key > best_key:
+                best_key, best = key, (index, e)
+        return best
+
+    @staticmethod
+    def apply(log, op):
+        """One mutation, its raw index resolved against the log's current
+        shape so that every drawn sequence is legal."""
+        action, raw, entry_id, is_config, by_leader, version, term = op
+        floor = log.snapshot_index
+        if action in ("insert", "append"):
+            # version 0 doubles as "payload carries no version".
+            payload = (ConfigPayload(("a",), version=version)
+                       if is_config and version else None)
+            new = entry(entry_id, term=term,
+                        inserted_by=(InsertedBy.LEADER if by_leader
+                                     else InsertedBy.SELF),
+                        kind=EntryKind.CONFIG if is_config else EntryKind.DATA,
+                        payload=payload)
+            if action == "append":
+                log.append(new)
+            else:  # may land on an occupant (overwrite) or leave holes
+                log.insert(floor + 1 + raw, new)
+        elif action == "truncate":
+            log.truncate_from(floor + 1 + raw)
+        elif action == "compact":
+            occupied = [i for i, _ in log]
+            if occupied:
+                log.compact_to(occupied[raw % len(occupied)])
+        else:  # install: an external anchor, possibly beyond last_index
+            log.install_snapshot(floor + raw, term)
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["insert", "insert", "insert", "append",
+                         "truncate", "compact", "install"]),
+        st.integers(min_value=0, max_value=9),       # raw index
+        st.sampled_from(["a", "b", "c", "d"]),       # ids repeat across slots
+        st.booleans(),                               # CONFIG or DATA
+        st.booleans(),                               # leader- or self-approved
+        st.integers(min_value=0, max_value=3),       # config version
+        st.integers(min_value=1, max_value=3),       # term
+    ), max_size=30))
+    @settings(deadline=None, max_examples=200)
+    def test_after_every_mutation(self, ops):
+        log = RaftLog()
+        for op in ops:
+            self.apply(log, op)
+            assert log._config_indices == {
+                i for i, e in log if e.kind is EntryKind.CONFIG}
+            assert log.max_config_version() == max(
+                (getattr(e.payload, "version", 0) for _, e in log
+                 if e.kind is EntryKind.CONFIG), default=0)
+            # Nothing is held at or below the compaction point, so 0
+            # stands for every bound down there.
+            live = [0, *range(log.snapshot_index, log.last_index + 2)]
+            for upto in (None, *live):
+                for decided_upto in (None, *live):
+                    assert (log.best_config_entry(upto, decided_upto)
+                            == self.scan_best_config(log, upto,
+                                                     decided_upto))
+            for entry_id in "abcd":
+                held = log.indices_of(entry_id)
+                assert held == {i for i, e in log
+                                if e.entry_id == entry_id}
+                for commit in live:
+                    assert (log.committed_index_of(entry_id, commit)
+                            == min((i for i in held if i <= commit),
+                                   default=None))

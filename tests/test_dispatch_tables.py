@@ -1,11 +1,10 @@
 """Dispatch-table completeness over the wire-message catalog.
 
 Every message dataclass in :mod:`repro.consensus.messages` must have a
-registered handler on each engine that can receive it -- on the flat
-``@handles`` table (current core) *and* on the legacy ``_build_dispatch``
-table, so both cores route identically. A new message type added without
-a handler turns from a silent runtime drop (or a mid-run
-``ConsensusError`` on first delivery) into a failure here.
+registered handler on each engine that can receive it, in the
+class-level ``@handles`` table. A new message type added without a
+handler turns from a mid-run ``ConsensusError`` on first delivery into a
+failure here.
 """
 
 from __future__ import annotations
@@ -63,19 +62,6 @@ def test_flat_table_covers_every_receivable_message(engine_cls):
     assert not missing, (
         f"{engine_cls.__name__} has no @handles entry for {sorted(missing)}"
         " -- these messages would raise ConsensusError on delivery")
-
-
-@pytest.mark.parametrize("engine_cls", ENGINES,
-                         ids=lambda cls: cls.__name__)
-def test_legacy_and_flat_tables_route_the_same_types(engine_cls):
-    """The legacy per-instance dict and the flat class table must cover
-    the same message types -- a handler registered on one core only
-    would make the cores diverge on delivery."""
-    # _build_dispatch only binds methods, so a blank instance suffices.
-    blank = object.__new__(engine_cls)
-    legacy = {cls.__name__ for cls in engine_cls._build_dispatch(blank)}
-    flat = {cls.__name__ for cls in engine_cls._DISPATCH_TABLE}
-    assert legacy == flat
 
 
 def test_flat_tables_hold_only_known_messages():

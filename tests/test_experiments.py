@@ -162,36 +162,3 @@ class TestProfileFlag:
         assert "run_cell" in stats  # the simulation, not just the CLI
         assert (tmp_path / "scenario_rounds.json").exists()
 
-
-class TestPerfBench:
-    def test_perf_report_cores_agree_and_trajectory_written(self, tmp_path):
-        """Both cores execute the identical simulation; the trajectory
-        file accumulates runs."""
-        from repro.bench import run_bench_perf, write_trajectory
-        from repro.bench.perf import _run_raft_lan_steady  # noqa: F401
-        import json as _json
-        from repro import perf as _perf
-
-        # One tiny cell on each core: identical events is the invariant
-        # the full benchmark enforces per cell.
-        import repro.bench.perf as bench_perf
-        saved = bench_perf._CELLS
-        bench_perf._CELLS = [(bench_perf.STEADY_CELL,
-                              bench_perf._run_raft_lan_steady)]
-        try:
-            report = run_bench_perf(smoke=True, repeats=1)
-        finally:
-            bench_perf._CELLS = saved
-        cell = report.cell(bench_perf.STEADY_CELL)
-        assert cell.legacy.events == cell.current.events
-        assert cell.legacy.sim_seconds == cell.current.sim_seconds
-        assert not _perf.LEGACY_CORE  # the context manager restored it
-
-        path = tmp_path / "BENCH_perf.json"
-        write_trajectory(report, path)
-        write_trajectory(report, path)
-        payload = _json.loads(path.read_text())
-        assert payload["schema"] == 1
-        assert len(payload["runs"]) == 2
-        assert payload["runs"][0]["cells"][bench_perf.STEADY_CELL][
-            "legacy"]["events"] == cell.legacy.events

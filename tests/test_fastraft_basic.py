@@ -1,9 +1,15 @@
 """Fast Raft: fast track, classic fallback, latency shape."""
 
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.consensus.config import Configuration
 from repro.consensus.engine import Role
-from repro.consensus.entry import InsertedBy
+from repro.consensus.entry import EntryKind, InsertedBy, LogEntry
+from repro.consensus.log import RaftLog
 from repro.fastraft.server import FastRaftServer
 from repro.harness.checkers import check_leader_approved_prefix
 from repro.harness.workload import ClosedLoopWorkload
@@ -114,6 +120,86 @@ class TestClassicTrackFallback:
         assert all(r.done for r in records)
         assert trace_count(cluster, "fastraft.classic_commit") >= 1
         assert_safe(cluster)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_leader_engine():
+    """One elected Fast Raft leader shared by every oracle example: each
+    example overwrites all the state the commit rule reads."""
+    cluster = started_cluster(FastRaftServer, seed=5)
+    return cluster.servers[cluster.leader()].engine
+
+
+class TestClassicTrackCommitOracle:
+    """``_classic_track_commit`` computes the commit point from one order
+    statistic of ``matchIndex`` and a downward term scan. The paper's
+    rule, stated naively here, is the only other statement of it."""
+
+    @staticmethod
+    def paper_rule(members, leader, match, terms, commit, last_leader,
+                   current_term):
+        """Walk k upward from commitIndex + 1 through the leader-approved
+        region; stop at the first k a classic quorum of matchIndex does
+        not cover; keep the highest current-term k seen. A leader outside
+        the configuration holds no vote of its own."""
+        quorum = len(members) // 2 + 1
+        best = commit
+        for k in range(commit + 1, last_leader + 1):
+            votes = 1 if leader in members else 0
+            votes += sum(1 for m in members
+                         if m != leader and match.get(m, 0) >= k)
+            if votes < quorum:
+                break
+            if terms.get(k) == current_term:
+                best = k
+        return best
+
+    @given(
+        n_others=st.integers(min_value=0, max_value=5),
+        leader_in_config=st.booleans(),
+        matches=st.lists(st.one_of(st.none(),
+                                   st.integers(min_value=0, max_value=14)),
+                         min_size=5, max_size=5),
+        # index -> term of the entry there; None is a hole.
+        slots=st.lists(st.one_of(st.none(),
+                                 st.integers(min_value=1, max_value=3)),
+                       min_size=12, max_size=12),
+        commit=st.integers(min_value=0, max_value=12),
+        leader_region=st.integers(min_value=0, max_value=14),
+        current_term=st.integers(min_value=2, max_value=3),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_advances_exactly_where_the_paper_rule_says(
+            self, n_others, leader_in_config, matches, slots, commit,
+            leader_region, current_term):
+        engine = _oracle_leader_engine()
+        leader = engine.name
+        if not leader_in_config:
+            n_others = max(n_others, 1)  # a configuration needs a member
+        others = [f"m{i}" for i in range(n_others)]
+        members = others + [leader] if leader_in_config else others
+        match = {m: v for m, v in zip(others, matches) if v is not None}
+        terms = {i + 1: t for i, t in enumerate(slots) if t is not None}
+        log = RaftLog()
+        for index, term in terms.items():
+            log.insert(index, LogEntry(
+                entry_id=f"e{index}", kind=EntryKind.DATA, payload=None,
+                origin=leader, term=term, inserted_by=InsertedBy.LEADER))
+        engine.log = log
+        engine._configuration = Configuration(tuple(members))
+        engine.match_index = match
+        engine.commit_index = commit
+        engine.last_leader_index = leader_region
+        engine.current_term = current_term
+        advanced_to = []
+        engine._advance_commit_index = advanced_to.append
+        try:
+            engine._classic_track_commit()
+        finally:
+            del engine._advance_commit_index
+        expected = self.paper_rule(members, leader, match, terms, commit,
+                                   leader_region, current_term)
+        assert advanced_to == ([expected] if expected > commit else [])
 
 
 class TestConcurrentProposals:

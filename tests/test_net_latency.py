@@ -195,15 +195,10 @@ class _CountingRandom(random.Random):
 
 
 class TestFlatSamplerEquivalence:
-    """The flat jittered sampler must be a pure representation change:
-    same delays bit-for-bit, same RNG draw count, for any topology."""
-
-    @staticmethod
-    def _build(node_regions, rtt_matrix, jitter, legacy):
-        from repro import perf
-        with perf.legacy_core(legacy):
-            return RegionLatencyModel(node_regions, rtt_matrix,
-                                      jitter=jitter)
+    """The flat jittered sampler a model installs on itself must be a
+    pure representation change of the class-level ``sample`` (the
+    ``rng.uniform`` form): same delays bit-for-bit, same RNG draw count,
+    for any topology."""
 
     @given(
         n_regions=st.integers(min_value=1, max_value=4),
@@ -225,27 +220,24 @@ class TestFlatSamplerEquivalence:
         rtt_matrix = {(a, b): next(rtt_iter)
                       for i, a in enumerate(regions)
                       for b in regions[i:]}
-        legacy_model = self._build(node_regions, rtt_matrix, jitter,
-                                   legacy=True)
-        current_model = self._build(node_regions, rtt_matrix, jitter,
-                                    legacy=False)
+        model = RegionLatencyModel(node_regions, rtt_matrix, jitter=jitter)
         if jitter:
-            # The flat sampler is only installed on the current core;
-            # the legacy-constructed model keeps the class method.
-            assert (current_model.sample.__func__
-                    is RegionLatencyModel._sample_flat)
-            assert "sample" not in vars(legacy_model)
+            assert model.sample.__func__ is RegionLatencyModel._sample_flat
+        else:
+            assert "sample" not in vars(model)  # draw-free class method
         pair_rng = random.Random(seed ^ 0x5EED)
         nodes = sorted(node_regions)
         pairs = [(pair_rng.choice(nodes), pair_rng.choice(nodes))
                  for _ in range(n_messages)]
-        rng_legacy = _CountingRandom(seed)
-        rng_current = _CountingRandom(seed)
-        legacy_delays = [legacy_model.sample(rng_legacy, s, d)
-                         for s, d in pairs]
-        current_delays = [current_model.sample(rng_current, s, d)
-                          for s, d in pairs]
-        assert legacy_delays == current_delays  # bit-identical floats
-        assert rng_legacy.draws == rng_current.draws
+        rng_reference = _CountingRandom(seed)
+        rng_installed = _CountingRandom(seed)
+        # The class-level function on the same model is the reference.
+        reference_delays = [
+            RegionLatencyModel.sample(model, rng_reference, s, d)
+            for s, d in pairs]
+        installed_delays = [model.sample(rng_installed, s, d)
+                            for s, d in pairs]
+        assert reference_delays == installed_delays  # bit-identical floats
+        assert rng_reference.draws == rng_installed.draws
         expected_draws = n_messages if jitter else 0
-        assert rng_legacy.draws == expected_draws
+        assert rng_installed.draws == expected_draws

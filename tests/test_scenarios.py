@@ -380,6 +380,7 @@ class TestNewScenarios:
         assert result.latency.count > 0
         assert result.latency.p99 >= result.latency.median
         assert result.abandoned_fraction <= 0.05
+        assert result.fired >= 2  # the WAN flap is armed and live
         assert len(result.table().rows) == 1
 
     def test_heavy_traffic_rejects_small_meshes(self):

@@ -1,4 +1,4 @@
-"""Timer-wheel / legacy-heap scheduler equivalence.
+"""Timer-wheel / reference-heap scheduler equivalence.
 
 The timer wheel replaced the binary heap on the claim that both honour
 the exact same contract: events fire in ``(when, seq)`` order, the clock
