@@ -9,7 +9,11 @@ explicit support for holes, overwrite, and (for the classic baseline)
 suffix truncation.
 
 An ``entry_id -> indices`` reverse map supports duplicate detection
-("If entry is duplicate and committed, notify proposer").
+("If entry is duplicate and committed, notify proposer"). Nearly every
+id sits in exactly one slot, so the map holds a bare ``int`` for that
+case and a ``set`` only while an id occupies several (a client retry
+that landed twice, a Fast Raft re-proposal); it goes back to the ``int``
+when all but one are overwritten, truncated or compacted away.
 
 Compaction: a committed prefix can be dropped wholesale once a snapshot
 covers it (:meth:`RaftLog.compact_to` / :meth:`RaftLog.install_snapshot`).
@@ -33,7 +37,9 @@ class RaftLog:
     def __init__(self) -> None:
         self._slots: dict[int, LogEntry] = {}
         self._last_index = 0
-        self._id_indices: dict[str, set[int]] = {}
+        #: entry id -> its index, or the set of its indices when it
+        #: holds more than one slot (never a set of fewer than two).
+        self._id_indices: dict[str, int | set[int]] = {}
         # Indices currently holding CONFIG entries, maintained on every
         # insert/remove. The governing-config lookup runs on *every*
         # AppendEntries absorb, and a full index-ordered log scan there
@@ -121,13 +127,24 @@ class RaftLog:
         if index <= self._snapshot_index:
             raise LogError(f"cannot insert at compacted index {index} "
                            f"(snapshot at {self._snapshot_index})")
+        entry_id = entry.entry_id
         old = self._slots.get(index)
-        if old is not None:
-            self._unindex(old.entry_id, index)
-            if old.kind is EntryKind.CONFIG:
-                self._config_indices.discard(index)
+        if old is not None and old.kind is EntryKind.CONFIG:
+            self._config_indices.discard(index)
         self._slots[index] = entry
-        self._index_id(entry.entry_id, index)
+        # A restamped copy of the occupant (leader approval) leaves the
+        # reverse map as it is.
+        if old is None or old.entry_id != entry_id:
+            if old is not None:
+                self._unindex(old.entry_id, index)
+            ids = self._id_indices
+            held = ids.get(entry_id)
+            if held is None:
+                ids[entry_id] = index
+            elif held.__class__ is int:
+                ids[entry_id] = {held, index}
+            else:
+                held.add(index)
         if entry.kind is EntryKind.CONFIG:
             self._config_indices.add(index)
         if index > self._last_index:
@@ -272,16 +289,21 @@ class RaftLog:
     def indices_of(self, entry_id: str) -> set[int]:
         """All indices currently holding ``entry_id`` (possibly several,
         after client retries landed the same request at multiple slots)."""
-        return set(self._id_indices.get(entry_id, ()))
+        held = self._id_indices.get(entry_id)
+        if held is None:
+            return set()
+        return {held} if held.__class__ is int else set(held)
 
     def committed_index_of(self, entry_id: str, commit_index: int
                            ) -> int | None:
         """Lowest committed index holding ``entry_id``, or None."""
-        indices = self._id_indices.get(entry_id)
-        if not indices:
+        held = self._id_indices.get(entry_id)
+        if held is None:
             return None
+        if held.__class__ is int:
+            return held if held <= commit_index else None
         best = None
-        for i in indices:  # no list build: runs per proposal delivery
+        for i in held:  # no list build: runs per proposal delivery
             if i <= commit_index and (best is None or i < best):
                 best = i
         return best
@@ -289,15 +311,15 @@ class RaftLog:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _index_id(self, entry_id: str, index: int) -> None:
-        self._id_indices.setdefault(entry_id, set()).add(index)
-
     def _unindex(self, entry_id: str, index: int) -> None:
-        indices = self._id_indices.get(entry_id)
-        if indices is not None:
-            indices.discard(index)
-            if not indices:
+        held = self._id_indices.get(entry_id)
+        if held.__class__ is int:
+            if held == index:
                 del self._id_indices[entry_id]
+        elif held is not None:
+            held.discard(index)
+            if len(held) == 1:
+                self._id_indices[entry_id] = held.pop()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<RaftLog last_index={self._last_index} "

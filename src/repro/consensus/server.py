@@ -60,6 +60,9 @@ class ConsensusServer(Actor):
         self._timing = timing
         self._rng = rng
         self._trace = trace
+        # Mirrors BaseEngine._tracing: per-request call sites skip
+        # building their trace payloads when the recorder is off.
+        self._tracing = trace.enabled
         self._sm_factory = state_machine_factory
         self._compaction = compaction
         self._transfer = transfer if transfer is not None else TransferConfig()
@@ -212,8 +215,9 @@ class ConsensusServer(Actor):
         entering consensus at all (exactly-once over at-least-once)."""
         sequence, index = self._sessions.last_applied(message.session_id)
         self.session_duplicates += 1
-        self._trace.record(self.now(), self.name, "session.duplicate",
-                           request_id=message.request_id)
+        if self._tracing:
+            self._trace.record(self.now(), self.name, "session.duplicate",
+                               request_id=message.request_id)
         self._network.send_local(self.name, sender, ClientReply(
             request_id=message.request_id, ok=True,
             index=index if sequence == message.sequence else None,
@@ -301,8 +305,9 @@ class ConsensusServer(Actor):
         machine = self.state_machine
         getter = getattr(machine, "get", None)
         value = getter(message.key) if getter is not None else None
-        self._trace.record(self.now(), self.name, "lease.read_served",
-                           request_id=message.request_id, index=index)
+        if self._tracing:
+            self._trace.record(self.now(), self.name, "lease.read_served",
+                               request_id=message.request_id, index=index)
         self._network.send_local(self.name, sender, ReadReply(
             request_id=message.request_id, ok=True, value=value, index=index))
 

@@ -99,8 +99,8 @@ class CRaftServer(Actor):
         self._global_timing = global_timing
         self._rng = rng
         self._trace = trace
-        # Mirrors BaseEngine._tracing: gate call sites skip building
-        # their trace payloads when the recorder is off.
+        # Mirrors BaseEngine._tracing: per-request call sites skip
+        # building their trace payloads when the recorder is off.
         self._tracing = trace.enabled
         self._batch_policy = batch_policy or BatchPolicy()
         self._sm_factory = state_machine_factory
@@ -340,8 +340,9 @@ class CRaftServer(Actor):
         re-entering local consensus (exactly-once over at-least-once)."""
         sequence, index = self._sessions.last_applied(message.session_id)
         self.session_duplicates += 1
-        self._trace.record(self.now(), self.name, "session.duplicate",
-                           request_id=message.request_id)
+        if self._tracing:
+            self._trace.record(self.now(), self.name, "session.duplicate",
+                               request_id=message.request_id)
         self._network.send_local(self.name, sender, ClientReply(
             request_id=message.request_id, ok=True,
             index=index if (sequence == message.sequence and index) else None,
@@ -802,9 +803,10 @@ class CRaftServer(Actor):
                       f"{payload.sequence}.{self.now():.4f}"),
             kind=EntryKind.BATCH, payload=payload, origin=self.name,
             term=0, inserted_by=InsertedBy.SELF)
-        self._trace.record(self.now(), self.name, "craft.batch.proposed",
-                           sequence=payload.sequence, size=len(payload),
-                           local_range=payload.local_range)
+        if self._tracing:
+            self._trace.record(self.now(), self.name, "craft.batch.proposed",
+                               sequence=payload.sequence, size=len(payload),
+                               local_range=payload.local_range)
         timer = RestartableTimer(
             self.loop, lambda: self._retry_batch(entry))
         timer.reset(self._global_timing.proposal_timeout)

@@ -22,35 +22,54 @@ first time a class is sent, by :func:`sizer_for`:
   :data:`FRAME_SIZE` and :data:`HEADER_SIZE`, ``str``/``bytes`` fields
   cost ``len()``, fields holding a memoising dataclass (log entries,
   entry payloads) read its ``_est_size`` memo, and anything opaque
-  (``Any``, containers) falls through to :func:`estimate_size`. The
+  (``Any``, containers) is handed to :func:`estimate_size`. The
   annotations are the wire schema: a field annotated ``int`` must hold
   an ``int`` (a ``None`` in a ``str`` field fails loudly);
 - anything that is not a dataclass (application commands, test
-  payloads) is priced by :func:`walk_size`, the generic walk.
+  payloads) is priced by :func:`walk_size`: a header plus its
+  :func:`estimate_size`.
 
-:func:`estimate_size` stays the single generic walker: a deterministic
-structural walk (strings/bytes by length, scalars at a fixed width,
-containers and dataclasses by summed fields plus a small framing
-overhead). It is the fallback for commands and opaque fields, and the
-reference every compiled sizer must agree with bit for bit
-(``tests/test_net_sizes.py``; ``benchmarks/suite/signatures.json`` must
-keep matching after any sizer change). The estimate is intentionally
-crude -- the simulation needs *relative* cost (a snapshot is thousands
-of times a heartbeat), not wire-accurate encodings.
+:func:`estimate_size` -- the structural size of any value, what a
+durable write of a log entry is charged and what an opaque message
+field costs -- is the same kind of dispatch over an **estimator
+registry** beside the sizer registry. ``None``, ``str``, ``bytes``,
+``bool``, ``int`` and ``float`` are priced on the spot; exact ``tuple``,
+``list`` and ``dict`` by a flat loop that prices their leaves inline
+and dispatches on the rest; every dataclass by a **compiled
+estimator**, built on first use by the *same generator* as the compiled
+sizers -- a plain dataclass's sizer is its estimator plus
+:data:`HEADER_SIZE`, nothing else -- and reading and filling the
+``_est_size`` memo where the walker would.
+
+:func:`walk_estimate` is the single generic walker and the definition
+of a size: a deterministic structural walk (strings/bytes by length,
+scalars at a fixed width, containers and dataclasses by summed fields
+plus a small framing overhead). It still runs for what has no estimator
+of its own -- enums, subclasses of the builtins, sets, opaque objects
+-- and takes over past :data:`_MAX_DEPTH` levels of nesting, where
+estimators calling estimators would run out of stack; being iterative,
+it cannot. Every estimator and every compiled sizer must agree with it
+bit for bit, memo side effects included (``tests/test_net_sizes.py``,
+``pytest --size-audit``; ``benchmarks/suite/signatures.json`` must keep
+matching after any change here). The estimate is intentionally crude
+-- the simulation needs *relative* cost (a snapshot is thousands of
+times a heartbeat), not wire-accurate encodings.
 
 Memo slots: immutable dataclasses that declare an ``_est_size`` slot
 with :func:`size_memo` get their structural size stored in place the
-first time they are measured, by the walker and by their compiled sizer
-alike, so a broadcast measures each entry once, ever. Memo slots are
-never counted, so a memoised object measures exactly what a fresh one
-does -- and a class declaring one must be ``frozen=True``, or the memo
-would silently go stale (refused when the class is first sized).
+first time they are measured -- by the walker, their estimator and
+their compiled sizer alike -- so a broadcast measures each entry once,
+ever. Memo slots are never counted, so a memoised object measures
+exactly what a fresh one does -- and a class declaring one must be
+``frozen=True``, or the memo would silently go stale (refused when the
+class is first sized).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+from itertools import chain
 import types
 import typing
 from typing import Any, Callable
@@ -70,8 +89,20 @@ _MEMO_KEY = "size_memo"
 #: type -> (sized field names, has an ``_est_size`` memo slot).
 _CLASS_INFO: dict[type, tuple[tuple[str, ...], bool]] = {}
 
-#: The registry: message class -> its sizer (see module docstring).
+#: The sizer registry: message class -> its wire sizer (see module
+#: docstring).
 _SIZERS: dict[type, Callable[[Any], int]] = {}
+
+#: The estimator registry: class -> ``estimator(obj, depth)``, its
+#: structural size (see module docstring). Exact ``tuple``/``list``/
+#: ``dict`` are entered below; every other class registers on first use.
+_ESTIMATORS: dict[type, Callable[[Any, int], int]] = {}
+
+#: Estimators call each other down a nested value; past this many
+#: levels the iterative walker takes over, so no input can exhaust the
+#: interpreter's call stack. Real traffic nests about a dozen deep
+#: (message -> entries -> payload -> batched entries -> command).
+_MAX_DEPTH = 32
 
 #: Frame-closing sentinel for the iterative walk (cannot collide with
 #: any sizable object).
@@ -106,8 +137,32 @@ def _class_info(cls: type) -> tuple[tuple[str, ...], bool]:
     return info
 
 
-def estimate_size(obj: Any) -> int:
-    """Deterministic structural size of ``obj`` in simulated bytes."""
+def estimate_size(obj: Any, _depth: int = 0) -> int:
+    """Deterministic structural size of ``obj`` in simulated bytes.
+
+    Leaves are priced here; anything else by its class's entry in the
+    estimator registry (``_depth`` is the estimators' own nesting count,
+    not a caller's argument)."""
+    if obj is None:
+        return 0
+    cls = obj.__class__
+    if cls is str or cls is bytes:
+        return len(obj)
+    if cls is bool:
+        return BOOL_SIZE
+    if cls is int or cls is float:
+        return SCALAR_SIZE
+    estimator = _ESTIMATORS.get(cls)
+    if estimator is None:
+        estimator = estimator_for(cls)
+    return estimator(obj, _depth)
+
+
+def walk_estimate(obj: Any) -> int:
+    """The generic structural walk: the definition of a size. Every
+    estimator and compiled sizer must return exactly what this returns
+    and leave exactly the memos it leaves; it prices whatever has no
+    estimator of its own."""
     # Leaf and memo-hit fast paths: most calls size a scalar, a short
     # string, or an already-measured entry -- none of which should pay
     # for the walker's stacks.
@@ -182,13 +237,76 @@ def estimate_size(obj: Any) -> int:
 
 
 def walk_size(message: Any) -> int:
-    """The generic sizer: header plus the structural walk."""
+    """The sizer of a class without one of its own: header plus
+    :func:`estimate_size`."""
     return HEADER_SIZE + estimate_size(message)
 
 
 # ----------------------------------------------------------------------
-# Compiled sizers
+# Estimators
 # ----------------------------------------------------------------------
+def _estimate_container(obj: Any, depth: int) -> int:
+    """Exact ``tuple``/``list``/``dict``: one frame plus the items (a
+    dict's keys and values), leaves priced in the loop."""
+    if depth >= _MAX_DEPTH:
+        return walk_estimate(obj)
+    depth += 1
+    size = FRAME_SIZE
+    for v in (chain(obj, obj.values()) if obj.__class__ is dict else obj):
+        if v is None:
+            continue
+        cls = v.__class__
+        if cls is str or cls is bytes:
+            size += len(v)
+        elif cls is int or cls is float:
+            size += SCALAR_SIZE
+        elif cls is bool:
+            size += BOOL_SIZE
+        else:
+            estimator = _ESTIMATORS.get(cls)
+            if estimator is None:
+                estimator = estimator_for(cls)
+            size += estimator(v, depth)
+    return size
+
+
+def _estimate_by_walk(obj: Any, depth: int) -> int:
+    """Enums, subclasses of builtins, sets, opaque objects."""
+    return walk_estimate(obj)
+
+
+_ESTIMATORS.update(dict.fromkeys((tuple, list, dict), _estimate_container))
+
+#: What the walker recognises before it asks ``is_dataclass``: a
+#: dataclass deriving from one of these is priced as that builtin.
+_WALKED_AS_BUILTIN = (bytes, bytearray, str, int, float, enum.Enum, dict,
+                      list, tuple, set, frozenset)
+
+
+def _is_plain_dataclass(cls: type) -> bool:
+    return (dataclasses.is_dataclass(cls)
+            and not issubclass(cls, _WALKED_AS_BUILTIN))
+
+
+def estimator_for(cls: type) -> Callable[[Any, int], int]:
+    """The registered estimator of ``cls``, registering it on first
+    use: a compiled one for a dataclass, the walker for the rest."""
+    estimator = _ESTIMATORS.get(cls)
+    if estimator is None:
+        estimator = (_compile(cls, 0) if _is_plain_dataclass(cls)
+                     else _estimate_by_walk)
+        _ESTIMATORS[cls] = estimator
+    return estimator
+
+
+# ----------------------------------------------------------------------
+# The generator behind compiled estimators and compiled sizers
+# ----------------------------------------------------------------------
+_set_memo = object.__setattr__
+#: Cost of a field only its value's own estimator can price.
+_NESTED = "estimate_size(v, depth)"
+
+
 def _field_cost(hint: Any) -> tuple[int | str, bool]:
     """How one field is priced, from its annotation: ``(cost,
     nullable)`` where ``cost`` is a constant or an expression over the
@@ -208,16 +326,18 @@ def _field_cost(hint: Any) -> tuple[int | str, bool]:
         return "len(v)", nullable
     if (isinstance(hint, type) and dataclasses.is_dataclass(hint)
             and _class_info(hint)[1]):
-        return ("(v._est_size if v._est_size is not None "
-                "else estimate_size(v))"), nullable
-    # Opaque: the walker prices it, None included.
-    return "estimate_size(v)", False
+        return (f"(v._est_size if v._est_size is not None else {_NESTED})",
+                nullable)
+    # Opaque: None included.
+    return _NESTED, False
 
 
-def _compile_sizer(cls: type) -> Callable[[Any], int]:
-    """Generate ``cls``'s flat sizer (see module docstring). Returns
-    exactly ``HEADER_SIZE + estimate_size(message)`` and memoises in
-    the same ``_est_size`` slot the walker would."""
+def _compile(cls: type, header: int) -> Callable[..., int]:
+    """Generate ``cls``'s flat size function (see module docstring):
+    ``header + walk_estimate(m)``, memoised in the same ``_est_size``
+    slot the walker would fill. ``header`` is 0 for an estimator and
+    :data:`HEADER_SIZE` for a wire sizer -- the only difference
+    between the two."""
     names, memoising = _class_info(cls)
     try:
         hints = typing.get_type_hints(cls)
@@ -235,18 +355,26 @@ def _compile_sizer(cls: type) -> Callable[[Any], int]:
         else:
             body += [f"v = m.{name}", f"size += {cost}"]
     body.insert(0, f"size = {constant}")
+    plus_header = f" + {header}" if header else ""
+    if any(_NESTED in line for line in body):
+        body = [f"if depth >= {_MAX_DEPTH}:",
+                f"    return walk_estimate(m){plus_header}",
+                "depth += 1"] + body
     if memoising:
         body = (["size = m._est_size", "if size is None:"]
                 + [f"    {line}" for line in body]
-                + ["    set_memo(m, '_est_size', size)"])
-    body.append(f"return size + {HEADER_SIZE}")
-    source = "def sizer(m):\n" + "\n".join(f"    {line}" for line in body)
-    namespace = {"estimate_size": estimate_size,
-                 "set_memo": object.__setattr__}
-    exec(source, namespace)  # generated from field names only
-    sizer = namespace["sizer"]
-    sizer.__qualname__ = f"size_{cls.__qualname__}"
-    return sizer
+                + ["    _set_memo(m, '_est_size', size)"])
+    body.append(f"return size{plus_header}")
+    source = ("def size_of(m, depth=0):\n"
+              + "\n".join(f"    {line}" for line in body))
+    namespace: dict[str, Any] = {}
+    # Generated from field names only; runs against this module's
+    # globals (estimate_size, walk_estimate, _set_memo).
+    exec(source, globals(), namespace)
+    size_of = namespace["size_of"]
+    size_of.__qualname__ = (f"{'size' if header else 'estimate'}"
+                            f"_{cls.__qualname__}")
+    return size_of
 
 
 def sizer_for(cls: type) -> Callable[[Any], int]:
@@ -254,13 +382,12 @@ def sizer_for(cls: type) -> Callable[[Any], int]:
     sizer = _SIZERS.get(cls)
     if sizer is None:
         own = getattr(cls, "payload_size", None)
-        is_dataclass = dataclasses.is_dataclass(cls)
-        if is_dataclass:
+        if dataclasses.is_dataclass(cls):
             _class_info(cls)  # stale-memo guard, hand-written or not
         if callable(own):
             sizer = own
-        elif is_dataclass:
-            sizer = _compile_sizer(cls)
+        elif _is_plain_dataclass(cls):
+            sizer = _compile(cls, HEADER_SIZE)
         else:
             sizer = walk_size
         _SIZERS[cls] = sizer

@@ -19,8 +19,7 @@ from repro.consensus.messages import (ClientReply, ClientRequest, ReadReply,
                                       ReadRequest)
 from repro.net.network import Network
 from repro.sim.actor import Actor
-from repro.sim.loop import SimLoop
-from repro.sim.timers import RestartableTimer
+from repro.sim.loop import Handle, SimLoop
 
 
 @dataclass
@@ -72,7 +71,8 @@ class Client(Actor):
         self._sequence = 0
         self._read_sequence = 0
         self._pending: dict[str, RequestRecord] = {}
-        self._timers: dict[str, RestartableTimer] = {}
+        #: request id -> the pending proposal-timeout event.
+        self._timers: dict[str, Handle] = {}
         #: Completed requests in completion order.
         self.completed: list[RequestRecord] = []
         #: Requests abandoned after ``max_attempts`` retries.
@@ -125,9 +125,8 @@ class Client(Actor):
             record.callbacks.append(on_done)
         self._pending[request_id] = record
         self._send_request(record)
-        timer = RestartableTimer(self.loop, lambda: self._on_timeout(request_id))
-        timer.reset(self._proposal_timeout)
-        self._timers[request_id] = timer
+        self._timers[request_id] = self.loop.call_later(
+            self._proposal_timeout, self._on_timeout, request_id)
         return record
 
     def _send_request(self, record: RequestRecord) -> None:
@@ -152,7 +151,8 @@ class Client(Actor):
             return
         record.attempts += 1
         self._send_request(record)
-        self._timers[request_id].reset(self._proposal_timeout)
+        self._timers[request_id] = self.loop.call_later(
+            self._proposal_timeout, self._on_timeout, request_id)
 
     # ------------------------------------------------------------------
     # Replies

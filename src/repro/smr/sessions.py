@@ -16,9 +16,16 @@ change to the snapshot wire format.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 
+# Every replica of every level parses each applied id within moments
+# of the others: cached, the id is split once, and the sites share one
+# session string instead of keeping a copy each. The size only has to
+# span the ids in flight between the first replica's apply and the
+# last's; a larger cache buys no hits and shows in peak RSS.
+@functools.lru_cache(maxsize=256)
 def parse_session(entry_id: str) -> tuple[str, int] | None:
     """Split ``"{session}.{sequence}"``; None for non-session ids
     (noops, batches, and any id whose tail is not an integer)."""

@@ -2,13 +2,61 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.fastraft.server import FastRaftServer
 from repro.harness.builder import Cluster, build_cluster
 from repro.harness.checkers import run_safety_checks
+from repro.net import sizes
 from repro.raft.server import RaftServer
 from repro.smr.kv import KVStateMachine
+from size_oracle import oracle_estimate, oracle_payload
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--size-audit", action="store_true",
+        help="compare every estimate_size / payload_size call of the run "
+             "with the memo-blind walker; a mismatch fails the test that "
+             "made it")
+
+
+@pytest.fixture(autouse=True)
+def size_audit(request, monkeypatch):
+    """``--size-audit``: sizes are simulation data, so a wrong estimator
+    or sizer does not crash anything -- it shifts delays and write
+    accounting. Under the option, ``estimate_size`` and ``payload_size``
+    (the way into the sizer registry) are replaced everywhere they were
+    imported by wrappers that also ask the oracle."""
+    if not request.config.getoption("--size-audit", default=False):
+        yield
+        return
+    mismatches = []
+
+    def audited(real, oracle):
+        def wrapper(obj, *args):
+            want = oracle(obj)
+            got = real(obj, *args)
+            if got != want:
+                mismatches.append((real.__name__, obj, got, want))
+                raise AssertionError(
+                    f"{real.__name__}({obj!r}) = {got}, the walker "
+                    f"says {want}")
+            return got
+        return wrapper
+
+    for real, oracle in ((sizes.estimate_size, oracle_estimate),
+                         (sizes.payload_size, oracle_payload)):
+        wrapper = audited(real, oracle)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro"):
+                for name, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, name, wrapper)
+    yield
+    assert not mismatches, mismatches
 
 
 def make_cluster(server_cls, n_sites=5, seed=0, **kwargs) -> Cluster:

@@ -1,5 +1,7 @@
 """Tests for the replicated log (holes, overwrite, provenance)."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -245,11 +247,80 @@ class TestIndexedLookupsMatchFullScans:
                     assert (log.best_config_entry(upto, decided_upto)
                             == self.scan_best_config(log, upto,
                                                      decided_upto))
-            for entry_id in "abcd":
-                held = log.indices_of(entry_id)
-                assert held == {i for i, e in log
-                                if e.entry_id == entry_id}
-                for commit in live:
-                    assert (log.committed_index_of(entry_id, commit)
-                            == min((i for i in held if i <= commit),
-                                   default=None))
+            self.check_reverse_index(log, "abcd")
+
+    @staticmethod
+    def check_reverse_index(log, entry_ids):
+        """``indices_of`` / ``committed_index_of`` against full scans, and
+        the map's own shape: an ``int`` for an id in one slot, a ``set``
+        only for an id in several, nothing for an id in none."""
+        live = [0, *range(log.snapshot_index, log.last_index + 2)]
+        for entry_id in entry_ids:
+            scanned = {i for i, e in log if e.entry_id == entry_id}
+            held = log.indices_of(entry_id)
+            assert held == scanned
+            held.add(-1)  # a fresh set: the caller's to mutate
+            assert log.indices_of(entry_id) == scanned
+            for commit in live:
+                assert (log.committed_index_of(entry_id, commit)
+                        == min((i for i in scanned if i <= commit),
+                               default=None))
+            raw = log._id_indices.get(entry_id)
+            if len(scanned) > 1:
+                assert type(raw) is set and raw == scanned
+            elif scanned:
+                assert type(raw) is int and {raw} == scanned
+            else:
+                assert entry_id not in log._id_indices
+        assert set(log._id_indices) == {e.entry_id for _, e in log}
+
+    @pytest.mark.parametrize("shrink", [
+        # each returns the slots of "a" that survive it, out of {2, 5, 7}
+        lambda log: log.insert(5, entry("z")) or {2, 7},     # overwrite one
+        lambda log: log.truncate_from(6) or {2, 5},          # drop the top
+        lambda log: log.truncate_from(3) or {2},             # set -> int
+        lambda log: log.truncate_from(1) or set(),           # set -> gone
+        lambda log: log.compact_to(2) and {5, 7},            # drop the bottom
+        lambda log: log.compact_to(6) and {7},               # set -> int
+        lambda log: log.compact_to(7) and set(),             # set -> gone
+        lambda log: log.install_snapshot(9, 1) and set(),    # beyond the log
+    ], ids=["overwrite", "truncate-1", "truncate-2", "truncate-all",
+            "compact-1", "compact-2", "compact-all", "install-all"])
+    def test_one_id_through_int_set_int_gone(self, shrink):
+        log = RaftLog()
+        ids = ("a", "b", "z")
+        for index, entry_id in [(1, "b"), (2, "a"), (5, "a"), (6, "b"),
+                                (7, "a")]:            # "a": int, set of 2, of 3
+            log.insert(index, entry(entry_id))
+            self.check_reverse_index(log, ids)
+        log.insert(5, entry("a", term=2, inserted_by=InsertedBy.LEADER))
+        self.check_reverse_index(log, ids)            # restamped in place
+        survivors = shrink(log)
+        assert log.indices_of("a") == survivors
+        self.check_reverse_index(log, ids)
+        while survivors:                              # ... down to gone
+            log.insert(survivors.pop(), entry("z"))
+            self.check_reverse_index(log, ids)
+        log.insert(log.last_index + 1, entry("a"))    # and back as an int
+        self.check_reverse_index(log, ids)
+
+
+def test_single_slot_ids_retain_no_container_each():
+    """10,000 distinct ids, one slot each: the reverse map must cost one
+    dict slot per id, not a container per id (with a ``set`` per id an
+    insert retained ~290 bytes, the largest live allocation of every
+    suite workload; now ~80)."""
+    entries = [entry(f"c{i}.{i}") for i in range(1, 10_001)]
+    log = RaftLog()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for index, e in enumerate(entries, start=1):
+            log.insert(index, e)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(type(held) is int for held in log._id_indices.values())
+    # What is left: two dicts' slots (resize slack included) and the
+    # index ints above the small-int cache.
+    assert grown / len(entries) < 150

@@ -1,20 +1,25 @@
-"""Sizer equivalence battery.
+"""Sizer and estimator equivalence battery.
 
 A message's size feeds ``serialization_delay``, hence delivery order,
-hence everything a size-aware run produces -- so every sizer in the
-:mod:`repro.net.sizes` registry must agree, bit for bit, with the
-reference: the generic structural walk for compiled sizers, the
-documented formula for hand-written ``payload_size`` methods.
+hence everything a size-aware run produces, and an entry's size is what
+a durable write is charged -- so every sizer and every estimator in the
+:mod:`repro.net.sizes` registries must agree, bit for bit, with the
+reference: the generic structural walk (``walk_estimate``) for
+estimators and compiled sizers, the documented formula for hand-written
+``payload_size`` methods.
 
 The reference is always computed on a *memo-free rebuild* of the object
-under test (``fresh``), so it can neither read nor leave behind any memo
-the registry's answer depends on.
+under test (``size_oracle.fresh``), so it can neither read nor leave
+behind any memo the registries' answer depends on.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
+import pathlib
+import sys
 import types
 import typing
 from typing import Any
@@ -29,10 +34,11 @@ from repro.consensus.entry import (BatchPayload, ConfigPayload, EntryKind,
 from repro.net import sizes
 from repro.net.sizes import (FRAME_SIZE, HEADER_SIZE, SCALAR_SIZE,
                              estimate_size, payload_size, size_memo,
-                             sizer_for, walk_size)
+                             sizer_for, walk_estimate, walk_size)
 from repro.smr.kv import KVCommand
 from repro.snapshot import Snapshot
 from repro.snapshot.chunking import snapshot_wire_size
+from size_oracle import fresh
 from test_dispatch_tables import message_types
 
 PAYLOAD_CLASSES = (ConfigPayload, GlobalStatePayload, BatchPayload)
@@ -44,26 +50,12 @@ SIZED_CLASSES = CATALOG + (LogEntry,) + PAYLOAD_CLASSES
 # ----------------------------------------------------------------------
 # Reference
 # ----------------------------------------------------------------------
-def fresh(obj: Any) -> Any:
-    """Deep rebuild with every memo slot empty."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return type(obj)(**{f.name: fresh(getattr(obj, f.name))
-                            for f in dataclasses.fields(obj) if f.init})
-    if isinstance(obj, tuple):
-        return tuple(fresh(item) for item in obj)
-    if isinstance(obj, list):
-        return [fresh(item) for item in obj]
-    if isinstance(obj, dict):
-        return {key: fresh(value) for key, value in obj.items()}
-    return obj
-
-
 def reference(message: Any) -> int:
     """What ``payload_size(message)`` must return."""
     m = fresh(message)
     if isinstance(m, msgs.AppendEntries):
         return (HEADER_SIZE + 5 * SCALAR_SIZE + len(m.leader_id)
-                + estimate_size(m.entries))
+                + walk_estimate(m.entries))
     if isinstance(m, msgs.InstallSnapshotRequest):
         return (HEADER_SIZE + SCALAR_SIZE + len(m.leader_id)
                 + snapshot_wire_size(m.snapshot))
@@ -77,16 +69,17 @@ def reference(message: Any) -> int:
     if isinstance(m, msgs.Envelope):
         return (len(m.level) + len(m.scope) + SCALAR_SIZE
                 + reference(m.inner))
-    return HEADER_SIZE + estimate_size(m)
+    return HEADER_SIZE + walk_estimate(m)
 
 
 # ----------------------------------------------------------------------
 # Strategies over field values, derived from the annotations
 # ----------------------------------------------------------------------
 names = st.text(alphabet="abcn0123:-", max_size=9)
+leaves = (st.none() | st.booleans() | st.integers(-2**40, 2**40)
+          | st.floats(allow_nan=False) | names | st.binary(max_size=40))
 plain = st.recursive(
-    st.none() | st.booleans() | st.integers(-2**40, 2**40)
-    | st.floats(allow_nan=False) | names | st.binary(max_size=40),
+    leaves,
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(names, inner, max_size=3)),
     max_leaves=6)
@@ -230,8 +223,8 @@ def test_entry_carriers_size_a_with_mark_copy(cls, data):
 
 @given(command=commands)
 def test_commands_are_priced_by_the_generic_walk(command):
-    assert sizer_for(type(command)) is walk_size
-    assert payload_size(command) == HEADER_SIZE + estimate_size(command)
+    assert payload_size(command) == HEADER_SIZE + walk_estimate(command)
+    assert estimate_size(command) == walk_estimate(command)
 
 
 @battery
@@ -243,10 +236,129 @@ def test_no_catalog_class_falls_back_to_the_generic_walk(cls):
 
 
 # ----------------------------------------------------------------------
+# Estimators against the walker
+# ----------------------------------------------------------------------
+mixes = st.recursive(
+    leaves,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(names | st.integers(0, 9), inner,
+                                     max_size=3)),
+    max_leaves=12)
+global_states = st.builds(
+    GlobalStatePayload,
+    inserts=st.lists(st.tuples(st.integers(0, 10**6), leaf_entries),
+                     max_size=9).map(tuple),
+    global_commit=st.integers(0, 10**6), snapshot=st.none() | snapshots)
+entry_payloads = st.one_of(
+    st.none(), commands, mixes, instances(ConfigPayload), global_states,
+    instances(BatchPayload), snapshots)
+
+
+def memos(obj: Any) -> list:
+    """Every ``_est_size`` slot reachable from ``obj``, in field order."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = [f for f in dataclasses.fields(obj) if f.init]
+        own = [(type(obj).__name__, obj._est_size)] if hasattr(
+            obj, "_est_size") else []
+        return own + [m for f in fields for m in memos(getattr(obj, f.name))]
+    if isinstance(obj, (tuple, list)):
+        return [m for item in obj for m in memos(item)]
+    if isinstance(obj, dict):
+        return [m for item in obj.values() for m in memos(item)]
+    return []
+
+
+@pytest.mark.parametrize("kind", EntryKind, ids=lambda kind: kind.name)
+@given(data=st.data())
+@quick
+def test_estimators_match_the_walker(kind, data):
+    payload = data.draw(entry_payloads)
+    entry = LogEntry(data.draw(names), kind, payload, data.draw(names),
+                     data.draw(st.integers(0, 10**6)),
+                     data.draw(st.sampled_from(InsertedBy)))
+    walked = fresh(entry)
+    want = walk_estimate(walked)
+    assert estimate_size(entry) == want               # fresh
+    # Same memo slots, same values as the walker leaves behind.
+    assert memos(entry) == memos(walked)
+    assert all(size is not None for _, size in memos(entry))
+    assert estimate_size(entry) == want               # memoised
+    assert estimate_size(fresh(payload)) == walk_estimate(fresh(payload))
+    # Containers of them, as AppendEntries and BatchPayload hold them.
+    twin = fresh(entry)
+    assert (estimate_size([(7, twin), twin, None])
+            == 2 * FRAME_SIZE + SCALAR_SIZE + 2 * want)
+    assert memos(twin) == memos(walked)
+    stamped = fresh(entry).with_mark(data.draw(st.integers(0, 99)),
+                                     data.draw(st.sampled_from(InsertedBy)))
+    assert stamped._est_size == want                  # inherited, not walked
+    assert estimate_size(stamped) == walk_estimate(fresh(stamped)) == want
+
+
+def test_deep_nesting_is_handed_to_the_walker():
+    deep_list: Any = []
+    deep_dict: Any = {}
+    deep_entry: Any = None
+    for _ in range(5000):
+        deep_list = [deep_list]
+        deep_dict = {"k": (deep_dict,)}
+        deep_entry = LogEntry("n0:r", EntryKind.DATA, deep_entry, "n0", 1,
+                              InsertedBy.SELF)
+    assert estimate_size(deep_list) == 5001 * FRAME_SIZE
+    assert estimate_size(deep_dict) == 5000 * (2 * FRAME_SIZE + 1) + FRAME_SIZE
+    assert estimate_size(deep_entry) == 5000 * (FRAME_SIZE + 3 * SCALAR_SIZE
+                                                + len("n0:r") + len("n0"))
+    assert payload_size(msgs.ClientRequest("r", deep_list)) == (
+        HEADER_SIZE + FRAME_SIZE + SCALAR_SIZE + 1 + 5001 * FRAME_SIZE)
+
+
+def test_no_suite_workload_walks_its_entries():
+    """The steady path of every suite workload prices entries, commands,
+    entry payloads and snapshots through compiled estimators: the walker
+    stays the definition of a size, not the way one is computed."""
+    root = str(pathlib.Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from benchmarks.suite.workloads import WORKLOADS, run_trial
+
+    walked: collections.Counter = collections.Counter()
+
+    def counting(obj):
+        walked[type(obj)] += 1
+        return walk_estimate(obj)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sizes, "walk_estimate", counting)
+        for name in ("lan_closed", "serving_rw", "wan_faults", "mesh_fleet"):
+            run_trial(WORKLOADS[name], 1000, smoke=True)
+    assert not walked.keys() & {
+        LogEntry, dict, tuple, list, ConfigPayload, GlobalStatePayload,
+        BatchPayload, Snapshot, *CATALOG}, walked
+
+
+# ----------------------------------------------------------------------
 # The walker's quirks, pinned
 # ----------------------------------------------------------------------
 class Colour(enum.Enum):
     RED = "a-long-enum-value"
+
+
+class Level(enum.IntEnum):
+    HIGH = 3
+
+
+class Tagged(dict):
+    """A dict subclass: priced as a dict."""
+
+
+@dataclasses.dataclass
+class Boxed(dict):
+    """A dataclass that is also a dict: the walker sees the dict."""
+    tag: str = ""
+
+
+Pair = collections.namedtuple("Pair", "left right")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -271,8 +383,19 @@ class TestWalkerQuirks:
         ({"k": [1, 2], "kk": None}, 16 + 1 + (16 + 16) + 2),
         (object(), 16), (Plain(1, "xyz"), 16 + 8 + 3),
         ((Plain(1, ""), Plain(2, "")), 16 + 2 * 24),
+        # bool is not int; an IntEnum is a scalar; subclasses of the
+        # builtin containers are priced as what they derive from.
+        ((True, 1), 16 + 1 + 8), ({True: 1, 2: False}, 16 + 1 + 8 + 8 + 1),
+        (Level.HIGH, 8), ([Level.HIGH, Colour.RED], 16 + 8 + 8),
+        (Tagged(k="vv"), 16 + 1 + 2), ((Tagged(), Tagged(a=1)), 16 + 16 + 25),
+        (Pair("ab", 1), 16 + 2 + 8), ({"p": Pair(None, b"xyz")}, 16 + 1 + 19),
+        (collections.OrderedDict(a=b"12"), 16 + 1 + 2),
+        (Boxed("never-counted"), 16), ([Boxed("t")], 16 + 16),
+        ([bytearray(b"abcd"), b"ab"], 16 + 4 + 2), ({1.5, 2.5}, 16 + 16),
+        ((frozenset({"ab"}), {"k": {"kk": (1,)}}), 16 + 18 + 16 + 1 + 16 + 2 + 24),
     ])
     def test_structural_sizes(self, obj, size):
+        assert walk_estimate(obj) == size
         assert estimate_size(obj) == size
         assert payload_size(obj) == HEADER_SIZE + size
 
@@ -332,7 +455,18 @@ class TestStaleMemoGuard:
 
     def test_the_walker_refuses_it_too(self):
         with pytest.raises(TypeError, match="MutableMemoised"):
-            estimate_size(("nested", MutableMemoised("x")))
+            walk_estimate(("nested", MutableMemoised("x")))
+
+    def test_the_estimators_refuse_it_too(self):
+        for holder in (MutableMemoised("x"), ("nested", MutableMemoised("x")),
+                       {"k": [MutableMemoised("x")]},
+                       LogEntry("n0:r", EntryKind.DATA, MutableMemoised("x"),
+                                "n0", 1, InsertedBy.SELF)):
+            with pytest.raises(TypeError, match="MutableMemoised"):
+                estimate_size(holder)
+            with pytest.raises(TypeError, match="MutableMemoised"):
+                estimate_size(holder)  # a failed registration is not kept
+        assert MutableMemoised not in sizes._ESTIMATORS
 
     def test_mutable_class_without_memo_is_fine(self):
         pending = msgs.PendingClient("r1", "c1", LogEntry(
