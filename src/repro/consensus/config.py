@@ -75,7 +75,12 @@ class Configuration:
     """Immutable voting-member set (plus non-voting observers) with
     quorum sizes. Only ``members`` vote; ``observers`` replicate the log
     and are promoted to tiebreaker voters for CONFIG entries and
-    elections while the voting set is degenerate (``size <= 2``)."""
+    elections while the voting set is degenerate (``size <= 2``).
+
+    ``size``, ``classic_quorum`` and ``fast_quorum`` are plain
+    attributes derived once in ``__post_init__`` (every commit decision
+    reads them); they are not dataclass fields, so equality, hashing,
+    ``repr`` and ``replace`` see ``members`` and ``observers`` only."""
 
     members: tuple[str, ...] = field(default=())
     observers: tuple[str, ...] = field(default=())
@@ -97,30 +102,23 @@ class Configuration:
             raise ConfigurationError(
                 f"sites cannot be both member and observer: {sorted(overlap)}")
         object.__setattr__(self, "observers", watchers)
+        size = len(ordered)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "classic_quorum", classic_quorum_size(size))
+        object.__setattr__(self, "fast_quorum", fast_quorum_size(size))
+        object.__setattr__(self, "_member_set", frozenset(ordered))
 
     # ------------------------------------------------------------------
     # Quorums
     # ------------------------------------------------------------------
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def classic_quorum(self) -> int:
-        return classic_quorum_size(self.size)
-
-    @property
-    def fast_quorum(self) -> int:
-        return fast_quorum_size(self.size)
-
     def is_classic_quorum(self, voters: set[str] | int) -> bool:
         count = voters if isinstance(voters, int) else len(
-            set(voters) & set(self.members))
+            self._member_set.intersection(voters))
         return count >= self.classic_quorum
 
     def is_fast_quorum(self, voters: set[str] | int) -> bool:
         count = voters if isinstance(voters, int) else len(
-            set(voters) & set(self.members))
+            self._member_set.intersection(voters))
         return count >= self.fast_quorum
 
     # ------------------------------------------------------------------

@@ -176,6 +176,12 @@ class BaseEngine:
     def __init__(self, ctx: EngineContext,
                  bootstrap_config: Configuration) -> None:
         self.ctx = ctx
+        #: The host site's name and the loop's clock: read on every
+        #: delivered message, so plain attributes, fixed here. (``now``
+        #: is a bound *Python* method, which ``mc``'s deep-copying fork
+        #: rebinds to the copied loop; see ``sim/actor.py``.)
+        self.name: str = ctx.name
+        self.now: Callable[[], float] = ctx.loop.now
         self.timing = ctx.timing
         # Every outbound message goes straight to the injected transport.
         self._send: Callable[[str, Any], None] = ctx.send
@@ -255,7 +261,9 @@ class BaseEngine:
         self._stopped = False
         # --- leader leases (linearizable local reads; inert while
         # --- timing.lease_duration == 0, the default) ---
-        self._lease_enabled = self.timing.lease_duration > 0
+        #: Fixed at construction (the server's read path checks it per
+        #: read).
+        self.lease_enabled = self.timing.lease_duration > 0
         #: follower -> send time of the newest beat it acked. The lease
         #: renews from beat *send* times a quorum provably answered.
         self._lease_acks: dict[str, float] = {}
@@ -271,10 +279,10 @@ class BaseEngine:
     # ------------------------------------------------------------------
     # Convenience accessors
     # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self.ctx.name
-
+    # ``configuration`` and ``leader_id`` are the public surface; the
+    # engines' own code reads ``_configuration`` / ``_leader_id`` (a
+    # property costs an interpreter frame per read) and writes
+    # ``leader_id`` through the setter, for its ``on_leader_change``.
     @property
     def configuration(self) -> Configuration:
         return self._configuration
@@ -296,9 +304,6 @@ class BaseEngine:
     @property
     def is_member(self) -> bool:
         return self.name in self._configuration
-
-    def now(self) -> float:
-        return self.ctx.loop.now()
 
     def _trace(self, category: str, **payload: Any) -> None:
         # Check before formatting: with tracing disabled (the benchmark
@@ -397,6 +402,7 @@ class BaseEngine:
             return
         message_type = type(message)
         if (message_type in _GATED_TYPE_SET
+                and sender not in self._gate_senders
                 and not self._gated_sender_ok(message_type, sender)):
             self._on_gated_message(message, sender)
             return
@@ -417,7 +423,9 @@ class BaseEngine:
 
         ``_gate_senders`` covers self + members + observers (observers
         replicate the log: their acks and slot votes must reach the
-        leader; quorum rules decide what they count for)."""
+        leader; quorum rules decide what they count for). :meth:`handle`
+        tests it inline first -- nearly every message passes there --
+        and calls this only for the rest."""
         if sender in self._gate_senders or sender in self._extra_allowed:
             return True
         # A site that is not (or no longer) a voting member accepts
@@ -438,7 +446,7 @@ class BaseEngine:
             self._send(sender, NotInConfiguration(
                 term=self.current_term,
                 members=self._configuration.members,
-                leader_hint=self.leader_id))
+                leader_hint=self._leader_id))
 
     # ------------------------------------------------------------------
     # Probe-before-trust recovery (README "Crash recovery & rejoin")
@@ -458,8 +466,8 @@ class BaseEngine:
         if self._stopped or self.timing.recovery_probe_timeout <= 0:
             return
         contacts = set(self._configuration.members)
-        if self.leader_id is not None:
-            contacts.add(self.leader_id)
+        if self._leader_id is not None:
+            contacts.add(self._leader_id)
         if self.voted_for is not None:
             # The persisted vote is the freshest leader hint stable
             # storage offers (granting it named a then-live candidate).
@@ -494,7 +502,7 @@ class BaseEngine:
             term=self.current_term,
             config_version=self._governing_config_version(),
             members=self._configuration.members,
-            leader_hint=self.leader_id,
+            leader_hint=self._leader_id,
             is_member=msg.site in self._configuration))
 
     @handles(RecoveryProbeReply)
@@ -513,7 +521,7 @@ class BaseEngine:
             return
         if msg.is_member and msg.config_version >= ours:
             self._observe_term(msg.term, leader_hint=msg.leader_hint)
-            if self.leader_id is None and msg.leader_hint is not None:
+            if self._leader_id is None and msg.leader_hint is not None:
                 self.leader_id = msg.leader_hint
             self._finish_recovery_probe("confirmed")
             return
@@ -552,10 +560,6 @@ class BaseEngine:
     # ------------------------------------------------------------------
     # Leader leases (linearizable local reads)
     # ------------------------------------------------------------------
-    @property
-    def lease_enabled(self) -> bool:
-        return self._lease_enabled
-
     def _lease_expiry(self, now: float) -> float:
         """Until when this leader's lease provably holds: the
         ``classic_quorum``-th newest acked beat send time, plus the
@@ -566,7 +570,7 @@ class BaseEngine:
         elected (and commit writes this leader has not seen) before it.
         Returns 0.0 when no quorum has acked anything yet."""
         config = self._configuration
-        name = self.ctx.name
+        name = self.name
         acks_get = self._lease_acks.get
         times = [now if member == name else acks_get(member, 0.0)
                  for member in config.members]
@@ -582,7 +586,7 @@ class BaseEngine:
     def lease_valid(self, now: float) -> bool:
         """Leader-side check: may this engine serve a local linearizable
         read right now?"""
-        return (self._lease_enabled and self.role is Role.LEADER
+        return (self.lease_enabled and self.role is Role.LEADER
                 and self._lease_expiry(now) > now)
 
     def _record_lease_ack(self, follower: str, beat_sent_at: float) -> None:
@@ -699,8 +703,8 @@ class BaseEngine:
         if msg.term < self.current_term:
             self._send(sender, self._make_vote_response(False))
             return
-        if (self._lease_enabled and msg.candidate_id != self._leader_id
-                and self.ctx.loop.now() < self._follower_lease_until):
+        if (self.lease_enabled and msg.candidate_id != self._leader_id
+                and self.now() < self._follower_lease_until):
             # Acking a lease-carrying beat promised the leader no rival
             # would be elected before the advertised expiry; honoring
             # that promise here is what makes lease reads linearizable.
@@ -779,7 +783,7 @@ class BaseEngine:
         on_origin = ctx.on_origin_commit
         committed_hook = self._on_entry_committed
         tracing = self._tracing
-        name = ctx.name
+        name = self.name
         while self.commit_index < new_commit:
             next_index = self.commit_index + 1
             entry = log_get(next_index)

@@ -20,10 +20,9 @@ log snapshots safe to share across the simulation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Any
 
-from repro.net.sizes import estimate_size, size_memo
+from repro.net.sizes import estimate_size, frozen_dataclass, size_memo
 
 
 class EntryKind(enum.Enum):
@@ -51,7 +50,7 @@ def make_entry_id(origin: str, request_id: int | str) -> str:
 _NOOP_COUNTER = 0
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class LogEntry:
     """One slot of the replicated log."""
 
@@ -126,7 +125,7 @@ def make_noop(origin: str, term: int,
                     term=term, inserted_by=inserted_by)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class ConfigPayload:
     """Payload of a CONFIG entry: the full voting-member list, plus any
     standing non-voting observers (see ``Configuration.observers``).
@@ -150,7 +149,7 @@ class ConfigPayload:
         object.__setattr__(self, "observers", tuple(sorted(self.observers)))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class GlobalStatePayload:
     """Payload of a C-Raft GLOBAL_STATE entry in a *local* log.
 
@@ -185,7 +184,7 @@ class GlobalStatePayload:
     _est_size: int | None = size_memo()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class BatchPayload:
     """Payload of a C-Raft BATCH entry in the *global* log.
 

@@ -21,6 +21,15 @@ The log then remembers only the compaction point's ``(index, term)`` --
 the anchor AppendEntries consistency checks still need -- and refuses any
 access below it. Sparse-slot/hole semantics are untouched above the
 compaction point.
+
+``last_index``, ``snapshot_index``, ``snapshot_term`` and
+``config_epoch`` are plain instance attributes that **only the log's own
+methods write**: every engine handler reads them, several times per
+message, and a property costs an interpreter frame to return one field.
+Everyone else reads them and mutates the log through ``insert`` /
+``truncate_from`` / ``compact_to`` / ``install_snapshot``. The log is
+deep-copied by ``mc``'s world fork, so it caches no bound *builtin* on
+itself (``copy.deepcopy`` treats those as atomic; see :meth:`RaftLog.get`).
 """
 
 from __future__ import annotations
@@ -36,7 +45,9 @@ class RaftLog:
 
     def __init__(self) -> None:
         self._slots: dict[int, LogEntry] = {}
-        self._last_index = 0
+        #: Highest occupied index (``lastLogIndex``), or the compaction
+        #: point when nothing is retained above it; 0 when empty.
+        self.last_index = 0
         #: entry id -> its index, or the set of its indices when it
         #: holds more than one slot (never a set of fewer than two).
         self._id_indices: dict[str, int | set[int]] = {}
@@ -47,38 +58,37 @@ class RaftLog:
         # length) per message, quadratic over a run); tracking the
         # handful of CONFIG indices makes it O(#configs).
         self._config_indices: set[int] = set()
-        # Compaction point: every index at or below it has been dropped
-        # and is covered by a snapshot. (0, 0) doubles as the classic
-        # index-0 sentinel of an uncompacted log.
-        self._snapshot_index = 0
-        self._snapshot_term = 0
+        #: Moves whenever the set of CONFIG slots or the content of one
+        #: changes: a CONFIG entry written (a restamp included),
+        #: overwritten, truncated, compacted or dropped by
+        #: :meth:`install_snapshot`. The governing configuration is a
+        #: function of those slots (plus the snapshot and the commit
+        #: index, which their owners track), so an engine whose epoch
+        #: did not move across a batch of inserts has nothing to
+        #: re-derive.
+        self.config_epoch = 0
+        #: Compaction point: every index at or below it has been dropped
+        #: and is covered by a snapshot -- ``snapshot_index`` the highest
+        #: such index, ``snapshot_term`` the term of the entry that sat
+        #: there. (0, 0) doubles as the classic index-0 sentinel of an
+        #: uncompacted log.
+        self.snapshot_index = 0
+        self.snapshot_term = 0
 
     # ------------------------------------------------------------------
     # Basic queries
     # ------------------------------------------------------------------
     @property
-    def last_index(self) -> int:
-        """Highest occupied index (``lastLogIndex``), or the compaction
-        point when nothing is retained above it; 0 when empty."""
-        return self._last_index
-
-    @property
-    def snapshot_index(self) -> int:
-        """Compaction point: highest index dropped into a snapshot."""
-        return self._snapshot_index
-
-    @property
-    def snapshot_term(self) -> int:
-        """Term of the entry at the compaction point (0 if uncompacted)."""
-        return self._snapshot_term
-
-    @property
     def first_retained_index(self) -> int:
         """Lowest index this log can still hold an entry for."""
-        return self._snapshot_index + 1
+        return self.snapshot_index + 1
 
     def get(self, index: int) -> LogEntry | None:
-        """Entry at ``index`` or None (hole / out of range)."""
+        """Entry at ``index`` or None (hole / out of range).
+
+        Stays a method: an instance-cached ``self._slots.get`` would be
+        a bound *builtin*, which ``copy.deepcopy`` copies atomically --
+        a forked log would read its parent's slots."""
         return self._slots.get(index)
 
     def has(self, index: int) -> bool:
@@ -92,11 +102,11 @@ class RaftLog:
         Raises :class:`LogError` for a hole or a compacted index, because
         callers comparing terms there are making a protocol error.
         """
-        if index == self._snapshot_index:
-            return self._snapshot_term
-        if index < self._snapshot_index:
+        if index == self.snapshot_index:
+            return self.snapshot_term
+        if index < self.snapshot_index:
             raise LogError(f"index {index} compacted "
-                           f"(snapshot at {self._snapshot_index})")
+                           f"(snapshot at {self.snapshot_index})")
         entry = self._slots.get(index)
         if entry is None:
             raise LogError(f"no entry at index {index}")
@@ -124,13 +134,14 @@ class RaftLog:
         """
         if index < 1:
             raise LogError(f"log indices start at 1: {index!r}")
-        if index <= self._snapshot_index:
+        if index <= self.snapshot_index:
             raise LogError(f"cannot insert at compacted index {index} "
-                           f"(snapshot at {self._snapshot_index})")
+                           f"(snapshot at {self.snapshot_index})")
         entry_id = entry.entry_id
         old = self._slots.get(index)
         if old is not None and old.kind is EntryKind.CONFIG:
             self._config_indices.discard(index)
+            self.config_epoch += 1
         self._slots[index] = entry
         # A restamped copy of the occupant (leader approval) leaves the
         # reverse map as it is.
@@ -147,12 +158,13 @@ class RaftLog:
                 held.add(index)
         if entry.kind is EntryKind.CONFIG:
             self._config_indices.add(index)
-        if index > self._last_index:
-            self._last_index = index
+            self.config_epoch += 1
+        if index > self.last_index:
+            self.last_index = index
 
     def append(self, entry: LogEntry) -> int:
         """Classic-Raft append at ``last_index + 1``; returns the index."""
-        index = self._last_index + 1
+        index = self.last_index + 1
         self.insert(index, entry)
         return index
 
@@ -161,15 +173,11 @@ class RaftLog:
         resolution; Fast Raft never truncates, it overwrites)."""
         if index < 1:
             raise LogError(f"cannot truncate from index {index!r}")
-        if index <= self._snapshot_index:
+        if index <= self.snapshot_index:
             raise LogError(f"cannot truncate compacted prefix at {index} "
-                           f"(snapshot at {self._snapshot_index})")
-        doomed = [i for i in self._slots if i >= index]
-        for i in doomed:
-            self._unindex(self._slots[i].entry_id, i)
-            self._config_indices.discard(i)
-            del self._slots[i]
-        self._last_index = max(self._slots, default=self._snapshot_index)
+                           f"(snapshot at {self.snapshot_index})")
+        self._drop([i for i in self._slots if i >= index])
+        self.last_index = max(self._slots, default=self.snapshot_index)
 
     # ------------------------------------------------------------------
     # Compaction
@@ -179,7 +187,7 @@ class RaftLog:
         they are committed and captured by a snapshot). The compaction
         point's term is taken from the occupant, which therefore must
         exist. Returns the number of entries dropped."""
-        if index <= self._snapshot_index:
+        if index <= self.snapshot_index:
             return 0
         return self.install_snapshot(index, self.term_at(index))
 
@@ -189,16 +197,13 @@ class RaftLog:
         (conflicting suffix entries are resolved by later replication,
         exactly like a retained tail after local compaction). Returns the
         number of entries dropped."""
-        if index <= self._snapshot_index:
+        if index <= self.snapshot_index:
             return 0
         doomed = [i for i in self._slots if i <= index]
-        for i in doomed:
-            self._unindex(self._slots[i].entry_id, i)
-            self._config_indices.discard(i)
-            del self._slots[i]
-        self._snapshot_index = index
-        self._snapshot_term = term
-        self._last_index = max(self._last_index, index)
+        self._drop(doomed)
+        self.snapshot_index = index
+        self.snapshot_term = term
+        self.last_index = max(self.last_index, index)
         return len(doomed)
 
     # ------------------------------------------------------------------
@@ -207,14 +212,14 @@ class RaftLog:
     def entries_between(self, lo: int, hi: int) -> list[tuple[int, LogEntry]]:
         """Occupied ``(index, entry)`` pairs with ``lo <= index <= hi``
         (compacted indices excluded -- they hold no entries)."""
-        lo = max(lo, self.first_retained_index)
+        lo = max(lo, self.snapshot_index + 1)
         return [(i, self._slots[i]) for i in range(lo, hi + 1)
                 if i in self._slots]
 
     def contiguous_from(self, lo: int, hi: int) -> bool:
         """True when every index in ``[lo, hi]`` is occupied (compacted
         indices count as held: their entries are in the snapshot)."""
-        return all(i in self._slots or i <= self._snapshot_index
+        return all(i in self._slots or i <= self.snapshot_index
                    for i in range(lo, hi + 1))
 
     def last_with_provenance(self, inserted_by: InsertedBy) -> int:
@@ -294,6 +299,16 @@ class RaftLog:
             return set()
         return {held} if held.__class__ is int else set(held)
 
+    def highest_index_of(self, entry_id: str) -> int:
+        """Highest index currently holding ``entry_id``, 0 when none
+        does (reads the reverse map in place, no set copy: the
+        lost-proposal sweep asks this per outstanding proposal per
+        commit)."""
+        held = self._id_indices.get(entry_id)
+        if held is None:
+            return 0
+        return held if held.__class__ is int else max(held)
+
     def committed_index_of(self, entry_id: str, commit_index: int
                            ) -> int | None:
         """Lowest committed index holding ``entry_id``, or None."""
@@ -311,6 +326,16 @@ class RaftLog:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _drop(self, doomed: list[int]) -> None:
+        """Remove the slots at ``doomed`` (truncation, compaction)."""
+        config_indices = self._config_indices
+        for i in doomed:
+            self._unindex(self._slots[i].entry_id, i)
+            if i in config_indices:
+                config_indices.discard(i)
+                self.config_epoch += 1
+            del self._slots[i]
+
     def _unindex(self, entry_id: str, index: int) -> None:
         held = self._id_indices.get(entry_id)
         if held.__class__ is int:
@@ -322,6 +347,6 @@ class RaftLog:
                 self._id_indices[entry_id] = held.pop()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<RaftLog last_index={self._last_index} "
+        return (f"<RaftLog last_index={self.last_index} "
                 f"occupied={len(self._slots)} "
-                f"snapshot={self._snapshot_index}>")
+                f"snapshot={self.snapshot_index}>")

@@ -16,7 +16,7 @@ from typing import Any
 
 from repro.consensus.entry import LogEntry
 from repro.net.sizes import (FRAME_SIZE, HEADER_SIZE, SCALAR_SIZE,
-                             estimate_size, size_memo)
+                             estimate_size, frozen_dataclass, size_memo)
 from repro.net.sizes import payload_size as _payload_size
 
 IndexedEntries = tuple[tuple[int, LogEntry], ...]
@@ -35,7 +35,7 @@ def _entries_size(entries: IndexedEntries) -> int:
 # ----------------------------------------------------------------------
 # Client <-> site (co-located, reliable)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class ClientRequest:
     """A client asks its attached site to get ``command`` committed.
 
@@ -51,7 +51,7 @@ class ClientRequest:
     sequence: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class ClientReply:
     """Outcome of a client request (sent on commit, or on redirect info)."""
 
@@ -61,7 +61,7 @@ class ClientReply:
     info: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class ReadRequest:
     """A client asks its attached site for a linearizable local read.
 
@@ -75,7 +75,7 @@ class ReadRequest:
     key: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class ReadReply:
     """Outcome of a lease read (``ok=False``: no active lease -- the
     client retries, as with write timeouts)."""
@@ -90,7 +90,7 @@ class ReadReply:
 # ----------------------------------------------------------------------
 # Proposals and votes
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class ProposeToLeader:
     """Classic Raft: a site forwards a proposal to the term's leader."""
 
@@ -98,7 +98,7 @@ class ProposeToLeader:
     _est_size: int | None = size_memo()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class ProposeEntry:
     """Fast Raft: the proposing site broadcasts the entry for index
     ``index`` to every member (Fig. 2's first hop)."""
@@ -108,7 +108,7 @@ class ProposeEntry:
     _est_size: int | None = size_memo()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class VoteEntry:
     """Fast Raft: a site reports its slot content for ``index`` to the
     leader ("Send log[i] and commitIndex to leaderId")."""
@@ -121,7 +121,7 @@ class VoteEntry:
     _est_size: int | None = size_memo()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class CommitNotice:
     """Leader tells the origin site that its entry committed."""
 
@@ -133,7 +133,7 @@ class CommitNotice:
 # ----------------------------------------------------------------------
 # Replication
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class AppendEntries:
     """Leader -> follower replication / heartbeat."""
 
@@ -168,7 +168,7 @@ class AppendEntries:
         return cached
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class AppendEntriesResponse:
     term: int
     success: bool
@@ -183,7 +183,7 @@ class AppendEntriesResponse:
     beat_sent_at: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class InstallSnapshotRequest:
     """Leader -> follower: the follower's needed log prefix has been
     compacted away, so the leader ships its snapshot instead of entries.
@@ -217,7 +217,7 @@ class InstallSnapshotRequest:
         return cached
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class InstallSnapshotResponse:
     term: int
     follower: str
@@ -226,7 +226,7 @@ class InstallSnapshotResponse:
     success: bool
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class InstallSnapshotChunk:
     """One slice of a chunked snapshot transfer (Raft's reference RPC:
     ``offset`` positions the slice, ``done`` marks the final one).
@@ -250,7 +250,7 @@ class InstallSnapshotChunk:
                 + len(self.data))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class InstallSnapshotChunkAck:
     """Follower -> leader: one chunk arrived (or was rejected as stale).
     The leader's send window advances on each ack; the final full-image
@@ -267,7 +267,7 @@ class InstallSnapshotChunkAck:
 # ----------------------------------------------------------------------
 # Elections
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class RequestVote:
     """Candidate -> all sites.
 
@@ -283,7 +283,7 @@ class RequestVote:
     last_log_term: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class RequestVoteResponse:
     term: int
     vote_granted: bool
@@ -297,7 +297,7 @@ class RequestVoteResponse:
 # ----------------------------------------------------------------------
 # Membership
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class JoinRequest:
     """A site asks to join the configuration (sent to any member;
     non-leaders forward it to the leader).
@@ -312,7 +312,7 @@ class JoinRequest:
     replaces: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class JoinAccepted:
     """Leader -> joining site once the new configuration committed."""
 
@@ -320,7 +320,7 @@ class JoinAccepted:
     leader_id: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class LeaveRequest:
     """A site announces its departure (or the leader self-generates this
     after a member timeout for silent leaves).
@@ -334,14 +334,14 @@ class LeaveRequest:
     as_observer: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class LeaveAccepted:
     """Leader -> departing site once the exclusion committed."""
 
     site: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class NotInConfiguration:
     """Administrative notice to a site whose consensus message was ignored
     because it is not a configuration member; carries enough information
@@ -354,7 +354,7 @@ class NotInConfiguration:
     leader_hint: str | None
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class RecoveryProbe:
     """Probe-before-trust recovery: a recovering site asks a peer whether
     its restored configuration still governs, instead of trusting a
@@ -370,7 +370,7 @@ class RecoveryProbe:
     term: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class RecoveryProbeReply:
     """A peer's answer to a :class:`RecoveryProbe`: its own governing
     config epoch, the membership verdict for the prober, and a leader
@@ -401,7 +401,7 @@ class RecoveryProbeReply:
 # ----------------------------------------------------------------------
 # C-Raft envelope
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class Envelope:
     """Level-tagged wrapper for C-Raft message routing.
 

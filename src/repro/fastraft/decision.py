@@ -96,7 +96,7 @@ class DecisionMixin:
         vote -- decides. This is what un-wedges a 2-voter configuration
         after one voter dies (see ROADMAP "Global-membership deadlock").
         """
-        if self.configuration.is_classic_quorum(voters):
+        if self._configuration.is_classic_quorum(voters):
             return True
         for record in self.possible_entries.candidates(k):
             # Only the plurality winner matters: it is what _choose_entry
@@ -106,7 +106,7 @@ class DecisionMixin:
             if self.name not in voters:
                 break  # an expanded electorate never decides leaderless
             extra = self._replacement_joiners_for(record.entry)
-            if self.configuration.config_entry_quorum(voters, extra):
+            if self._configuration.config_entry_quorum(voters, extra):
                 self._trace("decision.tiebreak", index=k,
                             entry_id=record.entry.entry_id,
                             votes=sorted(voters), extra=sorted(extra))
@@ -148,7 +148,7 @@ class DecisionMixin:
             fast_match[name] = k
         if k != self.commit_index + 1 or entry.term != self.current_term:
             return "classic"
-        config = self.configuration
+        config = self._configuration
         fast_match_get = fast_match.get
         matches = 0
         for member in config.members:

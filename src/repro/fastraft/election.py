@@ -66,7 +66,7 @@ class ElectionMixin:
     def _init_leader_state(self) -> None:
         self._evicted = False  # a winner is a member by definition
         start = self.commit_index + 1  # paper: last committed entry + 1
-        replicas = self.configuration.replicas
+        replicas = self._configuration.replicas
         self.next_index = {m: start for m in replicas}
         self.match_index = {m: 0 for m in replicas}
         self.fast_match_index = {m: 0 for m in replicas}

@@ -207,9 +207,9 @@ class FastRaftEngine(ProposalMixin, DecisionMixin, ReplicationMixin,
         if not self._outstanding_proposals:
             return  # the common case: nothing of ours is in flight
         jitter = self.timing.repropose_jitter
+        highest_index_of = self.log.highest_index_of
         for entry_id, entry in list(self._outstanding_proposals.items()):
-            slots = self.log.indices_of(entry_id)
-            if any(i > self.commit_index for i in slots):
+            if highest_index_of(entry_id) > self.commit_index:
                 continue  # still in play at a live index
             if jitter <= 0:
                 self.propose(entry)
@@ -231,7 +231,7 @@ class FastRaftEngine(ProposalMixin, DecisionMixin, ReplicationMixin,
         self.last_leader_index = max(self.last_leader_index,
                                      snapshot.last_included_index)
         self.possible_entries.drop_through(self.commit_index)
-        if self.name in self.configuration:
+        if self.name in self._configuration:
             # Current-term replication from the leader supersedes any
             # earlier eviction notice (same rule as AppendEntries).
             self._evicted = False
@@ -240,7 +240,7 @@ class FastRaftEngine(ProposalMixin, DecisionMixin, ReplicationMixin,
         if self.role is not Role.LEADER:
             return
         start = self.commit_index + 1
-        for site in self.configuration.replicas:
+        for site in self._configuration.replicas:
             self.next_index.setdefault(site, start)
             self.match_index.setdefault(site, 0)
             self.fast_match_index.setdefault(site, 0)

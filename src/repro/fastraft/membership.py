@@ -46,13 +46,13 @@ class MembershipMixin:
     # ------------------------------------------------------------------
     def _handle_join_request(self, msg: JoinRequest, sender: str) -> None:
         if self.role is not Role.LEADER:
-            if self.leader_id is not None and self.leader_id != self.name:
-                self._send(self.leader_id, msg)  # redirect to the leader
+            if self._leader_id is not None and self._leader_id != self.name:
+                self._send(self._leader_id, msg)  # redirect to the leader
             return
         site = msg.site
-        if site in self.configuration:
+        if site in self._configuration:
             self._send(site, JoinAccepted(
-                members=self.configuration.members, leader_id=self.name))
+                members=self._configuration.members, leader_id=self.name))
             return
         if self._membership_change_known(site):
             return  # duplicate request
@@ -67,12 +67,13 @@ class MembershipMixin:
 
     def _handle_leave_request(self, msg: LeaveRequest, sender: str) -> None:
         if self.role is not Role.LEADER:
-            if self.leader_id is not None and self.leader_id != self.name:
-                self._send(self.leader_id, msg)
+            if self._leader_id is not None and self._leader_id != self.name:
+                self._send(self._leader_id, msg)
             return
         site = msg.site
-        if site not in self.configuration:
-            if not msg.as_observer and site not in self.configuration.observers:
+        if site not in self._configuration:
+            if (not msg.as_observer
+                    and site not in self._configuration.observers):
                 self._send(site, LeaveAccepted(site=site))
             # A demotion request from a site that is already (or is
             # becoming) an observer needs no ack: the config entry
@@ -99,8 +100,8 @@ class MembershipMixin:
         """Membership after the change, computed idempotently: configs
         activate on *insert*, so by (re)proposal time the current config
         may already reflect the change."""
-        members = set(self.configuration.members)
-        observers = set(self.configuration.observers)
+        members = set(self._configuration.members)
+        observers = set(self._configuration.observers)
         if action == "add":
             members.add(site)
             observers.discard(site)  # observer-to-voter promotion
@@ -171,7 +172,7 @@ class MembershipMixin:
             return False
         threshold = self.timing.member_timeout_beats
         return any(self._beats_missed.get(member, 0) <= threshold
-                   for member in self.configuration.others(self.name))
+                   for member in self._configuration.others(self.name))
 
     # ------------------------------------------------------------------
     # Degraded reconfiguration (Section IV-F liveness)
@@ -179,11 +180,11 @@ class MembershipMixin:
     def _quorum_of_members_responsive(self) -> bool:
         """Can the current configuration still decide proposals?"""
         threshold = self.timing.member_timeout_beats
-        live = 1 if self.name in self.configuration else 0
-        for member in self.configuration.others(self.name):
+        live = 1 if self.name in self._configuration else 0
+        for member in self._configuration.others(self.name):
             if self._beats_missed.get(member, 0) <= threshold:
                 live += 1
-        return live >= self.configuration.classic_quorum
+        return live >= self._configuration.classic_quorum
 
     def _degraded_config_insert(self, new_config: Configuration,
                                 change: dict[str, Any]) -> None:
@@ -281,10 +282,10 @@ class MembershipMixin:
         supporters = set(record.voters) if record is not None else set()
         if self.name not in supporters:
             return
-        if self.configuration.is_classic_quorum(supporters):
+        if self._configuration.is_classic_quorum(supporters):
             return  # a live classic quorum decides in order eventually
         extra = self._replacement_joiners_for(entry)
-        if not self.configuration.config_entry_quorum(supporters, extra):
+        if not self._configuration.config_entry_quorum(supporters, extra):
             return
         target = self._target_config("remove", pending["site"])
         if target is None:
@@ -300,7 +301,7 @@ class MembershipMixin:
         excludes. Caught up means the joiner mirrors the whole
         leader-approved region, i.e. it is as good a replica as any
         voter."""
-        removed = set(self.configuration.members) - set(entry.payload.members)
+        removed = set(self._configuration.members) - set(entry.payload.members)
         if not removed:
             return set()
         joiners: set[str] = set()
@@ -383,7 +384,7 @@ class MembershipMixin:
             self._catchup_targets.discard(site)
             self._extra_allowed.discard(site)
             self._send(site, JoinAccepted(
-                members=self.configuration.members, leader_id=self.name))
+                members=self._configuration.members, leader_id=self.name))
         elif pending["action"] == "demote":
             # The site stays a replicated observer: keep its next/match
             # bookkeeping and let the config entry inform it. A demoted
@@ -429,7 +430,7 @@ class MembershipMixin:
     def _maybe_complete_stepdown(self) -> None:
         if self._stepdown_index is None or self.role is not Role.LEADER:
             return
-        successors = [m for m in self.configuration.members
+        successors = [m for m in self._configuration.members
                       if m != self.name]
         replicated = all(self.match_index.get(m, 0) >= self._stepdown_index
                          for m in successors)
@@ -470,7 +471,7 @@ class MembershipMixin:
         join instead of starting unwinnable elections. A standing
         observer that does not want a voting seat simply keeps watching
         -- being outside the voting set is its job, not an eviction."""
-        if (self.name in self.configuration.observers
+        if (self.name in self._configuration.observers
                 and not self.wants_membership):
             self._election_timer.reset(self.timing.join_timeout)
             return
@@ -489,9 +490,9 @@ class MembershipMixin:
     def _join_contacts(self) -> tuple[str, ...]:
         """All known members plus the last leader hint: a lone hint can go
         stale (the hinted site may itself have left the configuration)."""
-        contacts = set(self.configuration.members)
-        if self.leader_id is not None:
-            contacts.add(self.leader_id)
+        contacts = set(self._configuration.members)
+        if self._leader_id is not None:
+            contacts.add(self._leader_id)
         return tuple(sorted(contacts))
 
     def _handle_join_accepted(self, msg: JoinAccepted, sender: str) -> None:
@@ -504,7 +505,7 @@ class MembershipMixin:
     def _handle_leave_accepted(self, msg: LeaveAccepted, sender: str) -> None:
         if msg.site != self.name:
             return
-        if self.name in self.configuration.observers:
+        if self.name in self._configuration.observers:
             # A demoted site asked to *observe*, not to leave; a stray
             # LeaveAccepted (e.g. a duplicate request racing the
             # demotion) must not shut the standing observer down.
@@ -525,7 +526,7 @@ class MembershipMixin:
             # notice is live feedback to the votes it is soliciting now.
             return
         self._observe_term(msg.term)
-        if (self.name in self.configuration.observers
+        if (self.name in self._configuration.observers
                 and not self.wants_membership):
             # A standing observer is outside the voting set by design; a
             # peer with a stale (pre-demotion) config is not evicting us.
@@ -551,4 +552,4 @@ class MembershipMixin:
 
     @property
     def is_member(self) -> bool:  # overrides BaseEngine's property use
-        return self.name in self.configuration and not self._evicted
+        return self.name in self._configuration and not self._evicted

@@ -64,8 +64,8 @@ class ProposalMixin:
         if not self._catchup_targets:
             # Common case: no joiners catching up, and the replica tuple
             # is already deduplicated -- skip the merge/dedup rebuild.
-            return self.configuration.replicas
-        targets = list(self.configuration.replicas)
+            return self._configuration.replicas
+        targets = list(self._configuration.replicas)
         targets.extend(sorted(self._catchup_targets))
         return list(dict.fromkeys(targets))
 
@@ -115,9 +115,9 @@ class ProposalMixin:
                         ) -> None:
         if entry is None:
             entry = self.log.get(index)
-        if entry is None or self.leader_id is None:
+        if entry is None or self._leader_id is None:
             return
-        self._send(self.leader_id, VoteEntry(
+        self._send(self._leader_id, VoteEntry(
             term=self.current_term, index=index, entry=entry,
             commit_index=self.commit_index, voter=self.name))
 

@@ -25,7 +25,7 @@ class ReplicationMixin:
     # Leader side
     # ------------------------------------------------------------------
     def _append_targets(self) -> list[str]:
-        targets = list(self.configuration.replicas_without(self.name))
+        targets = list(self._configuration.replicas_without(self.name))
         targets.extend(sorted(self._catchup_targets))
         # An observer under pre-join catch-up would appear twice.
         return list(dict.fromkeys(targets))
@@ -62,7 +62,7 @@ class ReplicationMixin:
             hi = min(self.last_leader_index,
                      prev_index + self.timing.max_append_batch)
             entries = tuple(self.log.entries_between(next_index, hi))
-            if self._lease_enabled:
+            if self.lease_enabled:
                 sent_at = self.now()
                 lease_until = self._lease_expiry(sent_at)
             else:
@@ -137,7 +137,7 @@ class ReplicationMixin:
         frontier = self.last_leader_index
         if frontier <= commit:
             return
-        config = self.configuration
+        config = self._configuration
         name = self.name
         match_get = self.match_index.get
         counts = [match_get(member, 0) for member in config.members
@@ -167,7 +167,7 @@ class ReplicationMixin:
     # Member timeout (silent leaves, Section IV-D)
     # ------------------------------------------------------------------
     def _tick_member_timeouts(self) -> None:
-        for member in self.configuration.others(self.name):
+        for member in self._configuration.others(self.name):
             missed = self._beats_missed.get(member, 0) + 1
             self._beats_missed[member] = missed
             if missed > self.timing.member_timeout_beats:
@@ -201,7 +201,7 @@ class ReplicationMixin:
         else:
             self.leader_id = msg.leader_id
             self._arm_election_timer()
-        if self.name in self.configuration:
+        if self.name in self._configuration:
             # Current-term replication from the leader is authoritative:
             # any earlier eviction notice is superseded.
             self._evicted = False

@@ -64,7 +64,10 @@ class UniformLatency(LatencyModel):
         self.high = high
 
     def sample(self, rng: random.Random, src: str, dst: str) -> float:
-        return rng.uniform(self.low, self.high)
+        # random.Random.uniform's body, without its frame: the same one
+        # draw, the same float (tests/test_net_latency.py holds the two
+        # together on twin generators).
+        return self.low + (self.high - self.low) * rng.random()
 
     def __repr__(self) -> str:
         return f"UniformLatency({self.low!r}, {self.high!r})"

@@ -63,6 +63,14 @@ ever. Memo slots are never counted, so a memoised object measures
 exactly what a fresh one does -- and a class declaring one must be
 ``frozen=True``, or the memo would silently go stale (refused when the
 class is first sized).
+
+The classes priced here are declared with :func:`frozen_dataclass`, the
+module's other generator: ``dataclass(frozen=True, slots=True)`` with a
+compiled constructor (building wire objects is as hot as sizing them).
+Every generated function -- constructor, sizer, estimator -- is
+compiled under a per-class pseudo-filename (``<init LogEntry>``,
+``<sizer VoteEntry>``, ``<estimator LogEntry>``), so profiles list them
+one row each instead of collapsing them into ``<string>``.
 """
 
 from __future__ import annotations
@@ -119,6 +127,79 @@ def size_memo() -> Any:
     copy starts with an empty memo."""
     return dataclasses.field(default=None, init=False, repr=False,
                              compare=False, metadata={_MEMO_KEY: True})
+
+
+def frozen_dataclass(cls: type) -> type:
+    """``dataclass(frozen=True, slots=True)`` with a compiled constructor:
+    the decorator of every immutable wire object (messages, log entries,
+    entry payloads).
+
+    The class is the stdlib's in every respect -- ``fields()``,
+    ``replace()``, ``__eq__``/``__hash__``/``__repr__``, the frozen
+    ``__setattr__``/``__delattr__``, the slots ``__getstate__``/
+    ``__setstate__`` that pickling and ``mc.fork_world`` use,
+    ``__dataclass_params__`` -- except ``__init__``. The stdlib's frozen
+    constructor stores each field through ``object.__setattr__(self,
+    "f", f)``, a C slot wrapper per field that costs more than the rest
+    of the construction put together (and that ``cProfile`` cannot see).
+    The one generated here builds the object as a *layout-identical
+    mutable twin*: retype ``self`` to a plain class with the same
+    ``__slots__``, store the fields with ordinary attribute assignment,
+    retype it back -- two class assignments instead of one wrapper call
+    per field (break-even at two fields). The twin is never observable:
+    ``self`` is the frozen class again before ``__post_init__`` runs
+    and before the constructor returns, and nothing else holds a
+    reference in between.
+
+    Contract (``tests/test_frozen_init.py`` holds each class against a
+    twin built by the plain stdlib decorator): same parameters, defaults,
+    order and annotations as the stdlib constructor; ``init=False``
+    defaults (the :func:`size_memo` slots) filled; ``__post_init__``
+    called last. Decorated classes are final -- a subclass inheriting
+    this ``__init__`` would be retyped to its parent. A class the
+    generator does not cover (``default_factory``, ``InitVar``/
+    ``ClassVar`` pseudo-fields, keyword-only fields, a base other than
+    ``object``) keeps the stdlib constructor.
+
+    The function's constants ride in its ``exec`` namespace, not in
+    default arguments (they would show in the signature, and
+    ``mc.state._copy_function`` rebuilds any function that has
+    defaults); its pseudo-filename ``<init ClassName>`` gives every
+    class its own ``cProfile``/``pstats`` row.
+    """
+    cls = dataclasses.dataclass(frozen=True, slots=True)(cls)
+    fields = dataclasses.fields(cls)
+    if (cls.__bases__ != (object,)
+            or len(fields) != len(cls.__dataclass_fields__)
+            or any(f.default_factory is not dataclasses.MISSING or f.kw_only
+                   for f in fields)):
+        return cls
+    twin = type(cls.__name__, (), {"__slots__": cls.__slots__})
+    namespace = {"__name__": cls.__module__, "__cls__": cls,
+                 "__twin__": twin, "__retype__": object.__setattr__}
+    params = ["self"]
+    body = ["__retype__(self, '__class__', __twin__)"]
+    for f in fields:
+        has_default = f.default is not dataclasses.MISSING
+        default = f"__default_{f.name}__"
+        if has_default:
+            namespace[default] = f.default
+        if f.init:
+            params.append(f"{f.name}={default}" if has_default else f.name)
+            body.append(f"self.{f.name} = {f.name}")
+        elif has_default:
+            body.append(f"self.{f.name} = {default}")
+    body.append("self.__class__ = __cls__")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    source = (f"def __init__({', '.join(params)}):\n"
+              + "\n".join(f"    {line}" for line in body))
+    exec(compile(source, f"<init {cls.__qualname__}>", "exec"), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = dict(cls.__init__.__annotations__)
+    cls.__init__ = init
+    return cls
 
 
 def _class_info(cls: type) -> tuple[tuple[str, ...], bool]:
@@ -369,8 +450,11 @@ def _compile(cls: type, header: int) -> Callable[..., int]:
               + "\n".join(f"    {line}" for line in body))
     namespace: dict[str, Any] = {}
     # Generated from field names only; runs against this module's
-    # globals (estimate_size, walk_estimate, _set_memo).
-    exec(source, globals(), namespace)
+    # globals (estimate_size, walk_estimate, _set_memo). The per-class
+    # pseudo-filename keeps each one its own cProfile/pstats row.
+    kind = "sizer" if header else "estimator"
+    exec(compile(source, f"<{kind} {cls.__qualname__}>", "exec"),
+         globals(), namespace)
     size_of = namespace["size_of"]
     size_of.__qualname__ = (f"{'size' if header else 'estimate'}"
                             f"_{cls.__qualname__}")

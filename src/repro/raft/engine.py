@@ -105,8 +105,8 @@ class ClassicRaftEngine(BaseEngine):
                          term=0, inserted_by=InsertedBy.LEADER)
         if self.role is Role.LEADER:
             self._accept_proposal(entry)
-        elif self.leader_id is not None and self.leader_id != self.name:
-            self._send(self.leader_id, ProposeToLeader(entry=entry))
+        elif self._leader_id is not None and self._leader_id != self.name:
+            self._send(self._leader_id, ProposeToLeader(entry=entry))
         # No known leader: drop; the client's proposal timeout retries.
 
     @handles(ProposeToLeader)
@@ -114,8 +114,8 @@ class ClassicRaftEngine(BaseEngine):
                                   sender: str) -> None:
         if self.role is not Role.LEADER:
             # Stale redirect; forward once more if we know better.
-            if self.leader_id is not None and self.leader_id != self.name:
-                self._send(self.leader_id, msg)
+            if self._leader_id is not None and self._leader_id != self.name:
+                self._send(self._leader_id, msg)
             return
         self._accept_proposal(msg.entry)
 
@@ -196,7 +196,7 @@ class ClassicRaftEngine(BaseEngine):
             hi = min(self.log.last_index,
                      prev_index + self.timing.max_append_batch)
             entries = tuple(self.log.entries_between(next_index, hi))
-            if self._lease_enabled:
+            if self.lease_enabled:
                 sent_at = self.now()
                 lease_until = self._lease_expiry(sent_at)
             else:
@@ -306,6 +306,7 @@ class ClassicRaftEngine(BaseEngine):
         return self.log.term_at(prev_index) == prev_term
 
     def _absorb_entries(self, entries) -> None:
+        config_epoch = self.log.config_epoch
         truncated = False
         inserted_bytes = 0
         for index, entry in entries:
@@ -323,7 +324,9 @@ class ClassicRaftEngine(BaseEngine):
                                else estimate_size(entry))
         if inserted_bytes or truncated:
             self.ctx.store.touch("log", size=max(1, inserted_bytes))
-        if entries:
+        if self.log.config_epoch != config_epoch:
+            # A CONFIG slot was written or truncated away: only then can
+            # the governing configuration differ from the one we hold.
             self._refresh_configuration()
 
     # ------------------------------------------------------------------
@@ -362,7 +365,7 @@ class ClassicRaftEngine(BaseEngine):
 
     def _require_leader(self) -> None:
         if self.role is not Role.LEADER:
-            raise NotLeaderError(leader_hint=self.leader_id)
+            raise NotLeaderError(leader_hint=self._leader_id)
 
     def _enqueue_config_change(self, change: dict[str, Any]) -> None:
         self._config_queue.append(change)

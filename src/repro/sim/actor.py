@@ -6,6 +6,13 @@ Subclasses implement :meth:`on_message`. The network checks
 :attr:`alive` itself (a crashed actor's traffic is a dead letter) and
 calls :meth:`on_message` directly; :meth:`deliver` is the same gate for
 callers that hold an actor and not the fabric.
+
+``name``, ``alive`` and ``loop`` are plain instance attributes and
+``now`` is the loop's own bound ``now``: every delivered event reads
+them, and a property or a forwarding method costs a full interpreter
+frame to return one field. ``name`` and ``loop`` are fixed at
+construction; ``alive`` is written only by :meth:`kill` and
+:meth:`revive` (subclasses extend those, nothing assigns it directly).
 """
 
 from __future__ import annotations
@@ -19,25 +26,13 @@ class Actor:
     """A named simulated process bound to a :class:`SimLoop`."""
 
     def __init__(self, loop: SimLoop, name: str) -> None:
-        self._loop = loop
-        self._name = name
-        self._alive = True
-
-    @property
-    def loop(self) -> SimLoop:
-        return self._loop
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def alive(self) -> bool:
-        return self._alive
-
-    def now(self) -> float:
-        """Current virtual time (convenience passthrough)."""
-        return self._loop.now()
+        self.loop = loop
+        self.name = name
+        self.alive = True
+        #: Current virtual time: ``actor.now()`` is ``loop.now()``. (A
+        #: bound *Python* method, so ``copy.deepcopy`` -- ``mc``'s world
+        #: fork -- rebinds it to the copied loop.)
+        self.now = loop.now
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -48,7 +43,7 @@ class Actor:
         Subclasses override to also cancel their timers, then call
         ``super().kill()``.
         """
-        self._alive = False
+        self.alive = False
 
     def revive(self) -> None:
         """Mark the actor alive again (crash recovery).
@@ -56,14 +51,14 @@ class Actor:
         Subclasses override to restore volatile state and restart timers,
         then call ``super().revive()``.
         """
-        self._alive = True
+        self.alive = True
 
     # ------------------------------------------------------------------
     # Messaging
     # ------------------------------------------------------------------
     def deliver(self, message: Any, sender: str) -> None:
         """Hand ``message`` to the actor; dropped when it is dead."""
-        if not self._alive:
+        if not self.alive:
             return
         self.on_message(message, sender)
 
@@ -72,5 +67,5 @@ class Actor:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "alive" if self._alive else "dead"
-        return f"<{type(self).__name__} {self._name} {state}>"
+        state = "alive" if self.alive else "dead"
+        return f"<{type(self).__name__} {self.name} {state}>"

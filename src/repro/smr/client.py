@@ -61,7 +61,9 @@ class Client(Actor):
                  session: bool = False) -> None:
         super().__init__(loop, name)
         self._network = network
-        self._site = site
+        #: The site this client is attached to (written by
+        #: :meth:`attach_to` only).
+        self.site = site
         self._proposal_timeout = proposal_timeout
         self._max_attempts = max_attempts
         #: Session clients stamp requests with (session_id, sequence) so
@@ -79,16 +81,12 @@ class Client(Actor):
         self.abandoned: list[RequestRecord] = []
 
     @property
-    def site(self) -> str:
-        return self._site
-
-    @property
     def pending_count(self) -> int:
         return len(self._pending)
 
     def attach_to(self, site: str) -> None:
         """Re-attach to a different site (e.g. after its site departed)."""
-        self._site = site
+        self.site = site
 
     # ------------------------------------------------------------------
     # Submission
@@ -131,10 +129,10 @@ class Client(Actor):
 
     def _send_request(self, record: RequestRecord) -> None:
         if record.kind == "read":
-            self._network.send_local(self.name, self._site, ReadRequest(
+            self._network.send_local(self.name, self.site, ReadRequest(
                 request_id=record.request_id, key=record.command))
             return
-        self._network.send_local(self.name, self._site, ClientRequest(
+        self._network.send_local(self.name, self.site, ClientRequest(
             request_id=record.request_id, command=record.command,
             session_id=self.name if self._session else "",
             sequence=record.sequence))

@@ -1,5 +1,9 @@
 """Tests for quorum arithmetic and configurations."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.consensus.config import Configuration
@@ -74,6 +78,42 @@ class TestConfiguration:
         assert config.is_classic_quorum(3)
         assert config.is_fast_quorum(4)
         assert not config.is_fast_quorum(3)
+
+    def test_quorum_checks_count_distinct_members_of_any_iterable(self):
+        """Sets, frozensets, lists with duplicates, tuples, dict views:
+        a voter counts once, a non-member never."""
+        config = Configuration(("a", "b", "c", "d", "e"), observers=("o",))
+        for make in (set, frozenset, list, tuple, dict.fromkeys):
+            assert config.is_classic_quorum(make(["a", "b", "c", "o"]))
+            assert not config.is_classic_quorum(make(["a", "b", "o", "zz"]))
+            assert config.is_fast_quorum(make(["a", "b", "c", "d"]))
+            assert not config.is_fast_quorum(make(["a", "b", "c", "o"]))
+        assert not config.is_classic_quorum(["a", "a", "a", "b"])
+        assert not config.is_fast_quorum(["a", "b", "c", "c", "c"])
+        assert not config.is_classic_quorum(set())
+
+    def test_derived_sizes_are_not_fields(self):
+        """``size`` / ``classic_quorum`` / ``fast_quorum`` are computed
+        once per configuration, outside equality, hashing, repr, replace
+        and pickling's field view."""
+        config = Configuration(("b", "a", "c"), observers=("o",))
+        assert [f.name for f in dataclasses.fields(config)] == [
+            "members", "observers"]
+        assert (config.size, config.classic_quorum, config.fast_quorum) == (
+            3, classic_quorum_size(3), fast_quorum_size(3))
+        same = Configuration(("a", "b", "c"), ("o",))
+        assert config == same and hash(config) == hash(same)
+        assert repr(config) == (
+            "Configuration(['a', 'b', 'c'], observers=['o'])")
+        grown = dataclasses.replace(config, members=("a", "b", "c", "d"))
+        assert (grown.size, grown.classic_quorum) == (4, 3)
+        assert grown.is_classic_quorum({"a", "b", "d"})
+        for clone in (pickle.loads(pickle.dumps(config)),
+                      copy.deepcopy(config)):
+            assert clone == config and clone.size == 3
+            assert clone.is_classic_quorum(["a", "c"])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.size = 7
 
     def test_contains(self):
         config = Configuration(("a", "b"))

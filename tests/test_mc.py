@@ -20,8 +20,11 @@ Four guarantees are pinned here:
 """
 
 import dataclasses
+import enum
+import gc
 import hashlib
 import json
+import types
 
 import pytest
 
@@ -124,6 +127,58 @@ def test_fork_is_isolated(healthy_target):
     assert fork.loop.now() > world.loop.now()
     assert fingerprint(world) == base
     assert [h.seq for h in world.loop.pending_handles()] == base_seqs
+
+
+def _reachable(root):
+    """Every object the world's own state reaches: instances, their
+    attributes and slots, containers, bound methods, closure cells and
+    defaults -- not classes, modules or function globals (code, shared
+    by construction)."""
+    seen, work = {}, [root]
+    while work:
+        obj = work.pop()
+        if id(obj) in seen or isinstance(obj, (
+                type, types.ModuleType, str, bytes, int, float, enum.Enum,
+                type(None))):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, types.BuiltinFunctionType):
+            continue  # recorded; its __self__ is what the caller judges
+        if isinstance(obj, types.FunctionType):
+            for cell in obj.__closure__ or ():
+                try:
+                    work.append(cell.cell_contents)
+                except ValueError:  # empty cell
+                    pass
+            work.extend(obj.__defaults__ or ())
+            work.extend((obj.__kwdefaults__ or {}).values())
+        else:
+            work.extend(gc.get_referents(obj))
+    return seen
+
+
+@pytest.mark.parametrize("name", ["mc_small_healthy", "mc_small_classic"])
+def test_fork_holds_no_bound_builtin_of_its_parent(name):
+    """``copy.deepcopy`` rebinds a bound *Python* method to the copied
+    instance but copies a bound *builtin* atomically: an instance that
+    cached, say, ``self._slots.get`` would read its parent's dict from
+    inside the fork. (Actors and engines do cache ``loop.now`` -- a
+    Python method, checked here to land on the fork's loop.)"""
+    world = prepare_world(get_mc_target(name))
+    fork = fork_world(world)
+    parent_ids = _reachable(world)  # keeps the parent's objects alive
+    mutable_parent_ids = {
+        key for key, obj in parent_ids.items()
+        if not isinstance(obj, (tuple, frozenset, types.BuiltinFunctionType))}
+    leaked = [obj for obj in _reachable(fork).values()
+              if isinstance(obj, types.BuiltinFunctionType)
+              and id(getattr(obj, "__self__", None)) in mutable_parent_ids]
+    assert leaked == []
+    assert fork.loop is not world.loop
+    for server in fork.servers.values():
+        assert server.now.__self__ is fork.loop
+        assert server.engine.now.__self__ is fork.loop
+        assert server.engine.log is not world.servers[server.name].engine.log
 
 
 def test_fire_event_rejects_divergence(healthy_target):

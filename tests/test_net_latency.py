@@ -156,7 +156,7 @@ class TestSharedLinkBandwidthModel:
                 self.arrivals = []
 
             def on_message(self, message, sender):
-                self.arrivals.append(self._loop.now())
+                self.arrivals.append(self.loop.now())
 
         class Src(Actor):
             def __init__(self, loop):
@@ -241,3 +241,22 @@ class TestFlatSamplerEquivalence:
         assert rng_reference.draws == rng_installed.draws
         expected_draws = n_messages if jitter else 0
         assert rng_installed.draws == expected_draws
+
+    @given(low=st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
+           span=st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n_messages=st.integers(min_value=1, max_value=200))
+    @settings(deadline=None, max_examples=60)
+    def test_uniform_latency_is_rng_uniform(self, low, span, seed,
+                                            n_messages):
+        """``UniformLatency.sample`` spells out ``Random.uniform``'s body
+        to save its frame: the same float from the same single draw, and
+        the generator left in the same state."""
+        model = UniformLatency(low, low + span)
+        rng_reference = _CountingRandom(seed)
+        rng_model = _CountingRandom(seed)
+        for _ in range(n_messages):
+            assert (model.sample(rng_model, "a", "b")
+                    == rng_reference.uniform(model.low, model.high))
+        assert rng_model.draws == rng_reference.draws == n_messages
+        assert rng_model.getstate() == rng_reference.getstate()

@@ -1,11 +1,15 @@
 """Classic Raft administrator-driven membership changes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.consensus.config import Configuration
-from repro.errors import NotLeaderError
+from repro.errors import ConsensusError, NotLeaderError
+from repro.harness.faults import FaultInjector
 from repro.raft.server import RaftServer
 from repro.smr.kv import KVStateMachine
+from repro.snapshot import CompactionPolicy
 from tests.conftest import assert_safe, commit_n, started_cluster
 
 
@@ -128,3 +132,143 @@ class TestSequentialChanges:
             assert len(set(previous) ^ set(members)) <= 1
             previous = members
         assert_safe(cluster)
+
+
+# ----------------------------------------------------------------------
+# Configuration freshness (the config_epoch guard in _absorb_entries)
+# ----------------------------------------------------------------------
+class FreshnessRun:
+    """A 3-site classic Raft cluster with two spare sites, a small
+    compaction threshold and a client, stepped one loop event at a time;
+    after every event, every live site's adopted configuration must be
+    the one its log and snapshot derive (followers refresh only when the
+    log's ``config_epoch`` moved across an absorb, so a missed bump
+    anywhere -- truncation, overwrite, compaction, InstallSnapshot --
+    shows here as a stale ``_configuration``)."""
+
+    def __init__(self, seed):
+        self.cluster = started_cluster(
+            RaftServer, n_sites=3, seed=seed,
+            compaction=CompactionPolicy(threshold=6, retain=2))
+        self.spares = ["n8", "n9"]
+        for spare in self.spares:
+            add_fresh_server(self.cluster, spare)
+        self.faults = FaultInjector(self.cluster)
+        self.client = self.cluster.add_client(site="n0")
+        self.writes = 0
+        self.events = 0
+
+    def step(self, events):
+        loop = self.cluster.loop
+        for _ in range(events):
+            pending = loop.pending_handles()
+            if not pending:
+                return
+            loop.fire_handle(pending[0])
+            self.events += 1
+            for server in self.cluster.servers.values():
+                if server.alive:
+                    engine = server.engine
+                    assert (engine._configuration
+                            == engine._derive_configuration()), (
+                        server.name, self.events, loop.now())
+
+    def leader(self):
+        name = self.cluster.leader()  # the live one with the highest term
+        return self.cluster.servers[name] if name is not None else None
+
+    def act(self, action, pick):
+        leader = self.leader()
+        live = self.cluster.live_servers()
+        crashed = [s for s in self.cluster.servers.values() if not s.alive]
+        if action == "write":
+            self.client.attach_to(live[pick % len(live)].name)
+            for _ in range(3):
+                self.writes += 1
+                self.client.submit({"op": "put", "key": f"k{self.writes % 5}",
+                                    "value": self.writes})
+        elif action in ("add", "remove", "isolate") and leader is not None:
+            members = leader.engine.configuration.members
+            outsiders = [s for s in self.spares if s not in members]
+            try:
+                if action == "add" and outsiders:
+                    leader.admin_add_site(outsiders[pick % len(outsiders)])
+                elif action != "add" and len(members) > 2:
+                    if action == "isolate":
+                        # A CONFIG entry only the cut-off leader holds:
+                        # the next leader's AppendEntries truncates it.
+                        self.faults.partition(
+                            [[leader.name],
+                             [n for n in self.cluster.servers
+                              if n != leader.name]])
+                    leader.admin_remove_site(members[pick % len(members)])
+            except ConsensusError:
+                pass  # a change is already queued for that site
+        elif action == "crash" and not crashed and len(live) > 1:
+            victims = sorted(s.name for s in live)
+            self.faults.crash(leader.name if leader is not None and pick < 5
+                              else victims[pick % len(victims)])
+        elif action == "recover":
+            for server in crashed:
+                self.faults.recover(server.name)
+        elif action == "heal":
+            self.faults.heal_partition()
+
+    def settle(self):
+        self.faults.heal_partition()
+        self.act("recover", 0)
+        self.step(1500)
+
+
+class TestConfigurationFreshness:
+    @given(seed=st.integers(0, 10_000),
+           schedule=st.lists(st.tuples(
+               st.integers(1, 150),
+               st.sampled_from(["write", "write", "add", "remove", "isolate",
+                                "crash", "recover", "heal"]),
+               st.integers(0, 9)), max_size=14))
+    @settings(deadline=None, max_examples=30)
+    def test_adopted_configuration_is_the_derived_one(self, seed, schedule):
+        run = FreshnessRun(seed)
+        for events, action, pick in schedule:
+            run.step(events)
+            run.act(action, pick)
+        run.settle()
+
+    def test_truncated_config_entry_is_un_adopted(self):
+        """The case the guard exists for: a follower-to-be holds an
+        uncommitted CONFIG entry that the next leader truncates away."""
+        run = FreshnessRun(seed=3)
+        run.act("write", 0)
+        run.step(400)
+        old_leader = run.leader()
+        run.act("isolate", 0)
+        shrunk = old_leader.engine.configuration
+        assert shrunk.size == 2  # adopted from its own append
+        run.step(2500)           # the majority side elects and moves on
+        run.act("write", 1)
+        run.step(300)
+        assert old_leader.engine.configuration == shrunk
+        epoch = old_leader.engine.log.config_epoch
+        run.act("heal", 0)
+        run.step(1500)
+        assert old_leader.engine.log.config_epoch > epoch
+        assert old_leader.engine.configuration.size == 3
+        assert not old_leader.engine.is_leader
+
+    def test_joiner_behind_the_compaction_point_installs_a_snapshot(self):
+        run = FreshnessRun(seed=5)
+        for _ in range(4):
+            run.act("write", 0)
+            run.step(400)
+        leader = run.leader()
+        assert leader.engine.log.snapshot_index > 0
+        run.act("add", 0)
+        run.step(2500)
+        joiner = run.cluster.servers["n8"]
+        assert joiner.engine.snapshots_installed >= 1
+        assert "n8" in joiner.engine.configuration.members
+        run.act("remove", 0)     # and a removal the joiner absorbs
+        run.step(2500)
+        assert (joiner.engine.configuration
+                == run.leader().engine.configuration)
