@@ -58,7 +58,7 @@ def main() -> None:
 
     # Wait until every site has applied all 60 entries from the global log.
     deployment.run_until(
-        lambda: min(len(s._global_applied_ids)
+        lambda: min(len(s.frontend.applied_ids)
                     for s in deployment.servers.values()) >= 60,
         timeout=300.0)
     far_apart = [topology.nodes_in_cluster(regions[0])[0],

@@ -1,11 +1,11 @@
 """ConsensusServer: binds a protocol engine to a network address.
 
-The server owns everything that is *not* consensus: client bookkeeping
-(request -> client, exactly-once replies), session dedup for retried
-requests, lease-based local reads, optional proposal coalescing on the
-leader, state-machine application of committed DATA entries, and
-crash/recovery (rebuilding the engine from stable storage with fresh
-volatile state).
+The server owns everything that is *not* consensus: the client edge
+(a :class:`~repro.smr.frontend.ServingFrontend`: request -> client,
+exactly-once apply and replies, session dedup for retried requests),
+lease-based local reads, optional proposal coalescing on the leader,
+state-machine application of committed DATA entries, and crash/recovery
+(rebuilding the engine from stable storage with fresh volatile state).
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.consensus.config import Configuration, TransferConfig
 from repro.consensus.engine import BaseEngine, EngineContext, Role
 from repro.consensus.entry import EntryKind, LogEntry
-from repro.consensus.messages import (ClientReply, ClientRequest, ReadReply,
-                                      ReadRequest)
+from repro.consensus.messages import ClientRequest, ReadReply, ReadRequest
 from repro.consensus.timing import TimingConfig
 from repro.net.network import Network
 from repro.sim.actor import Actor
@@ -25,7 +24,7 @@ from repro.sim.loop import SimLoop
 from repro.sim.rng import RngRegistry
 from repro.sim.timers import RestartableTimer
 from repro.sim.trace import TraceRecorder
-from repro.smr.sessions import SessionTable
+from repro.smr.frontend import ServingFrontend
 from repro.snapshot import CompactionPolicy, Snapshot, SnapshotImage
 from repro.storage.stable import StableStore
 
@@ -67,23 +66,12 @@ class ConsensusServer(Actor):
         self._compaction = compaction
         self._transfer = transfer if transfer is not None else TransferConfig()
         self.state_machine = state_machine_factory() if state_machine_factory else None
-        # request_id -> client address; replies are exactly-once per id.
-        self._clients: dict[str, str] = {}
-        self._replied: set[str] = set()
-        self._applied_ids: set[str] = set()
+        self.frontend = ServingFrontend(name, loop, network, trace)
         #: Committed (index, entry) pairs in apply order (tests/checkers).
         self.applied_log: list[tuple[int, LogEntry]] = []
         #: Index the machine was last restored to from a snapshot (0 if
         #: never): applies must resume exactly one above it (checkers).
         self.applied_floor = 0
-        # Session dedup: off until a session client attaches (the flag is
-        # sticky across crashes -- session state itself is volatile and
-        # rebuilt from the snapshot + replay, but whether to track is a
-        # deployment property, not runtime state).
-        self._session_tracking = False
-        self._sessions = SessionTable()
-        #: Retried requests answered from the session table (metrics).
-        self.session_duplicates = 0
         # Lease reads queued until a qualifying quorum-acked beat arrives.
         self._pending_reads: dict[str, tuple[ReadRequest, str, float]] = {}
         # Optional leader-side proposal coalescing (ClientRequest -> engine).
@@ -130,15 +118,12 @@ class ConsensusServer(Actor):
     def recover(self) -> None:
         """Restart from stable storage with fresh volatile state."""
         self.state_machine = self._sm_factory() if self._sm_factory else None
-        self._clients.clear()
-        self._replied.clear()
-        self._applied_ids.clear()
+        # The snapshot restore and the commit replay below the restored
+        # commit point repopulate the front-end through
+        # _restore_snapshot/_on_apply.
+        self.frontend.reset()
         self.applied_log = []
         self.applied_floor = 0
-        # Session state is volatile but fully derivable: the snapshot
-        # restore and the commit replay below the restored commit point
-        # repopulate it through _restore_snapshot/_on_apply.
-        self._sessions = SessionTable()
         self._pending_reads.clear()
         self._request_arrivals.clear()
         if self._coalescer is not None:
@@ -161,8 +146,9 @@ class ConsensusServer(Actor):
         point: the machine image plus the exactly-once id set."""
         state = (self.state_machine.snapshot()
                  if self.state_machine is not None else None)
-        return SnapshotImage(machine_state=state,
-                             applied_ids=tuple(sorted(self._applied_ids)))
+        return SnapshotImage(
+            machine_state=state,
+            applied_ids=tuple(sorted(self.frontend.applied_ids)))
 
     def _restore_snapshot(self, snapshot: Snapshot) -> None:
         """Adopt a snapshot image in place of (re)playing the compacted
@@ -172,12 +158,7 @@ class ConsensusServer(Actor):
             self.state_machine = self._sm_factory()
             if snapshot.machine_state is not None:
                 self.state_machine.restore(snapshot.machine_state)
-        self._applied_ids = set(snapshot.applied_ids)
-        if self._session_tracking:
-            # The session table is a compressed view of the applied-id
-            # set, so it rides in every snapshot for free.
-            self._sessions = SessionTable.from_applied_ids(
-                snapshot.applied_ids)
+        self.frontend.restore(snapshot.applied_ids)
         self.applied_log = []
         self.applied_floor = snapshot.last_included_index
         self._trace.record(self.now(), self.name, "node.snapshot_restored",
@@ -190,12 +171,8 @@ class ConsensusServer(Actor):
         # ClientRequest is a final class: the exact-type test matches the
         # isinstance check and skips its subclass walk on every delivery.
         if type(message) is ClientRequest:
-            if (self._session_tracking and message.sequence
-                    and self._sessions.is_duplicate(message.session_id,
-                                                    message.sequence)):
-                self._reply_duplicate(message, sender)
+            if not self.frontend.admit(message, sender):
                 return
-            self._clients[message.request_id] = sender
             coalescer = self._coalescer
             if coalescer is not None and self.engine.role is Role.LEADER:
                 now = self.now()
@@ -210,31 +187,10 @@ class ConsensusServer(Actor):
             return
         self.engine.handle(message, sender)
 
-    def _reply_duplicate(self, message: ClientRequest, sender: str) -> None:
-        """A retry of an already-applied request: complete it without
-        entering consensus at all (exactly-once over at-least-once)."""
-        sequence, index = self._sessions.last_applied(message.session_id)
-        self.session_duplicates += 1
-        if self._tracing:
-            self._trace.record(self.now(), self.name, "session.duplicate",
-                               request_id=message.request_id)
-        self._network.send_local(self.name, sender, ClientReply(
-            request_id=message.request_id, ok=True,
-            index=index if sequence == message.sequence else None,
-            info="duplicate"))
-
-    # ------------------------------------------------------------------
-    # Sessions
-    # ------------------------------------------------------------------
-    def enable_session_tracking(self) -> None:
-        """Turn on per-session dedup (idempotent; called when a session
-        client attaches anywhere in the deployment). Default runs never
-        pay for the table."""
-        self._session_tracking = True
-
     @property
-    def session_count(self) -> int:
-        return len(self._sessions)
+    def session_duplicates(self) -> int:
+        """Retried requests answered from the session table (metrics)."""
+        return self.frontend.session_duplicates
 
     # ------------------------------------------------------------------
     # Proposal coalescing (leader side)
@@ -316,25 +272,17 @@ class ConsensusServer(Actor):
     # ------------------------------------------------------------------
     def _on_apply(self, index: int, entry: LogEntry) -> None:
         self.applied_log.append((index, entry))
-        if entry.kind is not EntryKind.DATA:
-            return
-        if entry.entry_id in self._applied_ids:
-            return  # exactly-once: a retried request committed twice
-        self._applied_ids.add(entry.entry_id)
-        if self._session_tracking:
-            self._sessions.observe(entry.entry_id, index)
-        if self.state_machine is not None:
+        # apply_once is False for a retried request committed twice.
+        if (entry.kind is EntryKind.DATA
+                and self.frontend.apply_once(entry.entry_id, index)
+                and self.state_machine is not None):
             self.state_machine.apply(entry.payload)
 
     def _on_origin_commit(self, entry: LogEntry, index: int) -> None:
         request_id = entry.entry_id
-        client = self._clients.get(request_id)
-        if client is None or request_id in self._replied:
-            return
-        self._replied.add(request_id)
-        if self._coalescer is not None:
+        coalescer = self._coalescer
+        if coalescer is not None and self.frontend.awaits_reply(request_id):
             arrived = self._request_arrivals.pop(request_id, None)
             if arrived is not None:
-                self._coalescer.observe_commit_latency(self.now() - arrived)
-        self._network.send_local(self.name, client, ClientReply(
-            request_id=request_id, ok=True, index=index))
+                coalescer.observe_commit_latency(self.now() - arrived)
+        self.frontend.reply_committed(request_id, index)

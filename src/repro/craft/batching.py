@@ -325,10 +325,10 @@ class ProposalCoalescer:
         self.policy = policy
         self._pending: dict[str, tuple[Any, str]] = {}
         self._pending_since: float | None = None
-        # Adaptive size shares the Batcher's controller shape, driven by
-        # whatever latency the owner feeds in.
-        self._ewma_latency: float | None = None
-        self._size = policy.batch_size
+        # The flush size is a Batcher's adaptive batch size, driven by
+        # whatever latency the owner feeds in (its own queue stays
+        # empty: only the controller is used).
+        self._controller = Batcher("", policy)
 
     @property
     def pending_count(self) -> int:
@@ -341,7 +341,7 @@ class ProposalCoalescer:
             self._pending_since = now
         if request_id not in self._pending:
             self._pending[request_id] = (message, sender)
-        return len(self._pending) >= self._size
+        return len(self._pending) >= self._controller.effective_batch_size
 
     def age_deadline(self) -> float | None:
         """When the buffered batch must flush regardless of size."""
@@ -357,19 +357,4 @@ class ProposalCoalescer:
 
     def observe_commit_latency(self, latency: float) -> None:
         """Adapt the flush size between the policy's floor/ceiling."""
-        policy = self.policy
-        if not policy.adaptive:
-            return
-        alpha = policy.ewma_alpha
-        if self._ewma_latency is None:
-            self._ewma_latency = latency
-        else:
-            self._ewma_latency = (alpha * latency
-                                  + (1.0 - alpha) * self._ewma_latency)
-        ratio = self._ewma_latency / policy.target_commit_latency
-        if ratio > 1.1:
-            self._size = min(self._size + max(1, self._size // 4),
-                             policy.batch_ceiling)
-        elif ratio < 0.9:
-            self._size = max(self._size - max(1, self._size // 4),
-                             policy.batch_floor)
+        self._controller.observe_commit_latency(latency)

@@ -10,88 +10,26 @@ from repro.consensus.timing import TimingConfig
 from repro.craft.batching import BatchPolicy
 from repro.craft.server import CRaftServer
 from repro.errors import ExperimentError
-from repro.net.latency import (
-    BandwidthLatencyModel,
-    LatencyModel,
-    SharedLinkBandwidthModel,
-)
-from repro.net.loss import LossModel, NoLoss
-from repro.net.network import Network
+from repro.harness.builder import System
+from repro.net.latency import LatencyModel
+from repro.net.loss import LossModel
 from repro.net.topology import Topology
-from repro.sim.loop import SimLoop
-from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecorder
-from repro.smr.client import Client
 from repro.snapshot import CompactionPolicy
-from repro.storage.stable import StorageFabric
 
 
-class CRaftDeployment:
-    """A set of C-Raft sites grouped into clusters."""
+class CRaftDeployment(System):
+    """A set of C-Raft sites grouped into clusters. Clients take the
+    intra-cluster ``local_timing``."""
 
-    def __init__(self, loop: SimLoop, network: Network, rng: RngRegistry,
-                 trace: TraceRecorder, fabric: StorageFabric,
-                 topology: Topology, local_timing: TimingConfig,
-                 global_timing: TimingConfig) -> None:
-        self.loop = loop
-        self.network = network
-        self.rng = rng
-        self.trace = trace
-        self.fabric = fabric
+    servers: dict[str, CRaftServer]
+    run_step = 0.05
+
+    def __init__(self, topology: Topology, local_timing: TimingConfig,
+                 global_timing: TimingConfig, **substrate: Any) -> None:
+        super().__init__(local_timing, **substrate)
         self.topology = topology
         self.local_timing = local_timing
         self.global_timing = global_timing
-        self.servers: dict[str, CRaftServer] = {}
-        self.clients: dict[str, Client] = {}
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def add_server(self, server: CRaftServer) -> None:
-        self.servers[server.name] = server
-        self.network.register(server)
-
-    def add_client(self, site: str, name: str | None = None,
-                   proposal_timeout: float | None = None,
-                   max_attempts: int | None = None,
-                   session: bool = False) -> Client:
-        """Attach a client to ``site``. ``session=True`` makes it a
-        session client and switches every site (all clusters -- batches
-        propagate applied ids everywhere) to session dedup."""
-        if site not in self.servers:
-            raise ExperimentError(f"unknown site: {site!r}")
-        if name is None:
-            name = f"client.{site}.{len(self.clients)}"
-        timeout = (proposal_timeout if proposal_timeout is not None
-                   else self.local_timing.proposal_timeout)
-        client = Client(name, self.loop, self.network, site,
-                        proposal_timeout=timeout, max_attempts=max_attempts,
-                        session=session)
-        if session:
-            for server in self.servers.values():
-                server.enable_session_tracking()
-        self.clients[name] = client
-        self.network.register(client)
-        return client
-
-    def start_all(self) -> None:
-        for server in self.servers.values():
-            server.start()
-
-    # ------------------------------------------------------------------
-    # Run control
-    # ------------------------------------------------------------------
-    def run_for(self, duration: float) -> None:
-        self.loop.run_for(duration)
-
-    def run_until(self, predicate: Callable[[], bool], timeout: float,
-                  step: float = 0.05) -> bool:
-        deadline = self.loop.now() + timeout
-        while self.loop.now() < deadline:
-            if predicate():
-                return True
-            self.loop.run_for(step)
-        return predicate()
 
     def run_until_local_leaders(self, timeout: float = 10.0) -> dict[str, str]:
         """Run until every cluster has a leader; returns cluster -> site."""
@@ -160,7 +98,7 @@ class CRaftDeployment:
     def total_global_applied(self) -> int:
         """Highest count of inner entries applied from the global log at
         any site (the Fig. 5 throughput numerator)."""
-        return max((len(s._global_applied_ids)
+        return max((len(s.frontend.applied_ids)
                     for s in self.servers.values()), default=0)
 
     def global_observers(self) -> tuple[str, ...]:
@@ -177,7 +115,7 @@ class CRaftDeployment:
 
 
 def build_craft_deployment(
-        topology: Topology, latency: LatencyModel,
+        topology: Topology, latency: LatencyModel | None,
         loss: LossModel | None = None, seed: int = 0,
         local_timing: TimingConfig | None = None,
         global_timing: TimingConfig | None = None,
@@ -198,22 +136,12 @@ def build_craft_deployment(
     tunes snapshot shipping at both consensus levels (monolithic vs
     chunked).
     """
-    if shared_link and bandwidth is None:
-        raise ExperimentError("shared_link needs a bandwidth")
-    loop = SimLoop()
-    rng = RngRegistry(seed)
-    trace = TraceRecorder(enabled=trace_enabled)
-    if bandwidth is not None:
-        wrapper = (SharedLinkBandwidthModel if shared_link
-                   else BandwidthLatencyModel)
-        latency = wrapper(latency, bandwidth)
-    network = Network(loop, rng, latency,
-                      loss if loss is not None else NoLoss(), trace)
-    fabric = StorageFabric()
     local_timing = local_timing or TimingConfig.intra_cluster()
     global_timing = global_timing or TimingConfig.inter_cluster()
-    deployment = CRaftDeployment(loop, network, rng, trace, fabric,
-                                 topology, local_timing, global_timing)
+    deployment = CRaftDeployment(
+        topology, local_timing, global_timing, seed=seed, latency=latency,
+        loss=loss, trace_enabled=trace_enabled, bandwidth=bandwidth,
+        shared_link=shared_link)
     if global_seed_site is None:
         first_cluster = topology.clusters[0]
         global_seed_site = topology.nodes_in_cluster(first_cluster)[0]
@@ -222,10 +150,12 @@ def build_craft_deployment(
         config = Configuration(tuple(members))
         for name in members:
             server = CRaftServer(
-                name=name, cluster=cluster, loop=loop, network=network,
-                fabric=fabric, local_bootstrap=config,
+                name=name, cluster=cluster, loop=deployment.loop,
+                network=deployment.network, fabric=deployment.fabric,
+                local_bootstrap=config,
                 global_seed=global_seed_site, local_timing=local_timing,
-                global_timing=global_timing, rng=rng, trace=trace,
+                global_timing=global_timing, rng=deployment.rng,
+                trace=deployment.trace,
                 batch_policy=batch_policy,
                 state_machine_factory=state_machine_factory,
                 local_compaction=local_compaction,

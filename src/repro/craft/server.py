@@ -53,7 +53,6 @@ from repro.consensus.entry import (
 )
 from repro.consensus.log import RaftLog
 from repro.consensus.messages import (
-    ClientReply,
     ClientRequest,
     Envelope,
     JoinRequest,
@@ -69,7 +68,7 @@ from repro.sim.loop import SimLoop
 from repro.sim.rng import RngRegistry
 from repro.sim.timers import PeriodicTimer, RestartableTimer
 from repro.sim.trace import TraceRecorder
-from repro.smr.sessions import SessionTable
+from repro.smr.frontend import ServingFrontend
 from repro.snapshot import CompactionPolicy, Snapshot, SnapshotImage, SnapshotStore
 from repro.snapshot.types import governing_config, newest
 from repro.storage.stable import StorageFabric
@@ -108,11 +107,8 @@ class CRaftServer(Actor):
         self._global_compaction = global_compaction
         self._transfer = transfer if transfer is not None else TransferConfig()
         self._seq = itertools.count(1)
-        # Sticky across crashes (deployment property, like the factory
-        # args): whether to maintain the per-session dedup table.
-        self._session_tracking = False
-        #: Retried requests answered from the session table (metrics).
-        self.session_duplicates = 0
+        #: The client edge; its applied-id set is the global level's.
+        self.frontend = ServingFrontend(name, loop, network, trace)
         self._reset_volatile()
         self.local_engine = self._build_local_engine()
         self.global_engine: CRaftGlobalEngine | None = None
@@ -145,7 +141,7 @@ class CRaftServer(Actor):
         self._uncovered_data: list[tuple[int, LogEntry]] = []
         #: Applied global (index, entry) pairs, in order.
         self.global_applied: list[tuple[int, LogEntry]] = []
-        self._global_applied_ids: set[str] = set()
+        self.frontend.reset()
         #: (time, inner entry count) per applied batch -- throughput metric.
         self.global_apply_events: list[tuple[float, int]] = []
         self.global_state_machine = (self._sm_factory()
@@ -153,9 +149,6 @@ class CRaftServer(Actor):
         #: Local applied (index, entry) pairs, in order.
         self.applied_log: list[tuple[int, LogEntry]] = []
         self.batcher = Batcher(self.cluster, self._batch_policy)
-        self._clients: dict[str, str] = {}
-        self._replied: set[str] = set()
-        self._sessions = SessionTable()
         self._pending_gates: dict[str, Callable[[], None]] = {}
         self._gate_timers: dict[str, RestartableTimer] = {}
         self._outstanding_batches: dict[str, RestartableTimer] = {}
@@ -326,35 +319,14 @@ class CRaftServer(Actor):
                               sender)
             return
         if message_type is ClientRequest:
-            if (self._session_tracking and message.sequence
-                    and self._sessions.is_duplicate(message.session_id,
-                                                    message.sequence)):
-                self._reply_duplicate(message, sender)
-                return
-            self._clients[message.request_id] = sender
-            self.local_engine.handle(message, sender)
+            if self.frontend.admit(message, sender):
+                self.local_engine.handle(message, sender)
         # else: stray unwrapped message; C-Raft traffic is enveloped
 
-    def _reply_duplicate(self, message: ClientRequest, sender: str) -> None:
-        """A retry of an already-applied request: complete it without
-        re-entering local consensus (exactly-once over at-least-once)."""
-        sequence, index = self._sessions.last_applied(message.session_id)
-        self.session_duplicates += 1
-        if self._tracing:
-            self._trace.record(self.now(), self.name, "session.duplicate",
-                               request_id=message.request_id)
-        self._network.send_local(self.name, sender, ClientReply(
-            request_id=message.request_id, ok=True,
-            index=index if (sequence == message.sequence and index) else None,
-            info="duplicate"))
-
-    def enable_session_tracking(self) -> None:
-        """Turn on per-session dedup (idempotent; survives crashes)."""
-        self._session_tracking = True
-
     @property
-    def session_count(self) -> int:
-        return len(self._sessions)
+    def session_duplicates(self) -> int:
+        """Retried requests answered from the session table (metrics)."""
+        return self.frontend.session_duplicates
 
     def on_enveloped(self, level: str, scope: str, inner: Any,
                      sender: str) -> None:
@@ -447,8 +419,7 @@ class CRaftServer(Actor):
         self.applied_log.append((index, entry))
         if entry.kind is EntryKind.DATA:
             self._uncovered_data.append((index, entry))
-            if self._session_tracking:
-                self._sessions.observe(entry.entry_id, index)
+            self.frontend.observe(entry.entry_id, index)
             # Fused observe+readiness check: one Batcher call per applied
             # entry instead of two, and the (role, membership, take)
             # pipeline in _maybe_propose_batch runs only when a batch can
@@ -508,15 +479,8 @@ class CRaftServer(Actor):
         self.global_view.insert(gindex, gentry)
 
     def _on_local_origin_commit(self, entry: LogEntry, index: int) -> None:
-        if entry.kind is not EntryKind.DATA:
-            return
-        request_id = entry.entry_id
-        client = self._clients.get(request_id)
-        if client is None or request_id in self._replied:
-            return
-        self._replied.add(request_id)
-        self._network.send_local(self.name, client, ClientReply(
-            request_id=request_id, ok=True, index=index))
+        if entry.kind is EntryKind.DATA:
+            self.frontend.reply_committed(entry.entry_id, index)
 
     def _on_local_role_change(self, role: Role) -> None:
         if role is Role.LEADER:
@@ -631,18 +595,14 @@ class CRaftServer(Actor):
     def _apply_batch(self, gentry: LogEntry) -> None:
         payload = gentry.payload
         applied = 0
-        track_sessions = self._session_tracking
+        apply_once = self.frontend.apply_once
         for inner in payload.entries:
-            if inner.entry_id in self._global_applied_ids:
+            # Index 0 (slot unknown): the entry may come from another
+            # cluster. Observing it still lets a session client that
+            # re-attaches to another region after failover be deduped.
+            if not apply_once(inner.entry_id, 0):
                 continue
-            self._global_applied_ids.add(inner.entry_id)
             applied += 1
-            if track_sessions:
-                # Cross-cluster observation: a session client that
-                # re-attaches to another region after failover still gets
-                # duplicate suppression there (index 0: the local slot is
-                # unknown for remote entries, completion is what counts).
-                self._sessions.observe(inner.entry_id, 0)
             if self.global_state_machine is not None:
                 self.global_state_machine.apply(inner.payload)
         self.global_apply_events.append((self.now(), applied))
@@ -708,7 +668,7 @@ class CRaftServer(Actor):
         return SnapshotImage(
             machine_state={"machine": machine,
                            "covered": dict(self._covered_by_cluster)},
-            applied_ids=tuple(sorted(self._global_applied_ids)))
+            applied_ids=tuple(sorted(self.frontend.applied_ids)))
 
     def _restore_global_snapshot(self, snapshot: Snapshot) -> None:
         self._adopt_global_snapshot(snapshot)
@@ -725,12 +685,7 @@ class CRaftServer(Actor):
             self.global_state_machine = self._sm_factory()
             if state.get("machine") is not None:
                 self.global_state_machine.restore(state["machine"])
-        self._global_applied_ids = set(snapshot.applied_ids)
-        if self._session_tracking:
-            # Max-merge (not replace): locally applied entries not yet
-            # covered by the snapshot may already be in the table.
-            for entry_id in snapshot.applied_ids:
-                self._sessions.observe(entry_id, 0)
+        self.frontend.restore(snapshot.applied_ids)
         self.global_applied_index = snapshot.last_included_index
         self.global_applied_term = snapshot.last_included_term
         self.global_applied = []

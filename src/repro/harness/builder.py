@@ -1,4 +1,9 @@
-"""Cluster construction and run-control helpers."""
+"""System construction and run-control helpers.
+
+:class:`System` is what every deployment shares; :class:`Cluster` (one
+flat group) and :class:`~repro.craft.deployment.CRaftDeployment` build
+on it (``craft`` imports this module, never the reverse).
+"""
 
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from repro.net.latency import (
     SharedLinkBandwidthModel,
     UniformLatency,
 )
-from repro.net.loss import LossModel, NoLoss
+from repro.net.loss import LossModel
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.sim.loop import SimLoop
@@ -33,25 +38,43 @@ if TYPE_CHECKING:
 DEFAULT_LATENCY = UniformLatency(0.0002, 0.0005)
 
 
-class Cluster:
-    """A set of consensus servers plus the shared substrate."""
+class System:
+    """Servers and clients on one substrate, which the constructor
+    builds: loop, seeded RNG registry, trace, network (``latency``
+    defaults to :data:`DEFAULT_LATENCY`; ``bandwidth`` wraps it, see
+    :func:`build_cluster`) and storage fabric. Clients default to
+    ``client_timing.proposal_timeout``."""
 
-    def __init__(self, loop: SimLoop, network: Network, rng: RngRegistry,
-                 trace: TraceRecorder, fabric: StorageFabric,
-                 timing: TimingConfig) -> None:
-        self.loop = loop
-        self.network = network
-        self.rng = rng
-        self.trace = trace
-        self.fabric = fabric
-        self.timing = timing
-        self.servers: dict[str, ConsensusServer] = {}
+    #: ``run_until``'s default step (sim-seconds). It decides when a
+    #: drive notices its predicate, so each kind keeps its own.
+    run_step = 0.01
+
+    def __init__(self, client_timing: TimingConfig, seed: int,
+                 latency: LatencyModel | None, loss: LossModel | None,
+                 trace_enabled: bool, bandwidth: float | None = None,
+                 shared_link: bool = False) -> None:
+        if shared_link and bandwidth is None:
+            raise ExperimentError("shared_link needs a bandwidth")
+        if latency is None:
+            latency = DEFAULT_LATENCY
+        if bandwidth is not None:
+            wrapper = (SharedLinkBandwidthModel if shared_link
+                       else BandwidthLatencyModel)
+            latency = wrapper(latency, bandwidth)
+        self.loop = SimLoop()
+        self.rng = RngRegistry(seed)
+        self.trace = TraceRecorder(enabled=trace_enabled)
+        self.network = Network(self.loop, self.rng, latency, loss,
+                               self.trace)
+        self.fabric = StorageFabric()
+        self.client_timing = client_timing
+        self.servers: dict[str, Any] = {}
         self.clients: dict[str, Client] = {}
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def add_server(self, server: ConsensusServer) -> None:
+    def add_server(self, server: Any) -> None:
         self.servers[server.name] = server
         self.network.register(server)
 
@@ -62,22 +85,23 @@ class Cluster:
         """Attach a client to ``site`` (co-located, reliable link).
 
         ``session=True`` makes it a session client (stamped sequence
-        numbers) and switches every server in the cluster to session
-        dedup -- the tracking flag is cluster-wide because any site may
-        later lead and must recognize the session's retries.
+        numbers) and switches every server to session dedup -- the
+        tracking flag is system-wide because any site may later lead,
+        and (C-Raft) batches carry applied ids to every cluster, so any
+        site must recognize the session's retries.
         """
         if site not in self.servers:
             raise ExperimentError(f"unknown site: {site!r}")
         if name is None:
             name = f"client.{site}.{len(self.clients)}"
         timeout = (proposal_timeout if proposal_timeout is not None
-                   else self.timing.proposal_timeout)
+                   else self.client_timing.proposal_timeout)
         client = Client(name, self.loop, self.network, site,
                         proposal_timeout=timeout, max_attempts=max_attempts,
                         session=session)
         if session:
             for server in self.servers.values():
-                server.enable_session_tracking()
+                server.frontend.track_sessions()
         self.clients[name] = client
         self.network.register(client)
         return client
@@ -93,17 +117,30 @@ class Cluster:
         self.loop.run_for(duration)
 
     def run_until(self, predicate: Callable[[], bool], timeout: float,
-                  step: float = 0.01) -> bool:
-        """Advance in ``step`` increments until ``predicate()`` or timeout.
+                  step: float | None = None) -> bool:
+        """Advance in ``step`` increments (default :attr:`run_step`)
+        until ``predicate()`` or timeout.
 
         Returns True if the predicate became true.
         """
+        if step is None:
+            step = self.run_step
         deadline = self.loop.now() + timeout
         while self.loop.now() < deadline:
             if predicate():
                 return True
             self.loop.run_for(step)
         return predicate()
+
+
+class Cluster(System):
+    """One flat consensus group: its servers share ``timing``."""
+
+    servers: dict[str, ConsensusServer]
+
+    def __init__(self, timing: TimingConfig, **substrate: Any) -> None:
+        super().__init__(timing, **substrate)
+        self.timing = timing
 
     def run_until_leader(self, timeout: float = 5.0) -> str:
         """Run until some live server is leader; returns its name."""
@@ -180,29 +217,18 @@ def build_cluster(server_cls: type[ConsensusServer], n_sites: int = 5,
         raise ExperimentError(f"need at least one site: {n_sites!r}")
     if n_observers < 0:
         raise ExperimentError(f"n_observers must be >= 0: {n_observers!r}")
-    if shared_link and bandwidth is None:
-        raise ExperimentError("shared_link needs a bandwidth")
-    loop = SimLoop()
-    rng = RngRegistry(seed)
-    trace = TraceRecorder(enabled=trace_enabled)
-    latency = latency if latency is not None else DEFAULT_LATENCY
-    if bandwidth is not None:
-        wrapper = (SharedLinkBandwidthModel if shared_link
-                   else BandwidthLatencyModel)
-        latency = wrapper(latency, bandwidth)
-    network = Network(loop, rng, latency,
-                      loss if loss is not None else NoLoss(), trace)
-    fabric = StorageFabric()
     timing = timing if timing is not None else TimingConfig()
-    cluster = Cluster(loop, network, rng, trace, fabric, timing)
+    cluster = Cluster(timing, seed=seed, latency=latency, loss=loss,
+                      trace_enabled=trace_enabled, bandwidth=bandwidth,
+                      shared_link=shared_link)
     names = [f"{name_prefix}{i}" for i in range(n_sites)]
     watchers = [f"{name_prefix}{n_sites + i}" for i in range(n_observers)]
     config = Configuration(tuple(names), tuple(watchers))
     for name in names + watchers:
         server = server_cls(
-            name=name, loop=loop, network=network,
-            store=fabric.store_for(name), bootstrap_config=config,
-            timing=timing, rng=rng, trace=trace,
+            name=name, loop=cluster.loop, network=cluster.network,
+            store=cluster.fabric.store_for(name), bootstrap_config=config,
+            timing=timing, rng=cluster.rng, trace=cluster.trace,
             state_machine_factory=state_machine_factory,
             compaction=compaction, transfer=transfer,
             propose_batch=propose_batch)
@@ -229,21 +255,15 @@ def build_topology_cluster(server_cls: type[ConsensusServer],
     model decides what that costs). Nodes are created in
     ``topology.nodes`` order.
     """
-    loop = SimLoop()
-    rng = RngRegistry(seed)
-    trace = TraceRecorder(enabled=trace_enabled)
-    network = Network(loop, rng,
-                      latency if latency is not None else DEFAULT_LATENCY,
-                      loss, trace)
-    fabric = StorageFabric()
     timing = timing if timing is not None else TimingConfig()
-    cluster = Cluster(loop, network, rng, trace, fabric, timing)
+    cluster = Cluster(timing, seed=seed, latency=latency, loss=loss,
+                      trace_enabled=trace_enabled)
     members = Configuration(tuple(topology.nodes))
     for name in topology.nodes:
         server = server_cls(
-            name=name, loop=loop, network=network,
-            store=fabric.store_for(name), bootstrap_config=members,
-            timing=timing, rng=rng, trace=trace,
+            name=name, loop=cluster.loop, network=cluster.network,
+            store=cluster.fabric.store_for(name), bootstrap_config=members,
+            timing=timing, rng=cluster.rng, trace=cluster.trace,
             state_machine_factory=state_machine_factory,
             compaction=compaction, transfer=transfer,
             propose_batch=propose_batch)
@@ -277,8 +297,7 @@ def build_from_spec(spec, seed: int):
     if spec.engine == "craft":
         from repro.craft.deployment import build_craft_deployment
         return build_craft_deployment(
-            topology, latency if latency is not None else DEFAULT_LATENCY,
-            loss=loss, seed=seed, local_timing=spec.timing,
+            topology, latency, loss=loss, seed=seed, local_timing=spec.timing,
             global_timing=spec.global_timing, batch_policy=spec.batch,
             trace_enabled=spec.trace,
             state_machine_factory=spec.state_machine,

@@ -74,9 +74,10 @@ class SessionTable:
     @classmethod
     def from_applied_ids(cls, applied_ids: Iterable[str]) -> "SessionTable":
         """Rebuild from a snapshot's applied-id set. Indices below the
-        snapshot point are unknown; duplicates answered from a rebuilt
-        table reply with the snapshot-floor index 0 (completion is what
-        the retrying client needs, not the exact slot)."""
+        snapshot point are unknown and recorded as 0, which is not a log
+        index: a duplicate answered from a rebuilt table replies with
+        ``index=None`` (completion is what the retrying client needs,
+        not the exact slot)."""
         table = cls()
         for entry_id in applied_ids:
             table.observe(entry_id, 0)

@@ -11,6 +11,7 @@ from repro.harness.builder import Cluster, build_cluster
 from repro.harness.checkers import run_safety_checks
 from repro.net import sizes
 from repro.raft.server import RaftServer
+from repro.sim.actor import Actor
 from repro.smr.kv import KVStateMachine
 from size_oracle import oracle_estimate, oracle_payload
 
@@ -80,6 +81,19 @@ def commit_n(cluster: Cluster, client, n: int, timeout=30.0):
             client, {"op": "put", "key": f"k{i}", "value": i},
             timeout=timeout))
     return records
+
+
+class Inbox(Actor):
+    """A co-located endpoint that keeps every message it receives (a
+    client whose replies a test reads)."""
+
+    def __init__(self, system, name="inbox"):
+        super().__init__(system.loop, name)
+        self.replies = []
+        system.network.register(self)
+
+    def on_message(self, message, sender):
+        self.replies.append(message)
 
 
 def assert_safe(cluster: Cluster) -> None:

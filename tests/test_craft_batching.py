@@ -1,5 +1,8 @@
 """Tests for the C-Raft batcher (pure logic)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.consensus.entry import EntryKind, InsertedBy, LogEntry
 from repro.craft.batching import Batcher, BatchPolicy
 
@@ -302,3 +305,33 @@ class TestProposalCoalescer:
             coalescer.observe_commit_latency(0.01)
         coalescer.drain()
         assert coalescer.add("r9", "m", "c", 0.0)  # back at the floor
+
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(1, 32), floor=st.integers(1, 32),
+           ceiling=st.integers(1, 64),
+           target=st.floats(0.01, 2.0), alpha=st.floats(0.01, 1.0),
+           latencies=st.lists(st.floats(0.0, 10.0), max_size=40))
+    def test_flush_size_follows_the_batcher_controller(
+            self, size, floor, ceiling, target, alpha, latencies):
+        """The flush size is the Batcher's adaptive size: the oracle
+        writes the controller out (EWMA, then a +-max(1, size // 4) step
+        clamped to the bounds) in the same float operation order."""
+        floor, ceiling = min(floor, ceiling), max(floor, ceiling)
+        size = min(max(size, floor), ceiling)
+        coalescer = self.make(batch_size=size, adaptive=True,
+                              batch_floor=floor, batch_ceiling=ceiling,
+                              target_commit_latency=target, ewma_alpha=alpha)
+        ewma, want = None, size
+        for latency in latencies:
+            coalescer.observe_commit_latency(latency)
+            ewma = (latency if ewma is None
+                    else alpha * latency + (1.0 - alpha) * ewma)
+            ratio = ewma / target
+            if ratio > 1.1:
+                want = min(want + max(1, want // 4), ceiling)
+            elif ratio < 0.9:
+                want = max(want - max(1, want // 4), floor)
+            for i in range(want - 1):
+                assert not coalescer.add(f"r{i}", "m", "c", 0.0)
+            assert coalescer.add("last", "m", "c", 0.0)
+            coalescer.drain()

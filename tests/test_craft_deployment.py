@@ -114,7 +114,7 @@ class TestGlobalOrdering:
         dep.run_until_global_ready(timeout=60.0)
         run_workloads(topo, dep, per_cluster=10)
         assert dep.run_until(
-            lambda: min(len(s._global_applied_ids)
+            lambda: min(len(s.frontend.applied_ids)
                         for s in dep.servers.values()) >= 30,
             timeout=180.0)
         snapshots = {n: s.global_state_machine.snapshot()
@@ -190,7 +190,7 @@ class TestLocalLeaderFailover:
         # the cluster's entries still reach the global log
         assert dep.run_until(
             lambda: sum(1 for s in dep.servers.values() if s.alive
-                        for eid in s._global_applied_ids
+                        for eid in s.frontend.applied_ids
                         if eid.startswith(f"client.{follower_site}")) >= 10,
             timeout=180.0)
         check_election_safety(dep.trace)

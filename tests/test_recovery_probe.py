@@ -15,7 +15,7 @@ Four batteries:
    just after / long after the member timeout, crossed with a leader
    crash mid-rejoin and lossy links on the probe path);
 3. ``ConsensusServer.recover()`` bookkeeping (snapshot-carried
-   ``_applied_ids``, ``applied_floor``, double-recover rejection);
+   ``frontend.applied_ids``, ``applied_floor``, double-recover rejection);
 4. the ``replaces`` seat hint threading through the declarative
    ``request_join`` action.
 """
@@ -233,8 +233,8 @@ class TestEvictionTimingBattery:
 class TestRecoverBookkeeping:
     def test_snapshot_carries_applied_ids_and_floor(self):
         """Recovery from a compacted log resumes the exactly-once
-        bookkeeping from the snapshot image: ``_applied_ids`` come back
-        and ``applied_floor`` restarts at the snapshot point."""
+        bookkeeping from the snapshot image: the front-end's applied ids
+        come back and ``applied_floor`` restarts at the snapshot point."""
         cluster = started_cluster(
             FastRaftServer, seed=11,
             compaction=CompactionPolicy(threshold=6, retain=2))
@@ -251,7 +251,7 @@ class TestRecoverBookkeeping:
         snapshot = server.engine.snapshot_store.latest
         assert snapshot is not None
         assert server.applied_floor == snapshot.last_included_index
-        assert server._applied_ids == set(snapshot.applied_ids)
+        assert server.frontend.applied_ids == set(snapshot.applied_ids)
         assert snapshot.applied_ids  # the image actually carried ids
         cluster.run_for(2.0)
         leader_sm = cluster.servers[cluster.leader()].state_machine

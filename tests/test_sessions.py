@@ -10,7 +10,7 @@ linearizable history.
 
 import pytest
 
-from repro.consensus.messages import ClientRequest
+from repro.consensus.messages import ClientReply, ClientRequest
 from repro.consensus.timing import TimingConfig
 from repro.craft.batching import BatchPolicy
 from repro.fastraft.server import FastRaftServer
@@ -19,7 +19,7 @@ from repro.raft.server import RaftServer
 from repro.smr.kv import KVCommand
 from repro.smr.sessions import SessionTable, parse_session
 from repro.snapshot import CompactionPolicy
-from tests.conftest import started_cluster
+from tests.conftest import Inbox, started_cluster
 
 
 def duplicate_of(record, client):
@@ -89,7 +89,7 @@ class TestDuplicateDelivery:
         # a real retry fires a full proposal timeout later -- long after
         # the commit has propagated and applied at the attached site
         assert cluster.run_until(
-            lambda: server.session_count >= 1, timeout=10.0)
+            lambda: server.frontend.session_count >= 1, timeout=10.0)
         commits_before = server.engine.commit_index
         cluster.network.send_local(client.name, "n0",
                                    duplicate_of(record, client))
@@ -120,7 +120,7 @@ class TestDuplicateDelivery:
         record = cluster.propose_and_wait(client,
                                           KVCommand.append("k", "x"))
         assert record.sequence == 0  # wire-identical to the old client
-        assert cluster.servers["n0"].session_count == 0
+        assert cluster.servers["n0"].frontend.session_count == 0
 
 
 class TestRetryRacingCommit:
@@ -169,7 +169,7 @@ class TestDedupSurvivesFailover:
         assert new_leader != old_leader
         promoted = cluster.servers[new_leader]
         assert cluster.run_until(
-            lambda: promoted.session_count >= 1, timeout=30.0)
+            lambda: promoted.frontend.session_count >= 1, timeout=30.0)
         cluster.network.send_local(client.name, new_leader,
                                    duplicate_of(record, client))
         cluster.run_for(1.0)
@@ -190,7 +190,7 @@ class TestDedupSurvivesFailover:
         faults.recover("n2")
         recovered = cluster.servers["n2"]
         assert cluster.run_until(
-            lambda: recovered.session_count >= 1, timeout=30.0)
+            lambda: recovered.frontend.session_count >= 1, timeout=30.0)
         cluster.network.send_local(client.name, "n2",
                                    duplicate_of(record, client))
         cluster.run_for(1.0)
@@ -215,12 +215,41 @@ class TestDedupSurvivesSnapshotRestore:
         target = cluster.servers["n0"].engine.commit_index
         assert cluster.run_until(
             lambda: behind.engine.commit_index >= target, timeout=60.0)
-        assert behind.session_count >= 1
+        assert behind.frontend.session_count >= 1
         cluster.network.send_local(client.name, "n4",
                                    duplicate_of(records[0], client))
         cluster.run_for(1.0)
         assert behind.session_duplicates == 1
         assert behind.state_machine.get("k0") == "x"
+
+    def test_duplicate_after_install_snapshot_replies_without_index(self):
+        """A table rebuilt from a snapshot knows that a request applied,
+        not where: the duplicate reply says so with ``index=None`` (never
+        the non-index 0)."""
+        cluster = started_cluster(
+            FastRaftServer, seed=1,
+            compaction=CompactionPolicy(threshold=16, retain=2))
+        session = cluster.add_client(site="n0", session=True)
+        filler = cluster.add_client(site="n0")
+        cluster.network.disconnect("n4")
+        last = [cluster.propose_and_wait(
+            session, KVCommand.append(f"s{i}", "x")) for i in range(3)][-1]
+        # push the session's last write below the leader's snapshot point
+        for i in range(30):
+            cluster.propose_and_wait(filler, KVCommand.put(f"f{i}", i))
+        cluster.network.reconnect("n4")
+        behind = cluster.servers["n4"]
+        target = cluster.servers["n0"].engine.commit_index
+        assert cluster.run_until(
+            lambda: behind.engine.commit_index >= target, timeout=60.0)
+        assert behind.applied_floor > 0  # caught up via InstallSnapshot
+        inbox = Inbox(cluster)
+        cluster.network.send_local(inbox.name, "n4",
+                                   duplicate_of(last, session))
+        cluster.run_for(0.1)
+        assert inbox.replies == [ClientReply(
+            request_id=last.request_id, ok=True, index=None,
+            info="duplicate")]
 
 
 class TestCraftSessions:
@@ -249,7 +278,7 @@ class TestCraftSessions:
         record = client.submit(KVCommand.append("k", "x"))
         assert dep.run_until(lambda: record.done, timeout=60.0)
         server = dep.servers[site]
-        assert dep.run_until(lambda: server.session_count >= 1,
+        assert dep.run_until(lambda: server.frontend.session_count >= 1,
                              timeout=60.0)
         dep.network.send_local(client.name, site,
                                duplicate_of(record, client))
@@ -266,7 +295,7 @@ class TestCraftSessions:
         record = client.submit(KVCommand.append("k", "x"))
         assert dep.run_until(lambda: record.done, timeout=60.0)
         remote = dep.servers[away]
-        assert dep.run_until(lambda: remote.session_count >= 1,
+        assert dep.run_until(lambda: remote.frontend.session_count >= 1,
                              timeout=60.0)
         dep.network.send_local(client.name, away,
                                duplicate_of(record, client))
