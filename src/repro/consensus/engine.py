@@ -763,7 +763,8 @@ class BaseEngine:
         """Move ``commit_index`` to ``new_commit``, applying in order.
 
         Stops early at a hole: a site never considers an entry committed
-        before holding it (contiguity guard; see DESIGN.md).
+        before holding it (the contiguity guard; Fast Raft logs can have
+        holes where no proposal arrived yet).
 
         The loop constants (log accessor, apply/origin callbacks, trace
         flag) resolve once per sweep instead of once per entry. The

@@ -136,7 +136,7 @@ class ConfigPayload:
     changes serialize strictly (the paper's assumption); versioning stays
     correct when the degraded reconfiguration path (Section IV-F
     liveness) has to run ahead of a stalled earlier change that could
-    still be decided afterwards (see DESIGN.md).
+    still be decided afterwards.
     """
 
     members: tuple[str, ...]
@@ -166,9 +166,8 @@ class GlobalStatePayload:
     piggyback alone: state entries are totally ordered by the local log,
     so by the time a member sees ``global_commit >= g`` every corrective
     insert the leader performed below ``g`` is already in the member's
-    view -- the finality invariant that makes applying safe (DESIGN.md,
-    "Global commit propagation"). A payload with no inserts is a pure
-    commit marker.
+    view -- the finality invariant that makes applying safe. A payload
+    with no inserts is a pure commit marker.
 
     ``snapshot`` (a :class:`repro.snapshot.Snapshot` over the *global*
     log, or None) replicates a globally committed snapshot image through

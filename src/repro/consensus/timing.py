@@ -9,7 +9,7 @@ decision procedure in Fast Raft. It defaults to half the heartbeat
 interval: the decision procedure is a purely local computation, so it can
 run more often than network dispatch; this calibration yields the paper's
 observed fast-track latency of roughly half the classic-Raft commit
-latency (see DESIGN.md, "Timing-model calibration").
+latency (the ``ablations`` scenario sweeps the ratio).
 """
 
 from __future__ import annotations

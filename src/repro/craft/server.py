@@ -18,7 +18,7 @@ designated site that runs a global engine from startup so the first real
 cluster leaders have someone to join through; the seed retires from the
 global configuration as soon as another member exists (unless it is a
 cluster leader itself). The paper configures its AWS deployment manually
-and leaves bootstrap unspecified; see DESIGN.md.
+and leaves bootstrap unspecified.
 
 Retirement is a *demotion*, not a departure: the retired seed stays
 registered as a standing **non-voting observer** that replicates the

@@ -1,56 +1,31 @@
-"""Experiment drivers regenerating the paper's evaluation (Section VI).
+"""Experiment declarations regenerating the paper's evaluation (Section VI).
 
-One module per figure, each declared as scenario cells over the
+One module per figure or scenario, each registered as a
+:class:`~repro.scenarios.registry.Scenario` declaration over the
 :mod:`repro.scenarios` subsystem (spec + registry + parallel sweep
-runner):
+runner): ``rounds`` (Figs. 1-2 commit hops), ``fig3_latency``,
+``fig4_churn``, ``fig5_throughput``, ``ablations`` (the reproduction's
+design knobs), ``catchup`` (snapshot catch-up, plus the WAN chunked
+transfer variant), ``flapping``, ``migrated_region``,
+``two_region_failover``, ``large_mesh`` and ``heavy_traffic``.
 
-- :mod:`repro.experiments.rounds` -- message-flow validation of Figs. 1-2
-  (commit hop counts over a constant-latency network).
-- :mod:`repro.experiments.fig3_latency` -- classic Raft vs Fast Raft
-  commit latency across message-loss rates (Fig. 3).
-- :mod:`repro.experiments.fig4_churn` -- Fast Raft latency timeline while
-  two of five sites leave silently (Fig. 4).
-- :mod:`repro.experiments.fig5_throughput` -- classic Raft vs C-Raft
-  global throughput across cluster counts (Fig. 5).
-- :mod:`repro.experiments.ablations` -- sweeps over the design knobs that
-  DESIGN.md calls out (decision interval, batch size, dispatch policy,
-  proposer count).
-- :mod:`repro.experiments.catchup` -- rejoin catch-up under churn with
-  and without snapshots, plus the WAN chunked-transfer variant.
-- :mod:`repro.experiments.flapping` -- a flapping WAN link with
-  short-lived stability windows (beyond the paper's figures).
-- :mod:`repro.experiments.migrated_region` -- a whole region migrating
-  in after global compaction (the gated global snapshot path at scale).
-
-Each driver accepts a config dataclass with a ``quick()`` preset (used by
-tests) and a ``paper()`` preset (used by the benchmark harness), returns a
-result object with the measured rows, renders the paper-style table via
-``result.table()``, and enforces the expected *shape* (who wins, by
-roughly what factor, where crossovers fall) via ``result.check_shape()``.
-Every ``run_*`` function takes ``jobs=N`` to fan its sweep cells out
-across worker processes with results identical to serial.
+Each module declares a config dataclass (its defaults are the ``full``,
+paper-scale run), the ``quick`` / ``smoke`` field overrides, the sweep
+cells a config expands to, and how their results assemble into a result
+whose ``table()`` renders the paper-style table and whose
+``check_shape()`` enforces the expected *shape* (who wins, by roughly
+what factor, where crossovers fall). The registry runs every one the
+same way; ``jobs=N`` fans the cells out across worker processes with
+results identical to serial.
 
 Run from the command line::
 
     python -m repro.experiments fig3 --quick
     python -m repro.experiments --scenario flapping_wan --jobs 4
+
+or from code: ``get_scenario("fig3").run(Fig3Config(trials=10), jobs=2)``.
 """
 
 from repro.experiments.base import ResultTable, cell_seed
-from repro.experiments.fig3_latency import Fig3Config, run_fig3
-from repro.experiments.fig4_churn import Fig4Config, run_fig4
-from repro.experiments.fig5_throughput import Fig5Config, run_fig5
-from repro.experiments.rounds import RoundsConfig, run_rounds
 
-__all__ = [
-    "Fig3Config",
-    "Fig4Config",
-    "Fig5Config",
-    "ResultTable",
-    "RoundsConfig",
-    "cell_seed",
-    "run_fig3",
-    "run_fig4",
-    "run_fig5",
-    "run_rounds",
-]
+__all__ = ["ResultTable", "cell_seed"]

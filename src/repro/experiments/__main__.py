@@ -20,9 +20,9 @@ Usage::
     python -m repro.experiments mc --scenario mc_small_healthy --depth 6
 
 ``--quick`` (the default) runs scaled-down configurations in seconds;
-``--full`` runs the paper-scale configurations used by EXPERIMENTS.md;
-``--mode smoke`` is the CI-smoke scale. ``--jobs N`` fans the sweep's
-cells out across N worker processes (results are identical to serial;
+``--full`` runs the paper-scale configurations (each config dataclass's
+defaults); ``--mode smoke`` is the CI-smoke scale. ``--jobs N`` fans the
+sweep's cells out across N worker processes (results are identical to serial;
 the pool persists across scenarios within one invocation).
 ``--profile`` with ``--jobs 1`` wraps the whole run in cProfile and
 dumps sorted stats next to the JSON output; with ``--jobs N`` each

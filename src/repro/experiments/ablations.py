@@ -1,4 +1,4 @@
-"""Ablation sweeps over the design knobs DESIGN.md calls out.
+"""Ablation sweeps over the reproduction's design knobs.
 
 Not figures from the paper -- these quantify the sensitivity of the
 reproduction to the choices the paper leaves open:
@@ -12,7 +12,7 @@ reproduction to the choices the paper leaves open:
   paper's liveness discussion assumes no concurrent proposals).
 
 All four sweeps share two scenario shapes (a flat latency cell and a
-C-Raft throughput cell); ``run_all_ablations`` submits every cell of
+C-Raft throughput cell); the registered scenario submits every cell of
 every sweep as one batch so ``--jobs N`` parallelizes across tables.
 """
 
@@ -26,7 +26,6 @@ from repro.experiments.base import ResultTable, cell_seed
 from repro.experiments.regions import regions_for
 from repro.net.topology import Topology
 from repro.scenarios.registry import Scenario, register_scenario
-from repro.scenarios.runner import SweepRunner
 from repro.scenarios.spec import (
     Cell,
     LatencySpec,
@@ -38,30 +37,14 @@ from repro.scenarios.spec import (
 
 @dataclass(frozen=True)
 class AblationConfig:
-    commits: int = 40
+    commits: int = 100
     seed: int = 0
     decision_fractions: tuple[float, ...] = (0.1, 0.25, 0.5, 1.0)
     batch_sizes: tuple[int, ...] = (1, 5, 10, 20)
     proposer_counts: tuple[int, ...] = (1, 2, 3, 5)
     craft_clusters: int = 4
     craft_sites: int = 8
-    craft_duration: float = 40.0
-
-    @classmethod
-    def paper(cls) -> "AblationConfig":
-        return cls(commits=100, craft_duration=120.0)
-
-    @classmethod
-    def quick(cls) -> "AblationConfig":
-        return cls(commits=20, decision_fractions=(0.25, 0.5, 1.0),
-                   batch_sizes=(1, 10), proposer_counts=(1, 3),
-                   craft_duration=30.0)
-
-    @classmethod
-    def smoke(cls) -> "AblationConfig":
-        return cls(commits=10, decision_fractions=(0.5, 1.0),
-                   batch_sizes=(1, 10), proposer_counts=(1, 2),
-                   craft_duration=20.0)
+    craft_duration: float = 120.0
 
 
 def _flat_cell(key: tuple, engine: str, timing: TimingConfig, seed: int,
@@ -146,7 +129,7 @@ def batch_cells(config: AblationConfig) -> list[Cell]:
 # ----------------------------------------------------------------------
 # Table assembly
 # ----------------------------------------------------------------------
-def _decision_table(config: AblationConfig, results: dict) -> ResultTable:
+def decision_table(config: AblationConfig, results: dict) -> ResultTable:
     table = ResultTable(
         "Ablation -- Fast Raft latency vs decision interval",
         ["decision/heartbeat", "decision ms", "mean latency ms"])
@@ -161,7 +144,7 @@ def _decision_table(config: AblationConfig, results: dict) -> ResultTable:
     return table
 
 
-def _dispatch_table(config: AblationConfig, results: dict) -> ResultTable:
+def dispatch_table(config: AblationConfig, results: dict) -> ResultTable:
     table = ResultTable(
         "Ablation -- AppendEntries dispatch policy (mean latency ms)",
         ["protocol", "tick-driven", "eager"])
@@ -175,7 +158,7 @@ def _dispatch_table(config: AblationConfig, results: dict) -> ResultTable:
     return table
 
 
-def _proposer_table(config: AblationConfig, results: dict) -> ResultTable:
+def proposer_table(config: AblationConfig, results: dict) -> ResultTable:
     table = ResultTable(
         "Ablation -- Fast Raft latency vs concurrent proposers",
         ["proposers", "mean latency ms"])
@@ -186,7 +169,7 @@ def _proposer_table(config: AblationConfig, results: dict) -> ResultTable:
     return table
 
 
-def _batch_table(config: AblationConfig, results: dict) -> ResultTable:
+def batch_table(config: AblationConfig, results: dict) -> ResultTable:
     table = ResultTable(
         "Ablation -- C-Raft throughput vs batch size (entries/s)",
         ["batch size", "global throughput"])
@@ -198,62 +181,20 @@ def _batch_table(config: AblationConfig, results: dict) -> ResultTable:
     return table
 
 
-# ----------------------------------------------------------------------
-# Entry points (one per table, plus the combined sweep)
-# ----------------------------------------------------------------------
-def run_decision_interval_ablation(config: AblationConfig | None = None,
-                                   jobs: int = 1) -> ResultTable:
-    """Fast Raft latency as the decision cadence varies."""
-    config = config or AblationConfig.paper()
-    return _decision_table(config,
-                           SweepRunner(jobs).run(decision_cells(config)))
-
-
-def run_dispatch_ablation(config: AblationConfig | None = None,
-                          jobs: int = 1) -> ResultTable:
-    """Tick-driven vs eager AppendEntries dispatch, both protocols."""
-    config = config or AblationConfig.paper()
-    return _dispatch_table(config,
-                           SweepRunner(jobs).run(dispatch_cells(config)))
-
-
-def run_proposer_ablation(config: AblationConfig | None = None,
-                          jobs: int = 1) -> ResultTable:
-    """Fast Raft under concurrent proposers (fast-track contention)."""
-    config = config or AblationConfig.paper()
-    return _proposer_table(config,
-                           SweepRunner(jobs).run(proposer_cells(config)))
-
-
-def run_batch_size_ablation(config: AblationConfig | None = None,
-                            jobs: int = 1) -> ResultTable:
-    """C-Raft global throughput vs batch size."""
-    config = config or AblationConfig.paper()
-    return _batch_table(config,
-                        SweepRunner(jobs).run(batch_cells(config)))
-
-
-def run_all_ablations(config: AblationConfig | None = None,
-                      jobs: int = 1) -> list[ResultTable]:
-    """Every ablation cell in one sweep, assembled into four tables."""
-    config = config or AblationConfig.paper()
-    cells = (decision_cells(config) + dispatch_cells(config)
-             + proposer_cells(config) + batch_cells(config))
-    results = SweepRunner(jobs).run(cells)
-    return [
-        _decision_table(config, results),
-        _dispatch_table(config, results),
-        _proposer_table(config, results),
-        _batch_table(config, results),
-    ]
-
-
 register_scenario(Scenario(
     name="ablations",
     description="Design-knob sweeps: decision interval, dispatch policy, "
                 "proposer contention, batch size",
-    make_config=lambda mode: {"quick": AblationConfig.quick,
-                              "full": AblationConfig.paper,
-                              "smoke": AblationConfig.smoke}[mode](),
-    run=run_all_ablations,
-    modes=("quick", "full", "smoke")))
+    config=AblationConfig,
+    presets={"quick": {"commits": 20, "decision_fractions": (0.25, 0.5, 1.0),
+                       "batch_sizes": (1, 10), "proposer_counts": (1, 3),
+                       "craft_duration": 30.0},
+             "smoke": {"commits": 10, "decision_fractions": (0.5, 1.0),
+                       "batch_sizes": (1, 10), "proposer_counts": (1, 2),
+                       "craft_duration": 20.0}},
+    # Every sweep's cells in one batch, so --jobs N spans all tables.
+    cells=lambda config: (decision_cells(config) + dispatch_cells(config)
+                          + proposer_cells(config) + batch_cells(config)),
+    assemble=lambda config, results: [
+        table(config, results) for table in (
+            decision_table, dispatch_table, proposer_table, batch_table)]))

@@ -12,7 +12,9 @@ The experiment runs the same scenario twice (snapshots on/off) per
 engine -- classic Raft, Fast Raft, and C-Raft (where the churned node is
 a cluster member catching up at the local level, inheriting the global
 image through the composite local snapshot) -- and reports rejoin
-latency, replayed entry counts, and snapshot counters.
+latency, replayed entry counts, and snapshot counters. The WAN variant
+(``catchup_wan``) reruns the flat drive over a bandwidth-limited link,
+monolithic vs chunked InstallSnapshot.
 
 The crash is declared in the scenario's event schedule; the measured
 recovery tail (capture the target commit point, recover, time the
@@ -22,6 +24,7 @@ catch-up) is this experiment's registered drive family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.consensus.config import TransferConfig
 from repro.consensus.timing import TimingConfig
@@ -37,7 +40,6 @@ from repro.metrics.summary import SnapshotCounters, tally_snapshots
 from repro.scenarios.registry import Scenario, register_scenario
 from repro.scenarios.runner import (
     RunContext,
-    SweepRunner,
     attach_workloads,
     drive,
     elect_flat_leader,
@@ -45,6 +47,7 @@ from repro.scenarios.runner import (
     run_workload_to_completion,
 )
 from repro.scenarios.spec import (
+    ENGINES,
     Cell,
     Event,
     EventSchedule,
@@ -57,15 +60,14 @@ from repro.smr.kv import KVStateMachine
 from repro.snapshot import CompactionPolicy
 from repro.snapshot.chunking import snapshot_wire_size
 
-ENGINES = ("raft", "fastraft", "craft")
-
 
 @dataclass(frozen=True)
 class CatchupConfig:
-    engine: str = "fastraft"
-    n_sites: int = 5              # per-cluster sites for craft: 3 + 3
+    engines: tuple[str, ...] = ENGINES
+    n_sites: int = 5              # flat engines; craft runs 3 + 3
     warmup_commits: int = 20      # commits before the crash
-    total_commits: int = 160      # commits before the recovery
+    #: Commits before the recovery: one count, or one per engine.
+    total_commits: int | Mapping[str, int] = 160
     threshold: int = 40           # compaction trigger (entries)
     retain: int = 8               # committed tail kept below the snapshot
     max_append_batch: int = 16    # smaller batches make replay cost visible
@@ -73,55 +75,45 @@ class CatchupConfig:
     seed: int = 11
     timeout: float = 600.0
 
-    @classmethod
-    def paper(cls, engine: str) -> "CatchupConfig":
-        return cls(engine=engine)
-
-    @classmethod
-    def quick(cls, engine: str) -> "CatchupConfig":
-        commits = 100 if engine == "craft" else 120
-        return cls(engine=engine, total_commits=commits)
-
-    @classmethod
-    def smoke(cls, engine: str) -> "CatchupConfig":
-        """CI-smoke scale: just enough commits for one compaction cycle
-        past the crash point (keeps the shape checks meaningful)."""
-        return cls(engine=engine, warmup_commits=10, total_commits=70,
-                   threshold=25, retain=4)
+    def commits(self, engine: str) -> int:
+        if isinstance(self.total_commits, int):
+            return self.total_commits
+        return self.total_commits[engine]
 
 
 @dataclass
 class CatchupRun:
-    """One scenario execution (snapshots on or off)."""
+    """One rejoin: the victim recovers and catches up to ``target``."""
 
-    snapshots_enabled: bool
     target_commit: int            # commit point the rejoiner had to reach
     catchup_time: float           # recovery -> caught up (sim seconds)
     replayed_entries: int         # entries applied at the rejoiner
     installs: int                 # snapshots installed at the rejoiner
     counters: SnapshotCounters    # cluster-wide snapshot activity
+    snapshot_bytes: int = 0       # wire size of the image (WAN cells)
 
 
 @dataclass
 class CatchupResult:
     config: CatchupConfig
+    engine: str
     with_snapshots: CatchupRun
     without_snapshots: CatchupRun
 
     def table(self) -> ResultTable:
         table = ResultTable(
-            f"Rejoin catch-up under churn -- {self.config.engine}",
+            f"Rejoin catch-up under churn -- {self.engine}",
             ["mode", "target", "replayed", "installs", "catchup (ms)"])
-        for run in (self.without_snapshots, self.with_snapshots):
-            mode = "snapshots" if run.snapshots_enabled else "full replay"
+        for mode, run in (("full replay", self.without_snapshots),
+                          ("snapshots", self.with_snapshots)):
             table.add_row(mode, run.target_commit, run.replayed_entries,
                           run.installs, run.catchup_time * 1000)
-        snap = self.with_snapshots
-        table.add_note(snap.counters.format())
+        table.add_note(self.with_snapshots.counters.format())
         table.add_note(
             f"crash after {self.config.warmup_commits} commits, recover "
-            f"after {self.config.total_commits}; compaction threshold "
-            f"{self.config.threshold}, retain {self.config.retain}")
+            f"after {self.config.commits(self.engine)}; compaction "
+            f"threshold {self.config.threshold}, retain "
+            f"{self.config.retain}")
         return table
 
     def check_shape(self) -> None:
@@ -140,20 +132,6 @@ class CatchupResult:
                 f"({snap.catchup_time * 1000:.0f} ms vs "
                 f"{full.catchup_time * 1000:.0f} ms)")
 
-    def as_dict(self) -> dict:
-        def run_dict(run: CatchupRun) -> dict:
-            return {"target": run.target_commit,
-                    "replayed": run.replayed_entries,
-                    "installs": run.installs,
-                    "catchup_ms": run.catchup_time * 1000,
-                    "snapshots_taken": run.counters.taken,
-                    "snapshots_shipped": run.counters.shipped,
-                    "entries_compacted": run.counters.entries_compacted}
-        return {"engine": self.config.engine,
-                "total_commits": self.config.total_commits,
-                "with_snapshots": run_dict(self.with_snapshots),
-                "full_replay": run_dict(self.without_snapshots)}
-
 
 def _policy(config: CatchupConfig, snapshots: bool) -> CompactionPolicy | None:
     if not snapshots:
@@ -162,21 +140,21 @@ def _policy(config: CatchupConfig, snapshots: bool) -> CompactionPolicy | None:
                             retain=config.retain)
 
 
+# recovery_probe_timeout=0 in every catch-up spec: the tables measure
+# transfer cost from the victim's recovery to full catch-up on the pinned
+# pre-probe timeline (golden-pinned byte-identical); the probe handshake
+# would shift every timestamp by resolving the rejoin before the election
+# timeout the pinned runs wait out.
+
 # ----------------------------------------------------------------------
 # Single-cluster engines (classic Raft, Fast Raft)
 # ----------------------------------------------------------------------
-def catchup_flat_spec(config: CatchupConfig, snapshots: bool
+def catchup_flat_spec(config: CatchupConfig, engine: str, snapshots: bool
                       ) -> ScenarioSpec:
     return ScenarioSpec(
-        name=f"catchup.{config.engine}."
-             f"{'snap' if snapshots else 'replay'}",
-        engine=config.engine,
+        name=f"catchup.{engine}.{'snap' if snapshots else 'replay'}",
+        engine=engine,
         topology=TopologySpec(n_sites=config.n_sites),
-        # recovery_probe_timeout=0: the catch-up tables measure transfer
-        # cost from the victim's recovery to full catch-up on the pinned
-        # pre-probe timeline (golden-pinned byte-identical); the probe
-        # handshake would shift every timestamp by resolving the rejoin
-        # before the election timeout the pinned runs wait out.
         timing=TimingConfig(max_append_batch=config.max_append_batch,
                             recovery_probe_timeout=0.0),
         state_machine=KVStateMachine,
@@ -185,14 +163,21 @@ def catchup_flat_spec(config: CatchupConfig, snapshots: bool
             Event("crash", target="nonleader:0",
                   after_commits=config.warmup_commits),)),
         workload=WorkloadSpec(placement="leader",
-                              requests=config.total_commits),
-        drive="catchup_flat", timeout=config.timeout,
+                              requests=config.commits(engine)),
+        # "snapshots" only labels the cell; ``compaction`` turns them on.
+        drive="catchup", timeout=config.timeout,
         params={"snapshots": snapshots})
 
 
-@drive("catchup_flat")
-def drive_catchup_flat(cluster, spec: ScenarioSpec) -> CatchupRun:
-    """Crash per schedule, finish the workload, then time the rejoin."""
+@drive("catchup")
+def drive_catchup(cluster, spec: ScenarioSpec) -> CatchupRun:
+    """Crash per schedule, finish the workload, then time the rejoin.
+
+    A WAN cell (``params["chunked"]``) has also cut the victim's links
+    at the crash; it checks the leader compacted past the crash point,
+    reads the size of the image it will ship, and reconnects the victim
+    before recovering it.
+    """
     ctx = RunContext(cluster, spec)
     cluster.start_all()
     ctx.initial_leader = elect_flat_leader(cluster, spec)
@@ -200,7 +185,16 @@ def drive_catchup_flat(cluster, spec: ScenarioSpec) -> CatchupRun:
     run_commit_triggered_events(ctx)
     victim = ctx.fired[0][2][0]
     run_workload_to_completion(ctx)
-    target = cluster.servers[cluster.run_until_leader()].engine.commit_index
+    leader_engine = cluster.servers[cluster.run_until_leader()].engine
+    target = leader_engine.commit_index
+    snapshot_bytes = 0
+    if "chunked" in spec.params:
+        if leader_engine.log.snapshot_index <= spec.params["warmup_commits"]:
+            raise ExperimentError(
+                "leader never compacted past the crash point")
+        snapshot_bytes = snapshot_wire_size(
+            leader_engine.snapshot_store.latest)
+        ctx.faults.silent_return(victim)
     ctx.faults.recover(victim)
     started = cluster.loop.now()
     rejoined = cluster.run_until(
@@ -215,12 +209,12 @@ def drive_catchup_flat(cluster, spec: ScenarioSpec) -> CatchupRun:
     run_safety_checks(cluster.servers.values(), cluster.trace)
     recovered = cluster.servers[victim]
     return CatchupRun(
-        snapshots_enabled=spec.params["snapshots"], target_commit=target,
-        catchup_time=catchup_time,
+        target_commit=target, catchup_time=catchup_time,
         replayed_entries=len(recovered.applied_log),
         installs=recovered.engine.snapshots_installed,
         counters=tally_snapshots(s.engine
-                                 for s in cluster.servers.values()))
+                                 for s in cluster.servers.values()),
+        snapshot_bytes=snapshot_bytes)
 
 
 # ----------------------------------------------------------------------
@@ -233,11 +227,6 @@ def catchup_craft_spec(config: CatchupConfig, snapshots: bool
         name=f"catchup.craft.{'snap' if snapshots else 'replay'}",
         engine="craft",
         topology=TopologySpec(n_sites=6, regions=("east", "west")),
-        # recovery_probe_timeout=0: the catch-up tables measure transfer
-        # cost from the victim's recovery to full catch-up on the pinned
-        # pre-probe timeline (golden-pinned byte-identical); the probe
-        # handshake would shift every timestamp by resolving the rejoin
-        # before the election timeout the pinned runs wait out.
         timing=TimingConfig(max_append_batch=config.max_append_batch,
                             recovery_probe_timeout=0.0),
         batch=BatchPolicy(batch_size=config.craft_batch_size),
@@ -249,7 +238,7 @@ def catchup_craft_spec(config: CatchupConfig, snapshots: bool
         schedule=EventSchedule((
             Event("crash", target="nonleader:0",
                   after_commits=config.warmup_commits),)),
-        workload=WorkloadSpec(requests=config.total_commits),
+        workload=WorkloadSpec(requests=config.commits("craft")),
         drive="catchup_craft", timeout=config.timeout,
         params={"snapshots": snapshots, "global_ready_timeout": 60.0})
 
@@ -295,42 +284,53 @@ def drive_catchup_craft(deployment, spec: ScenarioSpec) -> CatchupRun:
     _check_craft_consistency(deployment, topo, cluster_a)
     recovered = deployment.servers[victim]
     return CatchupRun(
-        snapshots_enabled=spec.params["snapshots"], target_commit=target,
-        catchup_time=catchup_time,
+        target_commit=target, catchup_time=catchup_time,
         replayed_entries=len(recovered.applied_log),
         installs=recovered.local_engine.snapshots_installed,
         counters=tally_snapshots(
             s.local_engine for s in deployment.servers.values()))
 
 
+def _check_craft_consistency(deployment, topo, cluster_name: str) -> None:
+    """Local committed-prefix agreement in the churned cluster, plus
+    global state-machine agreement across every site at the same global
+    apply point (the snapshot path must not introduce divergence)."""
+    engines = [deployment.servers[n].local_engine
+               for n in topo.nodes_in_cluster(cluster_name)]
+    check_committed_prefix_agreement(engines)
+    check_images_agree(
+        ((s.global_applied_index, s.global_state_machine.snapshot(), s.name)
+         for s in deployment.servers.values()
+         if s.global_state_machine is not None),
+        what="global state machines")
+
+
 def catchup_cells(config: CatchupConfig) -> list[Cell]:
-    make_spec = (catchup_craft_spec if config.engine == "craft"
-                 else catchup_flat_spec)
-    return [Cell(key=(config.engine, snapshots),
-                 spec=make_spec(config, snapshots), seed=config.seed)
-            for snapshots in (True, False)]
+    def spec(engine: str, snapshots: bool) -> ScenarioSpec:
+        if engine == "craft":
+            return catchup_craft_spec(config, snapshots)
+        return catchup_flat_spec(config, engine, snapshots)
+    return [Cell(key=(engine, snapshots), spec=spec(engine, snapshots),
+                 seed=config.seed)
+            for engine in config.engines for snapshots in (True, False)]
 
 
-def run_catchup(config: CatchupConfig, jobs: int = 1) -> CatchupResult:
-    """Run the scenario twice (with/without snapshots) and pair them."""
-    if config.engine not in ENGINES:
-        raise ExperimentError(f"unknown engine: {config.engine!r}")
-    runs = SweepRunner(jobs).run(catchup_cells(config))
-    return CatchupResult(
-        config=config,
-        with_snapshots=runs[(config.engine, True)],
-        without_snapshots=runs[(config.engine, False)])
-
-
-def run_catchup_suite(configs: list[CatchupConfig],
-                      jobs: int = 1) -> list[CatchupResult]:
-    """All engines' cells in one sweep (what ``--scenario catchup`` runs)."""
-    cells = [cell for config in configs for cell in catchup_cells(config)]
-    runs = SweepRunner(jobs).run(cells)
-    return [CatchupResult(config=config,
-                          with_snapshots=runs[(config.engine, True)],
-                          without_snapshots=runs[(config.engine, False)])
-            for config in configs]
+register_scenario(Scenario(
+    name="catchup",
+    description="Rejoin catch-up under churn, snapshots vs full replay, "
+                "all three engines",
+    config=CatchupConfig,
+    presets={"quick": {"total_commits": {"raft": 120, "fastraft": 120,
+                                         "craft": 100}},
+             # Just enough commits for one compaction cycle past the
+             # crash point (keeps the shape checks meaningful).
+             "smoke": {"warmup_commits": 10, "total_commits": 70,
+                       "threshold": 25, "retain": 4}},
+    cells=catchup_cells,
+    assemble=lambda config, runs: [
+        CatchupResult(config, engine, runs[(engine, True)],
+                      runs[(engine, False)])
+        for engine in config.engines]))
 
 
 # ----------------------------------------------------------------------
@@ -344,7 +344,7 @@ class WanCatchupConfig:
     one gulp while chunked transfer overlaps its chunks with the acks in
     flight. Run at several snapshot sizes to expose the scaling."""
 
-    engine: str = "fastraft"
+    engine: str = "fastraft"      # a flat engine: raft or fastraft
     n_sites: int = 5
     #: Commits before the recovery, per size point: more commits => more
     #: distinct keys => a bigger state image to ship.
@@ -361,53 +361,30 @@ class WanCatchupConfig:
     seed: int = 7
     timeout: float = 900.0
 
-    @classmethod
-    def paper(cls, engine: str) -> "WanCatchupConfig":
-        return cls(engine=engine)
-
-    @classmethod
-    def quick(cls, engine: str) -> "WanCatchupConfig":
-        return cls(engine=engine, size_points=(60, 150))
-
-    @classmethod
-    def smoke(cls, engine: str) -> "WanCatchupConfig":
-        """CI-smoke scale: tiny but still two sizes and both modes."""
-        return cls(engine=engine, size_points=(40, 100),
-                   value_bytes=1024, threshold=20,
-                   bandwidth=150_000.0, chunk_size=8192)
-
-
-@dataclass
-class WanRun:
-    """One (transfer mode, snapshot size) execution."""
-
-    mode: str                     # "monolithic" | "chunked"
-    total_commits: int
-    snapshot_bytes: int           # wire size of the shipped image
-    catchup_time: float           # recovery -> caught up (sim seconds)
-    installs: int
-    chunks_sent: int
-
 
 @dataclass
 class WanCatchupResult:
     config: WanCatchupConfig
-    runs: list[WanRun]
+    #: ``(commits, chunked) -> run``: every size point in both modes.
+    runs: dict[tuple[int, bool], CatchupRun]
 
-    def _by_mode(self, mode: str) -> list[WanRun]:
-        return sorted((r for r in self.runs if r.mode == mode),
-                      key=lambda r: r.snapshot_bytes)
+    def _by_mode(self, chunked: bool) -> list[CatchupRun]:
+        return sorted((run for (_, c), run in self.runs.items()
+                       if c == chunked),
+                      key=lambda run: run.snapshot_bytes)
 
     def table(self) -> ResultTable:
         table = ResultTable(
             f"WAN rejoin: monolithic vs chunked InstallSnapshot -- "
             f"{self.config.engine}",
             ["mode", "commits", "image (KB)", "chunks", "catchup (ms)"])
-        for run in sorted(self.runs,
-                          key=lambda r: (r.mode, r.snapshot_bytes)):
-            table.add_row(run.mode, run.total_commits,
-                          run.snapshot_bytes / 1024, run.chunks_sent,
-                          run.catchup_time * 1000)
+        rows = sorted(
+            (("chunked" if chunked else "monolithic", commits, run)
+             for (commits, chunked), run in self.runs.items()),
+            key=lambda row: (row[0], row[2].snapshot_bytes))
+        for mode, commits, run in rows:
+            table.add_row(mode, commits, run.snapshot_bytes / 1024,
+                          run.counters.chunks_sent, run.catchup_time * 1000)
         table.add_note(
             f"one-way latency {self.config.one_way_latency * 1000:.0f} ms, "
             f"bandwidth {self.config.bandwidth / 1000:.0f} KB/s, "
@@ -416,13 +393,13 @@ class WanCatchupResult:
         return table
 
     def check_shape(self) -> None:
-        mono = self._by_mode("monolithic")
-        chunked = self._by_mode("chunked")
-        require(all(r.installs >= 1 for r in self.runs),
+        mono = self._by_mode(False)
+        chunked = self._by_mode(True)
+        require(all(r.installs >= 1 for r in self.runs.values()),
                 "every WAN rejoin must catch up via InstallSnapshot")
-        require(all(r.chunks_sent == 0 for r in mono),
+        require(all(r.counters.chunks_sent == 0 for r in mono),
                 "monolithic runs must not send chunks")
-        require(all(r.chunks_sent > 1 for r in chunked),
+        require(all(r.counters.chunks_sent > 1 for r in chunked),
                 "chunked runs must actually split the transfer")
         for small, big in zip(mono, mono[1:]):
             require(big.catchup_time > small.catchup_time,
@@ -437,19 +414,6 @@ class WanCatchupResult:
                     f"constrained link ({c.catchup_time * 1000:.0f} ms vs "
                     f"{m.catchup_time * 1000:.0f} ms at "
                     f"{m.snapshot_bytes} B)")
-
-    def as_dict(self) -> dict:
-        return {"engine": self.config.engine,
-                "bandwidth": self.config.bandwidth,
-                "one_way_latency": self.config.one_way_latency,
-                "chunk_size": self.config.chunk_size,
-                "chunk_window": self.config.chunk_window,
-                "runs": [{"mode": r.mode, "commits": r.total_commits,
-                          "snapshot_bytes": r.snapshot_bytes,
-                          "catchup_ms": r.catchup_time * 1000,
-                          "installs": r.installs,
-                          "chunks_sent": r.chunks_sent}
-                         for r in self.runs]}
 
 
 def wan_spec(config: WanCatchupConfig, total_commits: int,
@@ -470,11 +434,6 @@ def wan_spec(config: WanCatchupConfig, total_commits: int,
              f"{'chunked' if chunked else 'mono'}.{total_commits}",
         engine=config.engine,
         topology=TopologySpec(n_sites=config.n_sites),
-        # recovery_probe_timeout=0: the catch-up tables measure transfer
-        # cost from the victim's recovery to full catch-up on the pinned
-        # pre-probe timeline (golden-pinned byte-identical); the probe
-        # handshake would shift every timestamp by resolving the rejoin
-        # before the election timeout the pinned runs wait out.
         timing=TimingConfig(max_append_batch=config.max_append_batch,
                             recovery_probe_timeout=0.0),
         state_machine=KVStateMachine,
@@ -486,46 +445,9 @@ def wan_spec(config: WanCatchupConfig, total_commits: int,
         workload=WorkloadSpec(placement="leader", requests=total_commits,
                               command="payload",
                               value_bytes=config.value_bytes),
-        drive="catchup_wan", timeout=config.timeout,
+        drive="catchup", timeout=config.timeout,
         params={"chunked": chunked,
                 "warmup_commits": config.warmup_commits})
-
-
-@drive("catchup_wan")
-def drive_catchup_wan(cluster, spec: ScenarioSpec) -> WanRun:
-    ctx = RunContext(cluster, spec)
-    cluster.start_all()
-    ctx.initial_leader = elect_flat_leader(cluster, spec)
-    attach_workloads(cluster, spec, ctx, ctx.initial_leader)
-    run_commit_triggered_events(ctx)
-    victim = ctx.fired[0][2][0]
-    run_workload_to_completion(ctx)
-    leader_engine = cluster.servers[cluster.run_until_leader()].engine
-    target = leader_engine.commit_index
-    if leader_engine.log.snapshot_index <= spec.params["warmup_commits"]:
-        raise ExperimentError("leader never compacted past the crash point")
-    snapshot_bytes = snapshot_wire_size(leader_engine.snapshot_store.latest)
-    ctx.faults.silent_return(victim)
-    ctx.faults.recover(victim)
-    started = cluster.loop.now()
-    if not cluster.run_until(
-            lambda: cluster.servers[victim].engine.commit_index >= target,
-            timeout=spec.timeout):
-        raise ExperimentError(
-            f"{victim} caught up only to "
-            f"{cluster.servers[victim].engine.commit_index}/{target}")
-    catchup_time = cluster.loop.now() - started
-    cluster.run_for(1.0)
-    run_safety_checks(cluster.servers.values(), cluster.trace)
-    recovered = cluster.servers[victim]
-    return WanRun(
-        mode="chunked" if spec.params["chunked"] else "monolithic",
-        total_commits=spec.workload.requests,
-        snapshot_bytes=snapshot_bytes,
-        catchup_time=catchup_time,
-        installs=recovered.engine.snapshots_installed,
-        chunks_sent=sum(s.engine.snapshot_chunks_sent
-                        for s in cluster.servers.values()))
 
 
 def wan_cells(config: WanCatchupConfig) -> list[Cell]:
@@ -536,59 +458,14 @@ def wan_cells(config: WanCatchupConfig) -> list[Cell]:
             for chunked in (False, True)]
 
 
-def run_wan_catchup(config: WanCatchupConfig,
-                    jobs: int = 1) -> WanCatchupResult:
-    """Every size point in both transfer modes, same seed and scenario."""
-    if config.engine not in ("raft", "fastraft"):
-        raise ExperimentError(
-            f"WAN variant runs the flat engines, not {config.engine!r}")
-    runs = SweepRunner(jobs).run(wan_cells(config))
-    return WanCatchupResult(
-        config=config,
-        runs=[runs[(total_commits, chunked)]
-              for total_commits in config.size_points
-              for chunked in (False, True)])
-
-
-def _check_craft_consistency(deployment, topo, cluster_name: str) -> None:
-    """Local committed-prefix agreement in the churned cluster, plus
-    global state-machine agreement across every site at the same global
-    apply point (the snapshot path must not introduce divergence)."""
-    engines = [deployment.servers[n].local_engine
-               for n in topo.nodes_in_cluster(cluster_name)]
-    check_committed_prefix_agreement(engines)
-    check_images_agree(
-        ((s.global_applied_index, s.global_state_machine.snapshot(), s.name)
-         for s in deployment.servers.values()
-         if s.global_state_machine is not None),
-        what="global state machines")
-
-
-# ----------------------------------------------------------------------
-# Registry entries
-# ----------------------------------------------------------------------
-def _catchup_configs(mode: str) -> list[CatchupConfig]:
-    maker = {"quick": CatchupConfig.quick, "full": CatchupConfig.paper,
-             "smoke": CatchupConfig.smoke}[mode]
-    return [maker(engine) for engine in ENGINES]
-
-
-register_scenario(Scenario(
-    name="catchup",
-    description="Rejoin catch-up under churn, snapshots vs full replay, "
-                "all three engines",
-    make_config=_catchup_configs,
-    run=run_catchup_suite,
-    modes=("quick", "full", "smoke")))
-
-
 register_scenario(Scenario(
     name="catchup_wan",
     description="WAN rejoin over a bandwidth-limited link: monolithic vs "
                 "chunked InstallSnapshot",
-    make_config=lambda mode: {"quick": WanCatchupConfig.quick,
-                              "full": WanCatchupConfig.paper,
-                              "smoke": WanCatchupConfig.smoke}[mode](
-                                  "fastraft"),
-    run=run_wan_catchup,
-    modes=("quick", "full", "smoke")))
+    config=WanCatchupConfig,
+    presets={"quick": {"size_points": (60, 150)},
+             # Tiny, but still two sizes and both modes.
+             "smoke": {"size_points": (40, 100), "value_bytes": 1024,
+                       "threshold": 20, "bandwidth": 150_000.0,
+                       "chunk_size": 8192}},
+    cells=wan_cells, assemble=WanCatchupResult))

@@ -23,7 +23,6 @@ from repro.experiments.base import ResultTable, cell_seed, require
 from repro.metrics.summary import SummaryStats
 from repro.scenarios.mc import McTarget, register_mc_target
 from repro.scenarios.registry import Scenario, register_scenario
-from repro.scenarios.runner import SweepRunner
 from repro.scenarios.spec import (
     Cell,
     LossSpec,
@@ -46,18 +45,6 @@ class Fig3Config:
     #: loss classic Raft cannot absorb through its quorum).
     proposal_timeout: float = 0.150
     timeout: float = 600.0     # sim-seconds allowed per point
-
-    @classmethod
-    def paper(cls) -> "Fig3Config":
-        return cls()
-
-    @classmethod
-    def quick(cls) -> "Fig3Config":
-        return cls(loss_rates=(0.0, 0.05, 0.10), trials=25)
-
-    @classmethod
-    def smoke(cls) -> "Fig3Config":
-        return cls(loss_rates=(0.0, 0.10), trials=15)
 
 
 @dataclass
@@ -97,18 +84,22 @@ class Fig3Result:
     def check_shape(self) -> None:
         """The paper's robust qualitative claims.
 
-        One documented divergence (EXPERIMENTS.md): the paper's prototype
-        crosses over around 5-10 % loss, ours does not -- our client
-        retries regenerate the entire proposal broadcast, so failed fast
-        tracks recover cheaply and Fast Raft keeps its lead under loss.
-        We therefore check that both protocols degrade within bounds and
-        that the advantage does not *grow* with loss, rather than
-        demanding the crossover.
+        One divergence from the paper: its prototype crosses over around
+        5-10 % loss, ours does not -- our client retries regenerate the
+        entire proposal broadcast, so failed fast tracks recover cheaply
+        and Fast Raft keeps its lead under loss. We therefore check that
+        both protocols degrade within bounds and that the advantage does
+        not *grow* with loss, rather than demanding the crossover.
         """
         first, last = self.points[0], self.points[-1]
-        require(first.speedup >= 1.5,
-                f"Fast Raft should be ~2x classic at 0% loss, got "
-                f"{first.speedup:.2f}x")
+        # The paper's headline: "twice as fast as classic Raft if
+        # message loss is below 5%".
+        for point in self.points:
+            if point.loss_rate < 0.05:
+                require(point.speedup >= 1.5,
+                        f"Fast Raft should be ~2x classic below 5% loss, "
+                        f"got {point.speedup:.2f}x at "
+                        f"{point.loss_rate:.1%}")
         require(first.speedup <= 3.5,
                 f"speedup at 0% loss implausibly large: "
                 f"{first.speedup:.2f}x")
@@ -148,32 +139,28 @@ def fig3_cells(config: Fig3Config) -> list[Cell]:
             for protocol in ("classic", "fast")]
 
 
-def run_fig3(config: Fig3Config | None = None, jobs: int = 1) -> Fig3Result:
-    config = config or Fig3Config.paper()
-    stats = SweepRunner(jobs).run(fig3_cells(config))
-    points = [Fig3Point(loss_rate=loss_rate,
-                        classic=stats[("classic", loss_rate)],
-                        fast=stats[("fast", loss_rate)])
-              for loss_rate in config.loss_rates]
-    return Fig3Result(config=config, points=points)
+def fig3_result(config: Fig3Config, stats: dict) -> Fig3Result:
+    return Fig3Result(config=config, points=[
+        Fig3Point(loss_rate=rate, classic=stats[("classic", rate)],
+                  fast=stats[("fast", rate)])
+        for rate in config.loss_rates])
 
 
 register_scenario(Scenario(
     name="fig3",
     description="Commit latency vs message loss, classic Raft vs Fast "
                 "Raft (Fig. 3)",
-    make_config=lambda mode: {"quick": Fig3Config.quick,
-                              "full": Fig3Config.paper,
-                              "smoke": Fig3Config.smoke}[mode](),
-    run=run_fig3,
-    modes=("quick", "full", "smoke")))
+    config=Fig3Config,
+    presets={"quick": {"loss_rates": (0.0, 0.05, 0.10), "trials": 25},
+             "smoke": {"loss_rates": (0.0, 0.10), "trials": 15}},
+    cells=fig3_cells, assemble=fig3_result))
 
 # Any registered ScenarioSpec is checkable: wrap one fig3 grid point as
 # an mc target (lossless -- the explorer enumerates delivery orders
 # itself, it does not need the loss process to create nondeterminism).
 register_mc_target(McTarget(
     name="mc_fig3_fast",
-    spec=fig3_spec(Fig3Config.smoke(), "fast", 0.0),
+    spec=fig3_spec(Fig3Config(trials=15), "fast", 0.0),
     seed=cell_seed(0, "fast", 0.0), warmup=4.0,
     description="fig3 grid point (Fast Raft, 0% loss) explored as a "
                 "model-checking target"))

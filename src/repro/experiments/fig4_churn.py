@@ -21,7 +21,7 @@ from repro.consensus.timing import TimingConfig
 from repro.experiments.base import ResultTable, require
 from repro.metrics.summary import summarize
 from repro.scenarios.registry import Scenario, register_scenario
-from repro.scenarios.runner import RunContext, SweepRunner, probe
+from repro.scenarios.runner import RunContext, probe
 from repro.scenarios.spec import (
     Cell,
     Event,
@@ -44,18 +44,6 @@ class Fig4Config:
     seed: int = 7
     timing: TimingConfig = field(default_factory=TimingConfig.intra_cluster)
     timeout: float = 900.0
-
-    @classmethod
-    def paper(cls) -> "Fig4Config":
-        return cls()
-
-    @classmethod
-    def quick(cls) -> "Fig4Config":
-        return cls(warmup_commits=15, total_commits=80)
-
-    @classmethod
-    def smoke(cls) -> "Fig4Config":
-        return cls(warmup_commits=10, total_commits=60)
 
 
 @dataclass
@@ -160,22 +148,13 @@ def fig4_cells(config: Fig4Config) -> list[Cell]:
                  seed=config.seed)]
 
 
-def run_fig4(config: Fig4Config | None = None, jobs: int = 1) -> Fig4Result:
-    config = config or Fig4Config.paper()
-    metrics = SweepRunner(jobs).map(fig4_cells(config))[0]
-    return Fig4Result(config=config,
-                      leave_time=metrics["leave_time"],
-                      timeline=metrics["timeline"],
-                      final_members=metrics["final_members"],
-                      final_fast_quorum=metrics["final_fast_quorum"])
-
-
 register_scenario(Scenario(
     name="fig4",
     description="Fast Raft latency timeline across two silent leaves "
                 "(Fig. 4)",
-    make_config=lambda mode: {"quick": Fig4Config.quick,
-                              "full": Fig4Config.paper,
-                              "smoke": Fig4Config.smoke}[mode](),
-    run=run_fig4,
-    modes=("quick", "full", "smoke")))
+    config=Fig4Config,
+    presets={"quick": {"warmup_commits": 15, "total_commits": 80},
+             "smoke": {"warmup_commits": 10, "total_commits": 60}},
+    cells=fig4_cells,
+    assemble=lambda config, results: Fig4Result(
+        config=config, **results[("timeline",)])))

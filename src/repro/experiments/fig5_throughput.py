@@ -29,7 +29,6 @@ from repro.experiments.base import ResultTable, cell_seed, require
 from repro.experiments.regions import regions_for
 from repro.net.topology import Topology
 from repro.scenarios.registry import Scenario, register_scenario
-from repro.scenarios.runner import SweepRunner
 from repro.scenarios.spec import (
     Cell,
     LatencySpec,
@@ -53,20 +52,6 @@ class Fig5Config:
     trials: int = 5
     warmup: float = 20.0            # excluded from the measurement window
     seed: int = 0
-
-    @classmethod
-    def paper(cls) -> "Fig5Config":
-        return cls()
-
-    @classmethod
-    def quick(cls) -> "Fig5Config":
-        return cls(cluster_counts=(1, 4, 10), trial_duration=40.0,
-                   trials=1, warmup=10.0)
-
-    @classmethod
-    def smoke(cls) -> "Fig5Config":
-        return cls(cluster_counts=(1, 10), trial_duration=30.0, trials=1,
-                   warmup=10.0)
 
 
 @dataclass
@@ -182,9 +167,7 @@ def fig5_cells(config: Fig5Config) -> list[Cell]:
     return cells
 
 
-def run_fig5(config: Fig5Config | None = None, jobs: int = 1) -> Fig5Result:
-    config = config or Fig5Config.paper()
-    rates = SweepRunner(jobs).run(fig5_cells(config))
+def fig5_result(config: Fig5Config, rates: dict) -> Fig5Result:
     points = []
     for cluster_count in config.cluster_counts:
         classic = [rates[("classic", cluster_count, t)]
@@ -202,8 +185,9 @@ register_scenario(Scenario(
     name="fig5",
     description="Global commit throughput vs cluster count, classic Raft "
                 "vs C-Raft (Fig. 5)",
-    make_config=lambda mode: {"quick": Fig5Config.quick,
-                              "full": Fig5Config.paper,
-                              "smoke": Fig5Config.smoke}[mode](),
-    run=run_fig5,
-    modes=("quick", "full", "smoke")))
+    config=Fig5Config,
+    presets={"quick": {"cluster_counts": (1, 4, 10), "trial_duration": 40.0,
+                       "trials": 1, "warmup": 10.0},
+             "smoke": {"cluster_counts": (1, 10), "trial_duration": 30.0,
+                       "trials": 1, "warmup": 10.0}},
+    cells=fig5_cells, assemble=fig5_result))

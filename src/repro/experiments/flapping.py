@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from repro.experiments.base import ResultTable, require
 from repro.metrics.summary import summarize
 from repro.scenarios.registry import Scenario, register_scenario
-from repro.scenarios.runner import RunContext, SweepRunner, probe
+from repro.scenarios.runner import RunContext, probe
 from repro.scenarios.spec import (
     Cell,
     EventSchedule,
@@ -48,18 +48,6 @@ class FlappingConfig:
     wan_rtt: float = 0.080        # core <-> edge round trip
     seed: int = 3
     timeout: float = 300.0
-
-    @classmethod
-    def paper(cls) -> "FlappingConfig":
-        return cls()
-
-    @classmethod
-    def quick(cls) -> "FlappingConfig":
-        return cls()
-
-    @classmethod
-    def smoke(cls) -> "FlappingConfig":
-        return cls(requests=25, cycles=3)
 
 
 @dataclass
@@ -157,19 +145,12 @@ def flapping_cells(config: FlappingConfig) -> list[Cell]:
                  seed=config.seed)]
 
 
-def run_flapping(config: FlappingConfig | None = None,
-                 jobs: int = 1) -> FlappingResult:
-    config = config or FlappingConfig.paper()
-    metrics = SweepRunner(jobs).map(flapping_cells(config))[0]
-    return FlappingResult(config=config, **metrics)
-
-
 register_scenario(Scenario(
     name="flapping_wan",
     description="Edge proposer across a flapping WAN link: commits land "
                 "in short-lived stability windows",
-    make_config=lambda mode: {"quick": FlappingConfig.quick,
-                              "full": FlappingConfig.paper,
-                              "smoke": FlappingConfig.smoke}[mode](),
-    run=run_flapping,
-    modes=("quick", "full", "smoke")))
+    config=FlappingConfig,
+    presets={"quick": {}, "smoke": {"requests": 25, "cycles": 3}},
+    cells=flapping_cells,
+    assemble=lambda config, results: FlappingResult(
+        config=config, **results[("flap",)])))

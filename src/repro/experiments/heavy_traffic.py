@@ -42,12 +42,7 @@ from repro.experiments.regions import regions_for
 from repro.metrics.summary import StreamingReservoir, SummaryStats
 from repro.net.topology import Topology
 from repro.scenarios.registry import Scenario, register_scenario
-from repro.scenarios.runner import (
-    RunContext,
-    SweepRunner,
-    arm_timed_events,
-    drive,
-)
+from repro.scenarios.runner import RunContext, arm_timed_events, drive
 from repro.scenarios.spec import (
     Cell,
     EventSchedule,
@@ -94,23 +89,6 @@ class HeavyTrafficConfig:
     @property
     def total_sites(self) -> int:
         return self.clusters * self.sites_per_cluster
-
-    @classmethod
-    def paper(cls) -> "HeavyTrafficConfig":
-        return cls()
-
-    @classmethod
-    def quick(cls) -> "HeavyTrafficConfig":
-        return cls(sessions=2_000, arrival_rate=150.0,
-                   duration=24.0, warmup=10.0, cycles=6)
-
-    @classmethod
-    def smoke(cls) -> "HeavyTrafficConfig":
-        # Full 6x5 mesh (shrinking it would defeat the smoke), smaller
-        # fleet and window.
-        return cls(sessions=300, arrival_rate=60.0,
-                   duration=10.0, warmup=6.0, drain=4.0,
-                   first_outage=24.0, outage=1.5, stable=3.0, cycles=3)
 
 
 @dataclass
@@ -191,9 +169,9 @@ def drive_serving_window(system, spec: ScenarioSpec) -> dict:
     """Open-loop session fleet against a C-Raft deployment.
 
     Returns ``{"throughput", "latency", "abandoned_fraction",
-    "duplicates_suppressed", "sessions_used", "saturated_arrivals",
-    "fired"}`` (``fired`` counts the schedule events that took effect);
-    raises ExperimentError if ``spec.slo`` is violated.
+    "duplicates_suppressed", "fired"}`` (``fired`` counts the schedule
+    events that took effect); raises ExperimentError if ``spec.slo`` is
+    violated. An arrival that finds every session busy is dropped.
     """
     params = spec.params
     n_sessions = params["sessions"]
@@ -216,7 +194,7 @@ def drive_serving_window(system, spec: ScenarioSpec) -> dict:
     #: Sessions with no outstanding request (index into ``clients``).
     idle = list(range(n_sessions))
     state = {"measuring": False, "submitting": True,
-             "submitted": 0, "saturated": 0, "counter": 0}
+             "submitted": 0, "counter": 0}
 
     def on_done(index, record):
         idle.append(index)
@@ -240,8 +218,6 @@ def drive_serving_window(system, spec: ScenarioSpec) -> dict:
             return
         if idle:
             submit_one()
-        else:
-            state["saturated"] += 1
         loop.call_at(loop.now() + arrivals.expovariate(rate), on_arrival)
 
     loop.call_at(loop.now() + arrivals.expovariate(rate), on_arrival)
@@ -268,8 +244,6 @@ def drive_serving_window(system, spec: ScenarioSpec) -> dict:
     return {"throughput": throughput, "latency": latency,
             "abandoned_fraction": fraction,
             "duplicates_suppressed": duplicates,
-            "sessions_used": n_sessions - len(idle),
-            "saturated_arrivals": state["saturated"],
             "fired": len(ctx.fired)}
 
 
@@ -278,25 +252,20 @@ def heavy_traffic_cells(config: HeavyTrafficConfig) -> list[Cell]:
                  seed=cell_seed(config.seed, "heavy_traffic"))]
 
 
-def run_heavy_traffic(config: HeavyTrafficConfig | None = None,
-                      jobs: int = 1) -> HeavyTrafficResult:
-    config = config or HeavyTrafficConfig.paper()
-    metrics = SweepRunner(jobs).map(heavy_traffic_cells(config))[0]
-    return HeavyTrafficResult(
-        config=config, throughput=metrics["throughput"],
-        latency=metrics["latency"],
-        abandoned_fraction=metrics["abandoned_fraction"],
-        duplicates_suppressed=metrics["duplicates_suppressed"],
-        fired=metrics["fired"])
-
-
 register_scenario(Scenario(
     name="heavy_traffic",
     description="session fleet over the 6x5 mesh: adaptive batching, "
                 "exactly-once dedup, and percentile SLO assertions "
                 "under a flapping WAN uplink",
-    make_config=lambda mode: {"quick": HeavyTrafficConfig.quick,
-                              "full": HeavyTrafficConfig.paper,
-                              "smoke": HeavyTrafficConfig.smoke}[mode](),
-    run=run_heavy_traffic,
-    modes=("quick", "full", "smoke")))
+    config=HeavyTrafficConfig,
+    # Smoke keeps the full 6x5 mesh (shrinking it would defeat the
+    # smoke) with a smaller fleet and window.
+    presets={"quick": {"sessions": 2_000, "arrival_rate": 150.0,
+                       "duration": 24.0, "warmup": 10.0, "cycles": 6},
+             "smoke": {"sessions": 300, "arrival_rate": 60.0,
+                       "duration": 10.0, "warmup": 6.0, "drain": 4.0,
+                       "first_outage": 24.0, "outage": 1.5, "stable": 3.0,
+                       "cycles": 3}},
+    cells=heavy_traffic_cells,
+    assemble=lambda config, results: HeavyTrafficResult(
+        config=config, **results[("heavy_traffic",)])))

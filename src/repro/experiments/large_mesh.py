@@ -22,7 +22,6 @@ from repro.experiments.base import ResultTable, cell_seed, require
 from repro.experiments.regions import regions_for
 from repro.net.topology import Topology
 from repro.scenarios.registry import Scenario, register_scenario
-from repro.scenarios.runner import SweepRunner
 from repro.scenarios.spec import (
     Cell,
     EventSchedule,
@@ -60,21 +59,6 @@ class LargeMeshConfig:
     @property
     def total_sites(self) -> int:
         return self.clusters * self.sites_per_cluster
-
-    @classmethod
-    def paper(cls) -> "LargeMeshConfig":
-        return cls()
-
-    @classmethod
-    def quick(cls) -> "LargeMeshConfig":
-        return cls(duration=30.0, cycles=5)
-
-    @classmethod
-    def smoke(cls) -> "LargeMeshConfig":
-        # Still the full 6x5 mesh -- shrinking the topology would defeat
-        # the point of smoking it; only the window shortens.
-        return cls(duration=18.0, warmup=8.0, first_outage=24.0,
-                   outage=1.5, stable=3.0, cycles=4)
 
 
 @dataclass
@@ -139,19 +123,17 @@ def large_mesh_cells(config: LargeMeshConfig) -> list[Cell]:
                  seed=cell_seed(config.seed, "large_mesh"))]
 
 
-def run_large_mesh(config: LargeMeshConfig | None = None,
-                   jobs: int = 1) -> LargeMeshResult:
-    config = config or LargeMeshConfig.paper()
-    throughput = SweepRunner(jobs).map(large_mesh_cells(config))[0]
-    return LargeMeshResult(config=config, throughput=throughput)
-
-
 register_scenario(Scenario(
     name="large_mesh",
     description="6x5 C-Raft mesh with a flapping WAN uplink: global "
                 "throughput under sustained dynamic-network churn",
-    make_config=lambda mode: {"quick": LargeMeshConfig.quick,
-                              "full": LargeMeshConfig.paper,
-                              "smoke": LargeMeshConfig.smoke}[mode](),
-    run=run_large_mesh,
-    modes=("quick", "full", "smoke")))
+    config=LargeMeshConfig,
+    # Smoke still runs the full 6x5 mesh -- shrinking the topology would
+    # defeat the point of smoking it; only the window shortens.
+    presets={"quick": {"duration": 30.0, "cycles": 5},
+             "smoke": {"duration": 18.0, "warmup": 8.0,
+                       "first_outage": 24.0, "outage": 1.5, "stable": 3.0,
+                       "cycles": 4}},
+    cells=large_mesh_cells,
+    assemble=lambda config, results: LargeMeshResult(
+        config=config, throughput=results[("large_mesh",)])))

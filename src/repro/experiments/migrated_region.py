@@ -30,7 +30,7 @@ from repro.experiments.regions import regions_for
 from repro.harness.checkers import check_images_agree
 from repro.harness.workload import ClosedLoopWorkload
 from repro.scenarios.registry import Scenario, register_scenario
-from repro.scenarios.runner import RunContext, SweepRunner, drive
+from repro.scenarios.runner import RunContext, drive
 from repro.scenarios.spec import (
     Cell,
     LatencySpec,
@@ -54,18 +54,6 @@ class MigratedRegionConfig:
     global_retain: int = 1
     seed: int = 6
     timeout: float = 600.0
-
-    @classmethod
-    def paper(cls) -> "MigratedRegionConfig":
-        return cls()
-
-    @classmethod
-    def quick(cls) -> "MigratedRegionConfig":
-        return cls()
-
-    @classmethod
-    def smoke(cls) -> "MigratedRegionConfig":
-        return cls(clusters=3, requests=60)
 
     @property
     def total_sites(self) -> int:
@@ -237,19 +225,12 @@ def migrated_region_cells(config: MigratedRegionConfig) -> list[Cell]:
                  seed=config.seed)]
 
 
-def run_migrated_region(config: MigratedRegionConfig | None = None,
-                        jobs: int = 1) -> MigratedRegionResult:
-    config = config or MigratedRegionConfig.paper()
-    metrics = SweepRunner(jobs).map(migrated_region_cells(config))[0]
-    return MigratedRegionResult(config=config, **metrics)
-
-
 register_scenario(Scenario(
     name="migrated_region",
     description="A whole region migrates in after global compaction and "
                 "catches up via the gated global snapshot path",
-    run=run_migrated_region,
-    make_config=lambda mode: {"quick": MigratedRegionConfig.quick,
-                              "full": MigratedRegionConfig.paper,
-                              "smoke": MigratedRegionConfig.smoke}[mode](),
-    modes=("quick", "full", "smoke")))
+    config=MigratedRegionConfig,
+    presets={"quick": {}, "smoke": {"clusters": 3, "requests": 60}},
+    cells=migrated_region_cells,
+    assemble=lambda config, results: MigratedRegionResult(
+        config=config, **results[("migrate",)])))

@@ -23,7 +23,7 @@ from repro.consensus.timing import TimingConfig
 from repro.experiments.base import ResultTable, cell_seed, require
 from repro.metrics.rounds import hops_from_latency
 from repro.scenarios.registry import Scenario, register_scenario
-from repro.scenarios.runner import SweepRunner, drive, elect_flat_leader
+from repro.scenarios.runner import drive, elect_flat_leader
 from repro.scenarios.spec import Cell, LatencySpec, ScenarioSpec, TopologySpec
 
 
@@ -33,14 +33,6 @@ class RoundsConfig:
     one_way_delay: float = 0.010   # 10 ms: dwarfs the epsilon timers
     commits: int = 10
     seed: int = 0
-
-    @classmethod
-    def paper(cls) -> "RoundsConfig":
-        return cls()
-
-    @classmethod
-    def quick(cls) -> "RoundsConfig":
-        return cls(commits=5)
 
 
 @dataclass
@@ -140,23 +132,11 @@ def rounds_cells(config: RoundsConfig) -> list[Cell]:
     return cells
 
 
-def run_rounds(config: RoundsConfig | None = None,
-               jobs: int = 1) -> RoundsResult:
-    config = config or RoundsConfig.paper()
-    hops = SweepRunner(jobs).run(rounds_cells(config))
-    classic_commit, classic_proposer = hops[("classic",)]
-    fast_commit, fast_proposer = hops[("fast",)]
-    return RoundsResult(config=config,
-                        classic_commit_hops=classic_commit,
-                        classic_proposer_hops=classic_proposer,
-                        fast_commit_hops=fast_commit,
-                        fast_proposer_hops=fast_proposer)
-
-
 register_scenario(Scenario(
     name="rounds",
     description="Message-hop validation of the Figs. 1-2 commit paths",
-    make_config=lambda mode: (RoundsConfig.paper() if mode == "full"
-                              else RoundsConfig.quick()),
-    run=run_rounds,
-    modes=("quick", "full", "smoke")))
+    config=RoundsConfig,
+    presets={"quick": {"commits": 5}, "smoke": {"commits": 5}},
+    cells=rounds_cells,
+    assemble=lambda config, hops: RoundsResult(
+        config, *hops[("classic",)], *hops[("fast",)])))

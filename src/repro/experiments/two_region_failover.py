@@ -22,14 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.consensus.timing import TimingConfig
 from repro.craft.batching import BatchPolicy
 from repro.errors import ExperimentError
 from repro.experiments.base import ResultTable, require
 from repro.harness.checkers import check_election_safety
 from repro.harness.workload import ClosedLoopWorkload
 from repro.scenarios.registry import Scenario, register_scenario
-from repro.scenarios.runner import RunContext, SweepRunner, drive
+from repro.scenarios.runner import RunContext, drive
 from repro.scenarios.spec import (
     Cell,
     LatencySpec,
@@ -55,20 +54,6 @@ class TwoRegionFailoverConfig:
     #: (which never completed at all).
     round_budget: int = 60
     timeout: float = 300.0
-
-    @classmethod
-    def paper(cls) -> "TwoRegionFailoverConfig":
-        return cls()
-
-    @classmethod
-    def quick(cls) -> "TwoRegionFailoverConfig":
-        return cls()
-
-    @classmethod
-    def smoke(cls) -> "TwoRegionFailoverConfig":
-        # requests stays a multiple of batch_size: a partial trailing
-        # batch would sit in the batcher waiting for more traffic.
-        return cls(requests=5)
 
 
 @dataclass
@@ -188,7 +173,8 @@ def drive_two_region_failover(deployment, spec: ScenarioSpec) -> dict:
             f"survivor batches stalled at "
             f"{deployment.total_global_applied()}/{target} global applies")
     total_rounds = rounds_since_crash()
-    assert not deployment.servers[victim].alive  # it truly never returned
+    if deployment.servers[victim].alive:
+        raise ExperimentError(f"crashed leader {victim!r} came back")
     check_election_safety(deployment.trace)
 
     leader = deployment.global_leader()
@@ -225,21 +211,15 @@ def two_region_failover_cells(config: TwoRegionFailoverConfig
                  seed=config.seed)]
 
 
-def run_two_region_failover(config: TwoRegionFailoverConfig | None = None,
-                            jobs: int = 1) -> TwoRegionFailoverResult:
-    config = config or TwoRegionFailoverConfig.paper()
-    metrics = SweepRunner(jobs).map(two_region_failover_cells(config))[0]
-    return TwoRegionFailoverResult(config=config, **metrics)
-
-
 register_scenario(Scenario(
     name="two_region_failover",
     description="2-cluster deployment survives its east leader's crash: "
                 "observer tiebreaker + joining-leader exclusion quorum "
                 "keep the global configuration live",
-    run=run_two_region_failover,
-    make_config=lambda mode: {
-        "quick": TwoRegionFailoverConfig.quick,
-        "full": TwoRegionFailoverConfig.paper,
-        "smoke": TwoRegionFailoverConfig.smoke}[mode](),
-    modes=("quick", "full", "smoke")))
+    config=TwoRegionFailoverConfig,
+    # requests stays a multiple of batch_size: a partial trailing batch
+    # would sit in the batcher waiting for more traffic.
+    presets={"quick": {}, "smoke": {"requests": 5}},
+    cells=two_region_failover_cells,
+    assemble=lambda config, results: TwoRegionFailoverResult(
+        config=config, **results[("failover",)])))

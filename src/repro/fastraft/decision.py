@@ -9,8 +9,7 @@ quorum is missing, the decided entry rides the classic track (ordinary
 AppendEntries replication) and the loop stops -- the paper gates the fast
 track on "the last index was committed".
 
-Two liveness additions the paper leaves implicit (documented in
-DESIGN.md):
+Two liveness additions the paper leaves implicit:
 
 - **duplicate suppression** -- if the plurality winner is already
   committed or already decided at another index (a retried client request

@@ -12,7 +12,7 @@ Two changes from classic Raft:
   quorum's entry holds the plurality in every classic quorum of votes, so
   the new leader makes the same choice -- Lemma 2).
 
-One further implementation choice, documented in DESIGN.md: the new leader
+One further implementation choice the paper leaves open: the new leader
 *restamps* its uncommitted leader-approved suffix with its own term and
 re-replicates it. Identical data, new term -- the same mechanism
 Viewstamped Replication uses on view change -- which lets inherited

@@ -56,7 +56,7 @@ class FastRaftEngine(ProposalMixin, DecisionMixin, ReplicationMixin,
             self.log.last_with_provenance(InsertedBy.LEADER),
             self.log.snapshot_index)
         # Timers: AppendEntries dispatch and the decision procedure run on
-        # separate cadences (see TimingConfig / DESIGN.md calibration).
+        # separate cadences (see the TimingConfig calibration note).
         self._heartbeat = PeriodicTimer(ctx.loop,
                                         self.timing.heartbeat_interval,
                                         self._broadcast_append_entries)

@@ -1,55 +1,69 @@
 """The named scenario registry.
 
-Every experiment registers a :class:`Scenario`: how to build its config
-for a mode (``quick`` / ``full`` / ``smoke``), how to run its sweep (with
-a ``jobs`` fan-out degree), and how to render / verify the result. The
-CLI (``python -m repro.experiments --scenario <name> --jobs N``), the
-benchmarks, and CI all go through this registry instead of importing
-driver functions ad hoc.
+Every experiment registers a :class:`Scenario` *declaration*: its config
+dataclass (``config()`` is the ``full``, paper-scale run), the field
+overrides of its scaled-down modes, the sweep cells a config expands
+to, and how the cells' results assemble into the reported result. The
+registry owns the one mode -> config -> :class:`SweepRunner` -> result
+path; the CLI (``python -m repro.experiments --scenario <name> --jobs
+N``), tests and CI all go through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Mapping
 
 from repro.errors import ExperimentError
+from repro.scenarios.runner import SweepRunner, load_catalog
 
 
-def _default_tables(result: Any) -> list:
-    # Imported lazily: the experiment modules import this registry at
-    # module level, so the reverse import must not happen at load time.
-    from repro.experiments.base import ResultTable
-    if isinstance(result, ResultTable):
-        return [result]
-    if isinstance(result, (list, tuple)):
-        return [t for r in result for t in _default_tables(r)]
-    return [result.table()]
-
-
-def _default_check(result: Any) -> None:
-    if isinstance(result, (list, tuple)):
-        for item in result:
-            _default_check(item)
-        return
-    check = getattr(result, "check_shape", None)
-    if check is not None:
-        check()
-
-
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """A registered, runnable scenario (usually a sweep of cells)."""
+    """A registered experiment, declared as data."""
 
     name: str
     description: str
-    #: mode -> config object understood by :attr:`run`.
-    make_config: Callable[[str], Any]
-    #: ``run(config, jobs=N) -> result``.
-    run: Callable[..., Any]
-    modes: tuple[str, ...] = ("quick", "full")
-    tables: Callable[[Any], list] = _default_tables
-    check: Callable[[Any], None] = _default_check
+    #: The config dataclass; ``config()`` is the ``full`` mode.
+    config: Callable[[], Any]
+    #: mode -> ``dataclasses.replace`` overrides of ``config()``.
+    presets: Mapping[str, Mapping[str, Any]]
+    #: ``cells(config) -> list[Cell]``: the sweep.
+    cells: Callable[[Any], list]
+    #: ``assemble(config, results_by_key) -> result``: a result object
+    #: with ``table()`` / ``check_shape()``, a ResultTable, or a list.
+    assemble: Callable[[Any, dict], Any]
+
+    @property
+    def modes(self) -> tuple[str, ...]:
+        return (*self.presets, "full")
+
+    def configure(self, mode: str) -> Any:
+        """The config ``mode`` runs."""
+        if mode not in self.modes:
+            raise ExperimentError(
+                f"scenario {self.name!r} has no mode {mode!r} "
+                f"(choose from {self.modes})")
+        return replace(self.config(), **self.presets.get(mode, {}))
+
+    def run(self, config: Any, jobs: int = 1) -> Any:
+        return self.assemble(config,
+                             SweepRunner(jobs).run(self.cells(config)))
+
+    def tables(self, result: Any) -> list:
+        if isinstance(result, (list, tuple)):
+            return [t for r in result for t in self.tables(r)]
+        table = getattr(result, "table", None)
+        return [result] if table is None else [table()]
+
+    def check(self, result: Any) -> None:
+        if isinstance(result, (list, tuple)):
+            for item in result:
+                self.check(item)
+            return
+        check = getattr(result, "check_shape", None)
+        if check is not None:
+            check()
 
     def as_dict(self, result: Any) -> dict[str, Any]:
         return {"scenario": self.name,
@@ -68,7 +82,6 @@ def register_scenario(scenario: Scenario) -> Scenario:
 
 
 def get_scenario(name: str) -> Scenario:
-    from repro.scenarios.runner import load_catalog
     load_catalog()
     try:
         return _REGISTRY[name]
@@ -79,17 +92,11 @@ def get_scenario(name: str) -> Scenario:
 
 
 def scenario_names() -> list[str]:
-    from repro.scenarios.runner import load_catalog
     load_catalog()
     return sorted(_REGISTRY)
 
 
 def run_scenario(name: str, mode: str = "quick", jobs: int = 1):
-    """Convenience: resolve, configure, and run a scenario by name."""
+    """Resolve, configure, and run a scenario by name."""
     scenario = get_scenario(name)
-    if mode not in scenario.modes:
-        raise ExperimentError(
-            f"scenario {name!r} has no mode {mode!r} "
-            f"(choose from {scenario.modes})")
-    config = scenario.make_config(mode)
-    return scenario, scenario.run(config, jobs=jobs)
+    return scenario, scenario.run(scenario.configure(mode), jobs=jobs)

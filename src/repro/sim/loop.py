@@ -4,23 +4,17 @@ Time is a float in **seconds**. Events scheduled for the same instant run
 in scheduling order (a monotonically increasing sequence number breaks
 ties), which keeps runs deterministic regardless of scheduler internals.
 
-Two schedulers implement that contract:
-
-- ``"wheel"`` (the default) -- a bucketed timer wheel sized for the
-  heartbeat- and election-timeout-dominated load of the consensus
-  engines: events within the wheel horizon live in per-bucket mini
-  heaps of ``(when, seq, handle)`` tuples (comparisons stay in C, no
-  per-compare tuple allocation), far-future events wait in an overflow
-  heap and migrate in as the wheel turns. Cancellation is O(1)
-  cancel-and-forget, and fired or cancelled handles are recycled
-  through a small free-list when nothing else references them.
-- ``"heap"`` -- a single binary heap of ``Handle`` objects ordered by
-  ``Handle.__lt__``. The reference implementation, reachable only
-  through an explicit ``SimLoop(scheduler="heap")``: the equivalence
-  property test replays random schedule/cancel traces through both.
-
-Both produce the exact same firing order and clock reads for the same
-calls; tests pin that equivalence.
+The scheduler is a bucketed timer wheel sized for the heartbeat- and
+election-timeout-dominated load of the consensus engines: events within
+the wheel horizon live in per-bucket mini heaps of ``(when, seq,
+handle)`` tuples (comparisons stay in C, no per-compare tuple
+allocation), far-future events wait in an overflow heap and migrate in
+as the wheel turns. Cancellation is O(1) cancel-and-forget, and fired or
+cancelled handles are recycled through a small free-list when nothing
+else references them. ``tests/heap_loop.py`` keeps a single-heap
+reference scheduler; the equivalence tests replay random
+schedule/cancel traces through both and compare firing order and clock
+reads.
 """
 
 from __future__ import annotations
@@ -88,16 +82,6 @@ class Handle:
     def cancelled(self) -> bool:
         return self._cancelled
 
-    def _run(self) -> None:
-        if not self._cancelled:
-            self._callback(*self._args)
-
-    def __lt__(self, other: "Handle") -> bool:
-        # Only the reference heap scheduler (and external sorts)
-        # compare handles directly; the wheel stores (when, seq, handle)
-        # tuples so comparisons never allocate.
-        return (self.when, self.seq) < (other.when, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self._cancelled else "pending"
         return f"<Handle when={self.when:.6f} seq={self.seq} {state}>"
@@ -112,38 +96,23 @@ class SimLoop:
         loop = SimLoop()
         loop.call_later(0.5, do_something)
         loop.run_until(60.0)
-
-    ``scheduler`` picks the implementation (``"wheel"`` / ``"heap"``).
     """
 
     #: Compaction never bothers with structures smaller than this.
     _COMPACT_MIN = 64
 
-    def __init__(self, scheduler: str = "wheel") -> None:
-        if scheduler not in ("wheel", "heap"):
-            raise SimulationError(f"unknown scheduler: {scheduler!r}")
-        self.scheduler = scheduler
-        self._is_wheel = scheduler == "wheel"
+    def __init__(self) -> None:
         self._now = 0.0
         self._seq = itertools.count()
         self._events_processed = 0
         self._running = False
         self._cancelled_in_heap = 0
         self._free: list[Handle] = []
-        if self._is_wheel:
-            self._wheel: list[list] = [[] for _ in range(_WHEEL_SLOTS)]
-            self._overflow: list = []
-            self._cursor = 0          # absolute bucket id of the clock
-            self._active = 0          # scheduled, non-cancelled entries
-            self._in_wheel = 0        # entries in wheel slots (incl. cancelled)
-            # Scheduling runs once per simulated event (often twice);
-            # the fused wheel variants skip the call_later -> call_at
-            # dispatch frame and its redundant past-check. The reference
-            # heap scheduler keeps the generic methods.
-            self.call_later = self._call_later_wheel  # type: ignore[method-assign]
-            self.call_soon = self._call_soon_wheel  # type: ignore[method-assign]
-        else:
-            self._heap: list[Handle] = []
+        self._wheel: list[list] = [[] for _ in range(_WHEEL_SLOTS)]
+        self._overflow: list = []
+        self._cursor = 0          # absolute bucket id of the clock
+        self._active = 0          # scheduled, non-cancelled entries
+        self._in_wheel = 0        # entries in wheel slots (incl. cancelled)
 
     # ------------------------------------------------------------------
     # Clock
@@ -160,13 +129,9 @@ class SimLoop:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def call_later(self, delay: float, callback: Callable[..., None],
-                   *args: Any) -> Handle:
-        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: {delay!r}")
-        return self.call_at(self._now + delay, callback, *args)
-
+    # Scheduling runs once per simulated event (often twice), so
+    # call_later and call_soon repeat call_at's body instead of calling
+    # it: no extra frame, no redundant past-check.
     def call_at(self, when: float, callback: Callable[..., None],
                 *args: Any) -> Handle:
         """Schedule ``callback(*args)`` to run at absolute time ``when``."""
@@ -185,27 +150,19 @@ class SimLoop:
         else:
             handle = Handle(when, seq, callback, args, loop=self)
         handle._in_heap = True
-        if self._is_wheel:
-            self._active += 1
-            if when - self._now >= _WHEEL_HORIZON:
-                heapq.heappush(self._overflow, (when, seq, handle))
-            else:
-                self._in_wheel += 1
-                heapq.heappush(
-                    self._wheel[int(when * _WHEEL_INV) % _WHEEL_SLOTS],
-                    (when, seq, handle))
+        self._active += 1
+        if when - self._now >= _WHEEL_HORIZON:
+            heapq.heappush(self._overflow, (when, seq, handle))
         else:
-            heapq.heappush(self._heap, handle)
+            self._in_wheel += 1
+            heapq.heappush(
+                self._wheel[int(when * _WHEEL_INV) % _WHEEL_SLOTS],
+                (when, seq, handle))
         return handle
 
-    def call_soon(self, callback: Callable[..., None], *args: Any) -> Handle:
-        """Schedule ``callback(*args)`` at the current instant."""
-        return self.call_at(self._now, callback, *args)
-
-    def _call_later_wheel(self, delay: float, callback: Callable[..., None],
-                          *args: Any) -> Handle:
-        """``call_later`` with the wheel branch of ``call_at`` fused in
-        (identical placement predicate, one call frame instead of two)."""
+    def call_later(self, delay: float, callback: Callable[..., None],
+                   *args: Any) -> Handle:
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: {delay!r}")
         when = self._now + delay
@@ -231,10 +188,9 @@ class SimLoop:
                 (when, seq, handle))
         return handle
 
-    def _call_soon_wheel(self, callback: Callable[..., None],
-                         *args: Any) -> Handle:
-        """``call_soon`` fused for the wheel: the current instant is
-        always inside the horizon, so placement needs no overflow test."""
+    def call_soon(self, callback: Callable[..., None], *args: Any) -> Handle:
+        """Schedule ``callback(*args)`` at the current instant (always
+        inside the horizon, so placement needs no overflow test)."""
         when = self._now
         seq = next(self._seq)
         free = self._free
@@ -271,49 +227,22 @@ class SimLoop:
         if self._running:
             raise SimulationError("loop is already running (re-entrant run)")
         self._running = True
+        # The event loop allocates hundreds of short-lived objects per
+        # event (messages, tuples, closures), all reclaimed promptly by
+        # reference counting; the cycle collector's young-generation
+        # scans during the run are pure overhead. Pause it for the
+        # duration -- cycles created inside are picked up once the
+        # caller allocates again with the collector back on.
+        paused = gc.isenabled()
+        if paused:
+            gc.disable()
         try:
-            if self._is_wheel:
-                # The event loop allocates hundreds of short-lived
-                # objects per event (messages, tuples, closures), all
-                # reclaimed promptly by reference counting; the cycle
-                # collector's young-generation scans during the run are
-                # pure overhead. Pause it for the duration -- cycles
-                # created inside are picked up once the caller allocates
-                # again with the collector back on. The reference heap
-                # runner leaves the collector untouched.
-                paused = gc.isenabled()
-                if paused:
-                    gc.disable()
-                try:
-                    self._run_wheel(deadline)
-                finally:
-                    if paused:
-                        gc.enable()
-            else:
-                self._run_heap(deadline)
+            self._run_wheel(deadline)
             self._now = deadline
         finally:
             self._running = False
-
-    def _run_heap(self, deadline: float,
-                  max_events: int | None = None) -> int:
-        """Reference heap-scheduler run; returns the number of events fired."""
-        heap = self._heap
-        fired = 0
-        while heap and heap[0].when <= deadline:
-            handle = heapq.heappop(heap)
-            handle._in_heap = False
-            if handle._cancelled:
-                self._cancelled_in_heap -= 1
-                continue
-            self._now = handle.when
-            self._events_processed += 1
-            fired += 1
-            if max_events is not None and fired > max_events:
-                raise SimulationError(
-                    f"run_until_idle exceeded {max_events} events")
-            handle._run()
-        return fired
+            if paused:
+                gc.enable()
 
     def _run_wheel(self, deadline: float,
                    max_events: int | None = None) -> int:
@@ -371,8 +300,6 @@ class SimLoop:
                 if max_events is not None and fired > max_events:
                     raise SimulationError(
                         f"run_until_idle exceeded {max_events} events")
-                # Handle._run inlined: the cancelled re-check is
-                # redundant here (nothing ran since the check above).
                 handle._callback(*handle._args)
                 # Recycle if this frame holds the only reference (2 ==
                 # the local + getrefcount's own argument); a caller that
@@ -420,30 +347,26 @@ class SimLoop:
             raise SimulationError("loop is already running (re-entrant run)")
         self._running = True
         executed = 0
-        paused = self._is_wheel and gc.isenabled()
+        paused = gc.isenabled()
         if paused:
             gc.disable()  # same collector pause as run_until
         try:
-            if self._is_wheel:
-                while self._active:
-                    budget = (None if max_events is None
-                              else max_events - executed)
-                    before = self._events_processed
-                    executed += self._run_wheel(self._now + _WHEEL_HORIZON,
-                                                max_events=budget)
-                    if self._events_processed == before and self._active:
-                        # Everything left lies beyond the scanned
-                        # window (deep overflow): jump the clock to the
-                        # earliest pending event and go again.
-                        self._now = self._next_event_time()
-                        self._cursor = int(self._now * _WHEEL_INV)
-                # Unlike run_until, the clock stays at the last fired
-                # event here -- pull the cursor back next to it so later
-                # schedules land ahead of it, never behind.
-                self._cursor = int(self._now * _WHEEL_INV)
-            else:
-                executed = self._run_heap(float("inf"),
-                                          max_events=max_events)
+            while self._active:
+                budget = (None if max_events is None
+                          else max_events - executed)
+                before = self._events_processed
+                executed += self._run_wheel(self._now + _WHEEL_HORIZON,
+                                            max_events=budget)
+                if self._events_processed == before and self._active:
+                    # Everything left lies beyond the scanned window
+                    # (deep overflow): jump the clock to the earliest
+                    # pending event and go again.
+                    self._now = self._next_event_time()
+                    self._cursor = int(self._now * _WHEEL_INV)
+            # Unlike run_until, the clock stays at the last fired event
+            # here -- pull the cursor back next to it so later schedules
+            # land ahead of it, never behind.
+            self._cursor = int(self._now * _WHEEL_INV)
         finally:
             self._running = False
             if paused:
@@ -451,8 +374,8 @@ class SimLoop:
         return executed
 
     def _next_event_time(self) -> float:
-        """Earliest non-cancelled pending time (wheel mode; O(stored),
-        only reached on the deep-overflow path of run_until_idle)."""
+        """Earliest non-cancelled pending time (O(stored), only reached
+        on the deep-overflow path of run_until_idle)."""
         best = None
         for slot in self._wheel:
             for when, _seq, handle in slot:
@@ -467,9 +390,7 @@ class SimLoop:
 
     def pending_count(self) -> int:
         """Number of scheduled, non-cancelled callbacks. O(1)."""
-        if self._is_wheel:
-            return self._active
-        return len(self._heap) - self._cancelled_in_heap
+        return self._active
 
     # ------------------------------------------------------------------
     # Model-checking hooks: enumerate and fire events out of order
@@ -481,13 +402,10 @@ class SimLoop:
         the explorer enumerates it, forks the world, and fires one handle
         per child via :meth:`fire_handle`.
         """
-        if self._is_wheel:
-            handles = [item[2] for slot in self._wheel for item in slot
-                       if not item[2]._cancelled]
-            handles.extend(item[2] for item in self._overflow
-                           if not item[2]._cancelled)
-        else:
-            handles = [h for h in self._heap if not h._cancelled]
+        handles = [item[2] for slot in self._wheel for item in slot
+                   if not item[2]._cancelled]
+        handles.extend(item[2] for item in self._overflow
+                       if not item[2]._cancelled)
         handles.sort(key=lambda h: (h.when, h.seq))
         return handles
 
@@ -513,9 +431,7 @@ class SimLoop:
         handle.cancel()  # retires the stored entry; drops its refs
         if handle.when > self._now:
             self._now = handle.when
-            if self._is_wheel:
-                self._cursor = max(self._cursor,
-                                   int(self._now * _WHEEL_INV))
+            self._cursor = max(self._cursor, int(self._now * _WHEEL_INV))
         self._events_processed += 1
         callback(*args)
 
@@ -529,34 +445,24 @@ class SimLoop:
         so any local alias held by a running ``run_until`` stays valid.
         """
         self._cancelled_in_heap += 1
-        if self._is_wheel:
-            self._active -= 1
-            stored = self._in_wheel + len(self._overflow)
-            if (stored >= self._COMPACT_MIN
-                    and self._cancelled_in_heap * 2 > stored):
-                in_wheel = 0
-                for slot in self._wheel:
-                    if slot:
-                        kept = [item for item in slot
-                                if not item[2]._cancelled]
-                        slot[:] = kept
-                        heapq.heapify(slot)
-                        in_wheel += len(kept)
-                overflow = self._overflow
-                overflow[:] = [item for item in overflow
-                               if not item[2]._cancelled]
-                heapq.heapify(overflow)
-                self._in_wheel = in_wheel
-                self._cancelled_in_heap = 0
-            return
-        heap = self._heap
-        if (len(heap) >= self._COMPACT_MIN
-                and self._cancelled_in_heap * 2 > len(heap)):
-            heap[:] = [h for h in heap if not h._cancelled]
-            heapq.heapify(heap)
+        self._active -= 1
+        stored = self._in_wheel + len(self._overflow)
+        if (stored >= self._COMPACT_MIN
+                and self._cancelled_in_heap * 2 > stored):
+            in_wheel = 0
+            for slot in self._wheel:
+                if slot:
+                    kept = [item for item in slot if not item[2]._cancelled]
+                    slot[:] = kept
+                    heapq.heapify(slot)
+                    in_wheel += len(kept)
+            overflow = self._overflow
+            overflow[:] = [item for item in overflow
+                           if not item[2]._cancelled]
+            heapq.heapify(overflow)
+            self._in_wheel = in_wheel
             self._cancelled_in_heap = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<SimLoop now={self._now:.6f} "
-                f"pending={self.pending_count()} "
-                f"scheduler={self.scheduler}>")
+                f"pending={self.pending_count()}>")

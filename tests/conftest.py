@@ -60,6 +60,17 @@ def size_audit(request, monkeypatch):
     assert not mismatches, mismatches
 
 
+def run_preset(name: str, mode: str = "smoke", jobs: int = 1, **overrides):
+    """Run registered scenario ``name`` on its ``mode`` config with
+    ``overrides`` replacing config fields."""
+    from dataclasses import replace
+
+    from repro.scenarios.registry import get_scenario
+    scenario = get_scenario(name)
+    return scenario.run(replace(scenario.configure(mode), **overrides),
+                        jobs=jobs)
+
+
 def make_cluster(server_cls, n_sites=5, seed=0, **kwargs) -> Cluster:
     kwargs.setdefault("state_machine_factory", KVStateMachine)
     cluster = build_cluster(server_cls, n_sites=n_sites, seed=seed, **kwargs)

@@ -5,18 +5,15 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.base import ResultTable, cell_seed
-from repro.experiments.catchup import CatchupConfig, run_catchup
-from repro.experiments.fig3_latency import Fig3Config, run_fig3
-from repro.experiments.fig4_churn import Fig4Config, run_fig4
-from repro.experiments.fig5_throughput import Fig5Config, run_fig5
 from repro.experiments.regions import (
     REGIONS,
     RTT_MATRIX,
     latency_model_for,
     regions_for,
 )
-from repro.experiments.rounds import RoundsConfig, run_rounds
 from repro.net.topology import Topology
+from repro.scenarios.registry import get_scenario
+from tests.conftest import run_preset
 
 
 class TestBase:
@@ -71,7 +68,7 @@ class TestRegions:
 
 class TestRounds:
     def test_reproduces_figs_1_2(self):
-        result = run_rounds(RoundsConfig.quick())
+        result = run_preset("rounds", "quick")
         result.check_shape()
         assert result.classic_commit_hops == 3
         assert result.fast_commit_hops == 2
@@ -80,7 +77,7 @@ class TestRounds:
 class TestFig3:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig3(Fig3Config.quick())
+        return run_preset("fig3", "quick")
 
     def test_shape(self, result):
         result.check_shape()
@@ -96,7 +93,7 @@ class TestFig3:
 class TestFig4:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig4(Fig4Config.quick())
+        return run_preset("fig4", "quick")
 
     def test_shape(self, result):
         result.check_shape()
@@ -115,9 +112,7 @@ class TestFig4:
 class TestFig5:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig5(Fig5Config(cluster_counts=(1, 10),
-                                   trial_duration=30.0, trials=1,
-                                   warmup=10.0))
+        return run_preset("fig5", "smoke")
 
     def test_craft_wins_at_ten_clusters(self, result):
         assert result.points[-1].speedup >= 3.0
@@ -136,18 +131,46 @@ class TestCatchup:
 
     @pytest.mark.parametrize("engine", ["raft", "fastraft", "craft"])
     def test_snapshots_beat_full_replay(self, engine):
-        result = run_catchup(CatchupConfig.quick(engine))
+        [result] = run_preset("catchup", "quick", engines=(engine,))
         # Enforces strictly fewer replayed entries and strictly faster
         # catch-up with snapshots, plus >= 1 install.
         result.check_shape()
 
     def test_table_and_dict(self):
-        result = run_catchup(CatchupConfig.quick("fastraft"))
-        table = result.table()
-        assert len(table.rows) == 2
-        data = result.as_dict()
-        assert data["engine"] == "fastraft"
-        assert data["with_snapshots"]["installs"] >= 1
+        results = run_preset("catchup", "quick", engines=("fastraft",))
+        data = get_scenario("catchup").as_dict(results)
+        assert data["scenario"] == "catchup"
+        [table] = data["tables"]
+        assert table["title"].endswith("fastraft")
+        assert table["columns"][3] == "installs"
+        full_replay, snapshots = table["rows"]
+        assert full_replay[3] == 0 and snapshots[3] >= 1
+
+    #: Smoke-scale WAN rejoin tables per engine, pinned: (mode, commits,
+    #: image KB, chunks, catchup ms).
+    WAN_GOLDEN = {
+        "raft": [["chunked", 40, 36.2568359375, 16, 389.9999999999917],
+                 ["chunked", 100, 102.203125, 83, 849.9999999999819],
+                 ["monolithic", 40, 36.2568359375, 0, 589.9999999999874],
+                 ["monolithic", 100, 102.203125, 0, 949.9999999999798]],
+        "fastraft": [
+            ["chunked", 40, 36.275390625, 10, 1749.9999999999627],
+            ["chunked", 100, 102.224609375, 21, 1869.9999999999602],
+            ["monolithic", 40, 36.275390625, 0, 1949.9999999999584],
+            ["monolithic", 100, 102.224609375, 0, 2369.9999999999495]],
+    }
+
+    @pytest.mark.parametrize("engine", ["raft", "fastraft"])
+    def test_wan_catchup_smoke(self, engine):
+        """Chunked beats monolithic InstallSnapshot on a constrained link,
+        on both flat engines."""
+        result = run_preset("catchup_wan", engine=engine)
+        result.check_shape()
+        table = result.table().as_dict()
+        assert table["rows"] == self.WAN_GOLDEN[engine]
+        assert table["notes"] == [
+            "one-way latency 40 ms, bandwidth 150 KB/s, chunk 8192 B x "
+            "window 8"]
 
 
 class TestProfileFlag:

@@ -20,23 +20,13 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments.ablations import (
     AblationConfig,
-    run_decision_interval_ablation,
+    decision_cells,
+    decision_table,
 )
-from repro.experiments.catchup import CatchupConfig, run_catchup
-from repro.experiments.fig3_latency import Fig3Config, run_fig3
-from repro.experiments.fig4_churn import Fig4Config, run_fig4
-from repro.experiments.fig5_throughput import Fig5Config, run_fig5
-from repro.experiments.flapping import FlappingConfig, run_flapping
-from repro.experiments.large_mesh import LargeMeshConfig, run_large_mesh
-from repro.experiments.migrated_region import (
-    MigratedRegionConfig,
-    run_migrated_region,
-)
-from repro.experiments.rounds import RoundsConfig, run_rounds
-from repro.experiments.two_region_failover import (
-    TwoRegionFailoverConfig,
-    run_two_region_failover,
-)
+from repro.experiments.fig3_latency import Fig3Config
+from repro.experiments.fig4_churn import Fig4Config
+from repro.experiments.fig5_throughput import Fig5Config
+from repro.experiments.large_mesh import LargeMeshConfig
 from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.runner import SweepRunner, run_cell
 from repro.scenarios.spec import (
@@ -49,6 +39,7 @@ from repro.scenarios.spec import (
     TopologySpec,
     WorkloadSpec,
 )
+from tests.conftest import run_preset
 
 
 def rows_equal(actual, expected):
@@ -68,12 +59,13 @@ def rows_equal(actual, expected):
 # ----------------------------------------------------------------------
 class TestGoldenTables:
     def test_rounds_golden(self):
-        r = run_rounds(RoundsConfig.quick())
+        r = run_preset("rounds", "quick")
         assert [r.classic_commit_hops, r.classic_proposer_hops,
                 r.fast_commit_hops, r.fast_proposer_hops] == [3, 4, 2, 3]
 
     def test_fig3_golden(self):
-        r = run_fig3(Fig3Config(loss_rates=(0.0, 0.05), trials=8))
+        r = get_scenario("fig3").run(Fig3Config(loss_rates=(0.0, 0.05),
+                                                trials=8))
         rows_equal(r.table().as_dict()["rows"], [
             [0.0, 99.63279773782213, 49.3842454428823,
              100.07348202911001, 50.12365861729137, 2.01750167172357],
@@ -82,7 +74,8 @@ class TestGoldenTables:
         ])
 
     def test_fig4_golden(self):
-        r = run_fig4(Fig4Config(warmup_commits=10, total_commits=50))
+        r = get_scenario("fig4").run(Fig4Config(warmup_commits=10,
+                                                total_commits=50))
         table = r.table().as_dict()
         rows_equal(table["rows"], [
             ["before leave", 11, 49.22197213695124, 50.00000000000004,
@@ -101,24 +94,62 @@ class TestGoldenTables:
         # bootstrap seed now retires into a standing observer that keeps
         # receiving replication, which shifts the shared latency-RNG
         # stream and therefore the committed count within the window.
-        r = run_fig5(Fig5Config(cluster_counts=(2,), trial_duration=20.0,
-                                trials=1, warmup=5.0))
+        r = get_scenario("fig5").run(Fig5Config(
+            cluster_counts=(2,), trial_duration=20.0, trials=1, warmup=5.0))
         rows_equal(r.table().as_dict()["rows"], [[2, 4.0, 31.5, 7.875]])
 
     def test_ablation_decision_golden(self):
-        table = run_decision_interval_ablation(
-            AblationConfig(commits=10, decision_fractions=(0.5, 1.0)))
+        config = AblationConfig(commits=10, decision_fractions=(0.5, 1.0))
+        table = decision_table(config,
+                               SweepRunner().run(decision_cells(config)))
         rows_equal(table.as_dict()["rows"], [
             [0.5, 50.0, 49.257631255792674],
             [1.0, 100.0, 99.38668269739864],
         ])
 
     def test_catchup_golden(self):
-        r = run_catchup(CatchupConfig.smoke("fastraft"))
-        rows_equal(r.table().as_dict()["rows"], [
+        fast, craft = (r.table().as_dict() for r in run_preset(
+            "catchup", engines=("fastraft", "craft")))
+        rows_equal(fast["rows"], [
             ["full replay", 71, 72, 0, 1749.9999999999632],
             ["snapshots", 71, 3, 1, 1449.9999999999695],
         ])
+        rows_equal(craft["rows"], [
+            ["full replay", 108, 124, 0, 2089.9999999999554],
+            ["snapshots", 108, 22, 1, 1069.9999999999773],
+        ])
+        assert craft["notes"] == [
+            "snapshots: 14 taken, 2 shipped, 1 installed, 314 entries "
+            "compacted",
+            "crash after 10 commits, recover after 70; compaction "
+            "threshold 25, retain 4",
+        ]
+
+    def test_ablations_smoke_golden(self):
+        """All four ablation tables at smoke scale, plus the claims each
+        table exists to show."""
+        decision, dispatch, proposers, batch = (
+            t.as_dict()["rows"] for t in run_preset("ablations"))
+        rows_equal(decision, [
+            [0.5, 50.0, 49.257631255792674],
+            [1.0, 100.0, 99.38668269739864],
+        ])
+        rows_equal(dispatch, [
+            ["classic Raft", 99.81813775109907, 1.3772267277151862],
+            ["Fast Raft", 49.18676923033523, 49.3538095748174],
+        ])
+        rows_equal(proposers, [[1, 49.71383015562724],
+                               [2, 76.56702398702059]])
+        rows_equal(batch, [[1, 6.9], [10, 66.5]])
+        # Latency tracks the decision cadence.
+        assert decision[-1][2] > decision[0][2]
+        # Eager dispatch removes classic Raft's half-heartbeat queueing.
+        assert dispatch[0][2] < dispatch[0][1]
+        # More proposers contend for indices: never faster.
+        assert proposers[-1][1] >= proposers[0][1] * 0.9
+        # Batch size 10 amortizes the global round batch size 1 pays.
+        rates = dict(batch)
+        assert rates[10] > rates[1]
 
 
 # ----------------------------------------------------------------------
@@ -126,22 +157,31 @@ class TestGoldenTables:
 # ----------------------------------------------------------------------
 class TestSweepRunnerParallel:
     def test_fig3_serial_equals_parallel(self):
+        scenario = get_scenario("fig3")
         config = Fig3Config(loss_rates=(0.0, 0.05), trials=6)
-        serial = run_fig3(config, jobs=1)
-        parallel = run_fig3(config, jobs=3)
+        serial = scenario.run(config, jobs=1)
+        parallel = scenario.run(config, jobs=3)
         assert serial.table().as_dict() == parallel.table().as_dict()
 
     def test_catchup_serial_equals_parallel(self):
-        config = CatchupConfig.smoke("raft")
-        serial = run_catchup(config, jobs=1)
-        parallel = run_catchup(config, jobs=2)
+        [serial] = run_preset("catchup", engines=("raft",), jobs=1)
+        [parallel] = run_preset("catchup", engines=("raft",), jobs=2)
         assert serial.table().as_dict() == parallel.table().as_dict()
+        table = serial.table().as_dict()
+        rows_equal(table["rows"], [
+            ["full replay", 71, 71, 0, 399.9999999999915],
+            ["snapshots", 71, 4, 1, 299.99999999999363],
+        ])
+        assert table["notes"][0] == (
+            "snapshots: 12 taken, 6 shipped, 1 installed, 263 entries "
+            "compacted")
 
     def test_single_cell_runs_inline(self):
         """jobs > 1 with one cell must not pay the pool overhead."""
+        scenario = get_scenario("fig4")
         config = Fig4Config(warmup_commits=5, total_commits=25)
-        serial = run_fig4(config).table().as_dict()
-        parallel = run_fig4(config, jobs=4).table().as_dict()
+        serial = scenario.run(config).table().as_dict()
+        parallel = scenario.run(config, jobs=4).table().as_dict()
         rows_equal(serial["rows"], parallel["rows"])
         assert serial["notes"] == parallel["notes"]
 
@@ -198,7 +238,8 @@ class TestPersistentSweepPool:
     def test_profile_context_threads_through_nested_runs(self, tmp_path):
         from repro.scenarios.runner import per_cell_profiles
         with per_cell_profiles(tmp_path):
-            run_fig3(Fig3Config(loss_rates=(0.0,), trials=1), jobs=1)
+            get_scenario("fig3").run(Fig3Config(loss_rates=(0.0,),
+                                                trials=1), jobs=1)
         assert list(tmp_path.glob("cell_*.pstats"))
 
 
@@ -329,30 +370,58 @@ class TestRegistry:
         payload = scenario.as_dict(result)
         assert payload["scenario"] == "fig4"
 
+    def test_every_scenario_configures_every_mode(self):
+        """Modes come from the presets; ``full`` is the config's
+        defaults, and every mode expands to a non-empty sweep."""
+        for name in scenario_names():
+            scenario = get_scenario(name)
+            assert sorted(scenario.modes) == ["full", "quick", "smoke"]
+            assert scenario.configure("full") == scenario.config()
+            for mode in scenario.modes:
+                assert scenario.cells(scenario.configure(mode)), name
+        with pytest.raises(ExperimentError):
+            get_scenario("fig3").configure("huge")
+
 
 class TestNewScenarios:
     def test_flapping_wan_smoke(self):
-        result = run_flapping(FlappingConfig.smoke())
+        result = run_preset("flapping_wan")
         result.check_shape()
         # The link spends real time down, yet every commit lands and the
         # completions cluster into the stability windows.
         assert result.outage_commits <= result.stable_commits / 4
+        table = result.table().as_dict()
+        rows_equal(table["rows"],
+                   [[25, 25, 0, 225.50419824639303, 1725.2695913131467]])
+        assert table["notes"] == [
+            "3 cycles of 0.8s outage / 1.5s stability; link down 2.1s of "
+            "6.1s total"]
 
     def test_migrated_region_smoke(self):
-        result = run_migrated_region(MigratedRegionConfig.smoke())
+        result = run_preset("migrated_region")
         result.check_shape()
         # The whole region adopted the image through the gated path.
         assert result.gated_sites == 3
         assert result.installs >= 1
+        table = result.table().as_dict()
+        rows_equal(table["rows"], [[9, 3, 60, 9, 1, 3, 4000.000000000057]])
+        assert table["notes"] == [
+            "region 'us-west' booted after global compaction (threshold 6 "
+            "batches, retain 1)"]
 
     def test_large_mesh_smoke(self):
         """The 6x5 flapping mesh the core speedup makes tractable: the
         global level keeps committing while one region's uplink flaps."""
-        result = run_large_mesh(LargeMeshConfig.smoke())
+        result = run_preset("large_mesh")
         result.check_shape()
         assert result.config.clusters >= 6
         assert result.config.sites_per_cluster >= 5
         assert result.throughput > 0
+        table = result.table().as_dict()
+        rows_equal(table["rows"], [[6, 30, 85.55555555555556]])
+        assert table["notes"] == [
+            "4 cycles of 1.5s outage / 3.0s stability cutting one region; "
+            "18s window, batch 10"]
 
     def test_large_mesh_rejects_small_meshes(self):
         with pytest.raises(ExperimentError):
@@ -361,27 +430,32 @@ class TestNewScenarios:
     def test_two_region_failover_smoke(self):
         """The formerly-deadlocked shape at its pinned seed: the east
         leader's crash must not wedge the global configuration."""
-        result = run_two_region_failover(TwoRegionFailoverConfig.smoke())
+        result = run_preset("two_region_failover")
         result.check_shape()
         assert result.observer  # a standing tiebreaker existed
         assert result.victim not in result.members_after
         assert result.successor in result.members_after
+        table = result.table().as_dict()
+        rows_equal(table["rows"], [["n1", "n0", "n0", 2.1, 5.5, 8.5, 10]])
+        assert table["notes"] == [
+            "members after failover: ['n0', 'n4']; the dead site never "
+            "returned (round = one global heartbeat interval, budget 60)"]
 
     def test_heavy_traffic_smoke(self):
         """The serving capstone: a session fleet on the 6x5 mesh with
         adaptive batching; the run itself enforces the SLOSpec, so a
         clean return means every percentile bound held."""
-        from repro.experiments.heavy_traffic import (
-            HeavyTrafficConfig,
-            run_heavy_traffic,
-        )
-        result = run_heavy_traffic(HeavyTrafficConfig.smoke())
+        result = run_preset("heavy_traffic")
         result.check_shape()
         assert result.latency.count > 0
         assert result.latency.p99 >= result.latency.median
         assert result.abandoned_fraction <= 0.05
         assert result.fired >= 2  # the WAN flap is armed and live
-        assert len(result.table().rows) == 1
+        table = result.table().as_dict()
+        rows_equal(table["rows"], [[300, 60.0, 32.7, 28.2, 60.4, 211.4, 0.0]])
+        assert table["notes"] == [
+            "10s window, adaptive batching, 3 WAN flap events fired, 0 "
+            "duplicate retries suppressed without consensus"]
 
     def test_heavy_traffic_rejects_small_meshes(self):
         from repro.experiments.heavy_traffic import HeavyTrafficConfig

@@ -2,6 +2,7 @@
 
 import pytest
 
+from heap_loop import HeapLoop
 from repro.errors import SimulationError
 from repro.sim.loop import MS, SimLoop
 
@@ -212,7 +213,7 @@ def test_cancel_after_run_does_not_corrupt_count():
 
 
 def test_heap_compacts_when_cancellations_dominate():
-    loop = SimLoop(scheduler="heap")
+    loop = HeapLoop()
     doomed = [loop.call_later(float(i + 1), lambda: None)
               for i in range(100)]
     keep = [loop.call_later(200.0 + i, lambda: None) for i in range(10)]
@@ -227,7 +228,7 @@ def test_heap_compacts_when_cancellations_dominate():
 
 
 def test_wheel_compacts_when_cancellations_dominate():
-    loop = SimLoop(scheduler="wheel")
+    loop = SimLoop()
     doomed = [loop.call_later(float(i + 1) / 10, lambda: None)
               for i in range(100)]
     keep = [loop.call_later(200.0 + i, lambda: None) for i in range(10)]
@@ -242,11 +243,12 @@ def test_wheel_compacts_when_cancellations_dominate():
     assert loop.events_processed == 10
 
 
-@pytest.mark.parametrize("scheduler", ["wheel", "heap"])
-def test_compaction_during_run_keeps_heap_alias_valid(scheduler):
+@pytest.mark.parametrize("make_loop", [SimLoop, HeapLoop],
+                         ids=["wheel", "heap"])
+def test_compaction_during_run_keeps_heap_alias_valid(make_loop):
     """Compaction triggered from inside a callback must not strand the
     running loop on a stale heap/slot list."""
-    loop = SimLoop(scheduler=scheduler)
+    loop = make_loop()
     doomed = [loop.call_later(50.0 + i, lambda: None) for i in range(80)]
     seen = []
 
@@ -264,7 +266,7 @@ def test_compaction_during_run_keeps_heap_alias_valid(scheduler):
 def test_far_future_events_migrate_from_overflow():
     """Events beyond the wheel horizon wait in the overflow heap and
     still fire in exact time order as the wheel turns."""
-    loop = SimLoop(scheduler="wheel")
+    loop = SimLoop()
     seen = []
     loop.call_later(50.0, lambda: seen.append("far"))
     loop.call_later(0.05, lambda: seen.append("near"))
@@ -279,7 +281,7 @@ def test_overflow_event_sharing_deadline_bucket_fires():
     shares the deadline's bucket must fire -- the jump's due check has
     to compare times, not bucket ids (1.285 and 1.289 share bucket 128
     at 10ms width; 1.285 * 100 > int(1.289 * 100) would skip it)."""
-    loop = SimLoop(scheduler="wheel")
+    loop = SimLoop()
     seen = []
     loop.call_later(1.285, lambda: seen.append(loop.now()))
     loop.run_until(1.289)
@@ -290,7 +292,7 @@ def test_overflow_event_sharing_deadline_bucket_fires():
 def test_deep_overflow_jump_in_run_until_idle():
     """run_until_idle over a schedule far beyond the horizon must jump
     to it rather than sweep (and still report the right clock)."""
-    loop = SimLoop(scheduler="wheel")
+    loop = SimLoop()
     seen = []
     loop.call_later(500.0, lambda: seen.append(loop.now()))
     cancelled = loop.call_later(100.0, lambda: seen.append("no"))
@@ -303,7 +305,7 @@ def test_deep_overflow_jump_in_run_until_idle():
 def test_freelist_never_recycles_externally_held_handles():
     """A handle the caller kept must not be reused for a later event
     (its cancel() would otherwise kill the new occupant)."""
-    loop = SimLoop(scheduler="wheel")
+    loop = SimLoop()
     seen = []
     held = loop.call_later(0.1, lambda: seen.append("a"))
     loop.run_until(0.2)
@@ -315,7 +317,7 @@ def test_freelist_never_recycles_externally_held_handles():
 
 
 def test_freelist_recycles_unreferenced_handles():
-    loop = SimLoop(scheduler="wheel")
+    loop = SimLoop()
     for _ in range(5):
         loop.call_later(0.01, lambda: None)
     loop.run_until(1.0)

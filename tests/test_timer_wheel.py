@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from heap_loop import HeapLoop
 from repro.sim.loop import _WHEEL_HORIZON, SimLoop
 
 
@@ -93,8 +94,8 @@ def random_trace(rng: random.Random, length: int) -> list[tuple]:
 def test_random_traces_fire_identically(seed):
     rng = random.Random(seed)
     trace = random_trace(rng, length=120)
-    wheel = Recorder(SimLoop(scheduler="wheel"))
-    heap = Recorder(SimLoop(scheduler="heap"))
+    wheel = Recorder(SimLoop())
+    heap = Recorder(HeapLoop())
     for op in trace:
         wheel.apply(op)
         heap.apply(op)
@@ -110,8 +111,8 @@ def test_same_instant_bursts_keep_scheduling_order(seed):
     rng = random.Random(1000 + seed)
     instants = sorted(rng.uniform(0.0, 3.0) for _ in range(10))
     histories = []
-    for scheduler in ("wheel", "heap"):
-        loop = SimLoop(scheduler=scheduler)
+    for make_loop in (SimLoop, HeapLoop):
+        loop = make_loop()
         seen: list[tuple] = []
         burst_rng = random.Random(2000 + seed)
         for i, at in enumerate(instants):
@@ -131,8 +132,8 @@ def test_bucket_boundary_geometry_equivalence():
     for event_at in offsets:
         for deadline in offsets:
             results = []
-            for scheduler in ("wheel", "heap"):
-                loop = SimLoop(scheduler=scheduler)
+            for make_loop in (SimLoop, HeapLoop):
+                loop = make_loop()
                 seen: list[float] = []
                 loop.call_later(event_at, lambda: seen.append(loop.now()))
                 loop.run_until(deadline)
@@ -144,8 +145,8 @@ def test_bucket_boundary_geometry_equivalence():
     """A callback that re-schedules at the current instant lands behind
     already-queued same-instant events, on both schedulers."""
     histories = []
-    for scheduler in ("wheel", "heap"):
-        loop = SimLoop(scheduler=scheduler)
+    for make_loop in (SimLoop, HeapLoop):
+        loop = make_loop()
         seen: list[str] = []
 
         def chain(tag: str, depth: int) -> None:
@@ -164,8 +165,8 @@ def test_cancel_inside_callback_equivalent():
     """Cancelling a not-yet-fired same-instant event from a callback is
     honoured identically (lazy cancellation in both structures)."""
     histories = []
-    for scheduler in ("wheel", "heap"):
-        loop = SimLoop(scheduler=scheduler)
+    for make_loop in (SimLoop, HeapLoop):
+        loop = make_loop()
         seen: list[str] = []
         victim = {}
 
