@@ -230,24 +230,6 @@ class Configuration:
         return Configuration(tuple(m for m in self.members if m != name),
                              self.observers)
 
-    def with_demoted(self, name: str) -> "Configuration":
-        """Configuration after voting member ``name`` steps down to a
-        standing non-voting observer (the bootstrap-seed retirement)."""
-        if name not in self.members:
-            raise ConfigurationError(f"{name!r} is not a member")
-        if self.size == 1:
-            raise ConfigurationError("cannot demote the last member")
-        return Configuration(tuple(m for m in self.members if m != name),
-                             self.observers + (name,))
-
-    def single_change_from(self, other: "Configuration") -> bool:
-        """True if this config differs from ``other`` by at most one site
-        (the paper's safety precondition for reconfiguration). Observers
-        do not count: they hold no votes, so moving one in or out of the
-        observer list never changes any quorum."""
-        mine, theirs = set(self.members), set(other.members)
-        return len(mine.symmetric_difference(theirs)) <= 1
-
     def __repr__(self) -> str:
         if self.observers:
             return (f"Configuration({list(self.members)!r}, "

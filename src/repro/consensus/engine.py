@@ -210,8 +210,7 @@ class BaseEngine:
         self.snapshot_chunks_sent = 0
         self.entries_compacted = 0
         # Recovery-probe outcomes (probe-before-trust handshake, see
-        # begin_recovery_probe); summed across engines by
-        # metrics.summary.tally_probe_outcomes.
+        # begin_recovery_probe).
         self.recovery_probes_confirmed = 0
         self.recovery_probes_rejected = 0
         self.recovery_probes_timeout = 0
@@ -296,10 +295,6 @@ class BaseEngine:
         if value != self._leader_id:
             self._leader_id = value
             self.ctx.on_leader_change(value)
-
-    @property
-    def is_leader(self) -> bool:
-        return self.role is Role.LEADER
 
     @property
     def is_member(self) -> bool:

@@ -97,19 +97,6 @@ class LogEntry:
         object.__setattr__(self, "_stamp_memo", (term, inserted_by, stamped))
         return stamped
 
-    @property
-    def is_config(self) -> bool:
-        return self.kind is EntryKind.CONFIG
-
-    @property
-    def is_noop(self) -> bool:
-        return self.kind is EntryKind.NOOP
-
-    def same_entry(self, other: "LogEntry") -> bool:
-        """Paper's "same entry": identity of the proposed value, not of the
-        (term, provenance) stamps."""
-        return self.entry_id == other.entry_id
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"LogEntry({self.entry_id!r}, {self.kind.value}, "
                 f"t={self.term}, {self.inserted_by.value})")

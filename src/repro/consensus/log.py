@@ -112,10 +112,6 @@ class RaftLog:
             raise LogError(f"no entry at index {index}")
         return entry.term
 
-    def __len__(self) -> int:
-        """Number of occupied slots (holes excluded)."""
-        return len(self._slots)
-
     def __iter__(self) -> Iterator[tuple[int, LogEntry]]:
         """Iterate occupied ``(index, entry)`` pairs in index order."""
         for index in sorted(self._slots):
@@ -216,12 +212,6 @@ class RaftLog:
         return [(i, self._slots[i]) for i in range(lo, hi + 1)
                 if i in self._slots]
 
-    def contiguous_from(self, lo: int, hi: int) -> bool:
-        """True when every index in ``[lo, hi]`` is occupied (compacted
-        indices count as held: their entries are in the snapshot)."""
-        return all(i in self._slots or i <= self.snapshot_index
-                   for i in range(lo, hi + 1))
-
     def last_with_provenance(self, inserted_by: InsertedBy) -> int:
         """Highest index whose entry has the given provenance, else 0.
 
@@ -237,13 +227,6 @@ class RaftLog:
                                 ) -> list[tuple[int, LogEntry]]:
         """All ``(index, entry)`` pairs with the given provenance, ordered."""
         return [(i, e) for i, e in self if e.inserted_by is inserted_by]
-
-    def latest_config_entry(self) -> tuple[int, LogEntry] | None:
-        """Highest-index CONFIG entry, or None (bootstrap config applies)."""
-        if not self._config_indices:
-            return None
-        index = max(self._config_indices)
-        return index, self._slots[index]
 
     def best_config_entry(self, upto: int | None = None,
                           decided_upto: int | None = None

@@ -132,24 +132,11 @@ class Batcher:
     # ------------------------------------------------------------------
     # Feeding
     # ------------------------------------------------------------------
-    def observe_local_commit(self, index: int, entry: LogEntry,
-                             now: float) -> None:
-        """Feed one locally applied entry (entries arrive in order).
-        The server's apply loop uses :meth:`observe_and_check`; this
-        split form is what tests/test_craft_batching.py proves it equal
-        to (observe, then :meth:`ready`)."""
-        if index < self._next_unbatched:
-            return  # already covered by an earlier batch
-        if entry.kind is not EntryKind.DATA:
-            return
-        if not self._pending:
-            self._pending_since = now
-        self._pending.append((index, entry))
-
     def observe_and_check(self, index: int, entry: LogEntry,
                           now: float) -> bool:
-        """Fused observe + readiness check for the apply hot loop: one
-        call per entry, returning whether a batch proposal is now due."""
+        """Feed one locally applied entry (entries arrive in order; a
+        non-DATA entry or one an earlier batch covered is skipped) and
+        return whether a batch proposal is now due."""
         if (index >= self._next_unbatched
                 and entry.kind is EntryKind.DATA):
             pending = self._pending
@@ -238,14 +225,6 @@ class Batcher:
     # ------------------------------------------------------------------
     # Draining
     # ------------------------------------------------------------------
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    @property
-    def outstanding(self) -> int:
-        return self._outstanding
-
     @property
     def next_unbatched(self) -> int:
         return self._next_unbatched

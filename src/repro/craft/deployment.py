@@ -126,22 +126,18 @@ def build_craft_deployment(
         global_compaction: CompactionPolicy | None = None,
         transfer: TransferConfig | None = None,
         bandwidth: float | None = None,
-        shared_link: bool = False,
         global_seed_site: str | None = None) -> CRaftDeployment:
     """Build (without starting) a C-Raft deployment over ``topology``.
 
     ``bandwidth`` (simulated bytes/second) wraps ``latency`` in a
-    :class:`BandwidthLatencyModel` (congestion-aware
-    :class:`SharedLinkBandwidthModel` when ``shared_link``); ``transfer``
-    tunes snapshot shipping at both consensus levels (monolithic vs
-    chunked).
+    :class:`BandwidthLatencyModel`; ``transfer`` tunes snapshot shipping
+    at both consensus levels (monolithic vs chunked).
     """
     local_timing = local_timing or TimingConfig.intra_cluster()
     global_timing = global_timing or TimingConfig.inter_cluster()
     deployment = CRaftDeployment(
         topology, local_timing, global_timing, seed=seed, latency=latency,
-        loss=loss, trace_enabled=trace_enabled, bandwidth=bandwidth,
-        shared_link=shared_link)
+        loss=loss, trace_enabled=trace_enabled, bandwidth=bandwidth)
     if global_seed_site is None:
         first_cluster = topology.clusters[0]
         global_seed_site = topology.nodes_in_cluster(first_cluster)[0]

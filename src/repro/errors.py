@@ -55,4 +55,4 @@ class ExperimentError(ReproError):
 
 class ModelCheckError(ReproError):
     """Raised by the model checker for invalid exploration requests
-    (unknown target or strategy, unreplayable schedule)."""
+    (unknown target, unreplayable schedule)."""

@@ -18,13 +18,12 @@ from repro.harness.checkers import (
     run_safety_checks,
 )
 from repro.harness.faults import FaultInjector
-from repro.harness.workload import ClosedLoopWorkload, PoissonWorkload
+from repro.harness.workload import ClosedLoopWorkload
 
 __all__ = [
     "ClosedLoopWorkload",
     "Cluster",
     "FaultInjector",
-    "PoissonWorkload",
     "build_cluster",
     "check_applied_consistency",
     "check_committed_prefix_agreement",

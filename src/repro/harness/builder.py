@@ -14,12 +14,8 @@ from repro.consensus.engine import Role
 from repro.consensus.server import ConsensusServer
 from repro.consensus.timing import TimingConfig
 from repro.errors import ExperimentError
-from repro.net.latency import (
-    BandwidthLatencyModel,
-    LatencyModel,
-    SharedLinkBandwidthModel,
-    UniformLatency,
-)
+from repro.net.latency import (BandwidthLatencyModel, LatencyModel,
+                               UniformLatency)
 from repro.net.loss import LossModel
 from repro.net.network import Network
 from repro.net.topology import Topology
@@ -51,16 +47,11 @@ class System:
 
     def __init__(self, client_timing: TimingConfig, seed: int,
                  latency: LatencyModel | None, loss: LossModel | None,
-                 trace_enabled: bool, bandwidth: float | None = None,
-                 shared_link: bool = False) -> None:
-        if shared_link and bandwidth is None:
-            raise ExperimentError("shared_link needs a bandwidth")
+                 trace_enabled: bool, bandwidth: float | None = None) -> None:
         if latency is None:
             latency = DEFAULT_LATENCY
         if bandwidth is not None:
-            wrapper = (SharedLinkBandwidthModel if shared_link
-                       else BandwidthLatencyModel)
-            latency = wrapper(latency, bandwidth)
+            latency = BandwidthLatencyModel(latency, bandwidth)
         self.loop = SimLoop()
         self.rng = RngRegistry(seed)
         self.trace = TraceRecorder(enabled=trace_enabled)
@@ -162,10 +153,6 @@ class Cluster(System):
                 best_name, best_term = name, engine.current_term
         return best_name
 
-    def live_servers(self) -> list[ConsensusServer]:
-        return [s for s in self.servers.values()
-                if s.alive and not self.network.is_disconnected(s.name)]
-
     def commit_indices(self) -> dict[str, int]:
         return {name: server.engine.commit_index
                 for name, server in self.servers.items()}
@@ -192,7 +179,6 @@ def build_cluster(server_cls: type[ConsensusServer], n_sites: int = 5,
                   compaction: CompactionPolicy | None = None,
                   transfer: TransferConfig | None = None,
                   bandwidth: float | None = None,
-                  shared_link: bool = False,
                   n_observers: int = 0,
                   name_prefix: str = "n",
                   propose_batch: BatchPolicy | None = None) -> Cluster:
@@ -205,9 +191,7 @@ def build_cluster(server_cls: type[ConsensusServer], n_sites: int = 5,
     voting set is degenerate (see ``Configuration.observers``).
 
     ``bandwidth`` (simulated bytes/second) wraps the latency model in a
-    :class:`BandwidthLatencyModel` so message delays charge payload size
-    (``shared_link=True`` upgrades it to the congestion-aware
-    :class:`SharedLinkBandwidthModel` where concurrent transfers queue);
+    :class:`BandwidthLatencyModel` so message delays charge payload size;
     ``transfer`` tunes how snapshots ship (monolithic vs chunked).
 
     The result is not started; call :meth:`Cluster.start_all` (tests often
@@ -219,8 +203,7 @@ def build_cluster(server_cls: type[ConsensusServer], n_sites: int = 5,
         raise ExperimentError(f"n_observers must be >= 0: {n_observers!r}")
     timing = timing if timing is not None else TimingConfig()
     cluster = Cluster(timing, seed=seed, latency=latency, loss=loss,
-                      trace_enabled=trace_enabled, bandwidth=bandwidth,
-                      shared_link=shared_link)
+                      trace_enabled=trace_enabled, bandwidth=bandwidth)
     names = [f"{name_prefix}{i}" for i in range(n_sites)]
     watchers = [f"{name_prefix}{n_sites + i}" for i in range(n_observers)]
     config = Configuration(tuple(names), tuple(watchers))

@@ -10,10 +10,10 @@
 - **network swaps** -- replacing the loss / latency model mid-run (the
   paper's ``tc`` changes) and partition installs/heals.
 
-Faults can be applied immediately, scheduled at absolute sim times, or --
-the declarative path -- described as :class:`repro.scenarios.spec.Event`
-records that the scenario runner resolves and fires, so experiments no
-longer hand-script injection code.
+Faults are applied immediately, or -- the declarative path -- described
+as :class:`repro.scenarios.spec.Event` records that the scenario runner
+schedules, resolves and fires, so experiments do not hand-script
+injection code.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from __future__ import annotations
 from repro.consensus.messages import JoinRequest, LeaveRequest
 from repro.errors import ExperimentError
 from repro.harness.builder import Cluster
-from repro.net.latency import BandwidthLatencyModel, SharedLinkBandwidthModel
-from repro.net.loss import BernoulliLoss, NoLoss, PerLinkLoss
+from repro.net.loss import BernoulliLoss, NoLoss
 
 
 def resolve_event_targets(event, server_order: list[str],
@@ -157,50 +156,10 @@ class FaultInjector:
             BernoulliLoss(rate) if rate else NoLoss())
         self._record("set_loss", f"{rate:g}")
 
-    def set_link_loss(self, src: str, dst: str, rate: float,
-                      symmetric: bool = True) -> None:
-        """Degrade one link (``tc`` on a single route): messages from
-        ``src`` to ``dst`` (both directions when ``symmetric``) drop with
-        probability ``rate``; all other traffic keeps the current model.
-        Repeated calls accumulate overrides on the same overlay."""
-        current = self._cluster.network.loss_model
-        if not isinstance(current, PerLinkLoss):
-            current = PerLinkLoss({}, base=current)
-            self._cluster.network.set_loss(current)
-        current.set_rate(src, dst, rate)
-        if symmetric:
-            current.set_rate(dst, src, rate)
-        self._record("set_link_loss", f"{src}<->{dst}:{rate:g}"
-                     if symmetric else f"{src}->{dst}:{rate:g}")
-
-    def set_bandwidth(self, bandwidth: float, shared: bool = False) -> None:
-        """Swap the link bandwidth mid-run (a WAN capacity change):
-        re-wraps the current latency model's base so message delays
-        charge payload size at the new rate. ``shared`` upgrades to the
-        congestion-aware queueing model."""
-        model = self._cluster.network.latency_model
-        base = model.base if isinstance(model, BandwidthLatencyModel) \
-            else model
-        wrapper = SharedLinkBandwidthModel if shared \
-            else BandwidthLatencyModel
-        self._cluster.network.set_latency(wrapper(base, bandwidth))
-        self._record("set_bandwidth",
-                     f"{bandwidth:g}{'(shared)' if shared else ''}")
-
     def set_latency(self, model) -> None:
         """Swap the latency model mid-run (e.g. a degraded WAN phase)."""
         self._cluster.network.set_latency(model)
         self._record("set_latency", repr(model))
-
-    # ------------------------------------------------------------------
-    # Scheduled faults
-    # ------------------------------------------------------------------
-    def schedule(self, at: float, kind: str, site: str, **kwargs) -> None:
-        """Schedule a named fault at absolute sim time ``at``."""
-        action = getattr(self, kind, None)
-        if action is None or kind.startswith("_"):
-            raise ExperimentError(f"unknown fault kind: {kind!r}")
-        self._cluster.loop.call_at(at, lambda: action(site, **kwargs))
 
     # ------------------------------------------------------------------
     # Declarative events (repro.scenarios.spec.Event)
@@ -219,12 +178,6 @@ class FaultInjector:
             return []
         if event.action == "set_loss":
             self.set_loss(event.args[0])
-            return []
-        if event.action == "set_link_loss":
-            self.set_link_loss(*event.args)
-            return []
-        if event.action == "set_bandwidth":
-            self.set_bandwidth(*event.args)
             return []
         if event.action == "set_latency":
             model = event.args[0].build(topology)

@@ -2,8 +2,7 @@
 
 The paper's proposers are closed-loop: "The proposer only proposed a new
 entry after the previous entry was committed."
-:class:`ClosedLoopWorkload` reproduces that; :class:`PoissonWorkload`
-offers an open-loop alternative for ablations.
+:class:`ClosedLoopWorkload` reproduces that.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable
 
-from repro.sim.loop import SimLoop
 from repro.smr.client import Client, RequestRecord
 
 
@@ -73,64 +71,3 @@ class ClosedLoopWorkload:
         return (self._submitted >= self._max_requests
                 and self.completed_count >= self._max_requests)
 
-
-class PoissonWorkload:
-    """Open-loop submissions with exponential inter-arrival times."""
-
-    def __init__(self, client: Client, loop: SimLoop, rate: float,
-                 command_factory: Callable[[int], Any] | None = None,
-                 max_requests: int | None = None) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be positive: {rate!r}")
-        self._client = client
-        self._loop = loop
-        self._rate = rate
-        self._factory = command_factory or _default_command_factory
-        self._max_requests = max_requests
-        self._rng = None  # set in start() so builders can inject
-        self._sequence = itertools.count()
-        self._submitted = 0
-        self.records: list[RequestRecord] = []
-        self._stopped = False
-
-    def start(self, rng) -> None:
-        """Begin submitting; ``rng`` is a dedicated random stream."""
-        self._rng = rng
-        self._schedule_next()
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    @property
-    def completed_count(self) -> int:
-        return sum(1 for r in self.records if r.done)
-
-    @property
-    def done(self) -> bool:
-        """True once the requested number of submissions all committed
-        (mirrors :class:`ClosedLoopWorkload` so the scenario runner can
-        drive either arrival process)."""
-        if self._max_requests is None:
-            return False
-        return (self._submitted >= self._max_requests
-                and self.completed_count >= self._max_requests)
-
-    def latencies(self) -> list[float]:
-        return [r.latency for r in self.records if r.latency is not None]
-
-    def _schedule_next(self) -> None:
-        if self._stopped:
-            return
-        if (self._max_requests is not None
-                and self._submitted >= self._max_requests):
-            return
-        delay = self._rng.expovariate(self._rate)
-        self._loop.call_later(delay, self._submit)
-
-    def _submit(self) -> None:
-        if self._stopped:
-            return
-        command = self._factory(next(self._sequence))
-        self._submitted += 1
-        self.records.append(self._client.submit(command))
-        self._schedule_next()

@@ -2,8 +2,7 @@
 
 Explore::
 
-    python -m repro.experiments mc --scenario mc_small_healthy \\
-        --depth 6 --strategy dfs
+    python -m repro.experiments mc --scenario mc_small_healthy --depth 6
     python -m repro.experiments mc --scenario mc_evicted_while_down \\
         --depth 10 --expect-violation --trace-dir mc-traces
 
@@ -23,7 +22,6 @@ import argparse
 import pathlib
 
 from repro.mc.explorer import Explorer
-from repro.mc.frontier import STRATEGIES
 from repro.mc.replay import replay_file
 from repro.mc.trace import export_report
 from repro.scenarios.mc import get_mc_target, mc_target_names
@@ -40,16 +38,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="list registered mc targets and exit")
     parser.add_argument("--depth", type=int, default=8,
                         help="exploration depth limit (default 8)")
-    parser.add_argument("--strategy", choices=STRATEGIES, default="dfs",
-                        help="frontier strategy (default dfs)")
     parser.add_argument("--max-states", type=int, default=4000,
                         help="hard cap on explored states (default 4000)")
     parser.add_argument("--max-branch", type=int, default=None,
                         help="cap the branch set per state (default: all)")
-    parser.add_argument("--walks", type=int, default=8,
-                        help="random-walk restarts (strategy=random)")
-    parser.add_argument("--walk-seed", type=int, default=0,
-                        help="random-walk seed (strategy=random)")
     parser.add_argument("--trace-dir", metavar="DIR", default="mc-traces",
                         help="where violation traces go (default "
                              "mc-traces/<scenario>)")
@@ -79,10 +71,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("give --scenario, --replay, or --list")
 
     target = get_mc_target(args.scenario)
-    explorer = Explorer(target, strategy=args.strategy, depth=args.depth,
+    explorer = Explorer(target, depth=args.depth,
                         max_states=args.max_states,
-                        max_branch=args.max_branch,
-                        walk_seed=args.walk_seed, walks=args.walks)
+                        max_branch=args.max_branch)
     report = explorer.run()
     print(report.summary())
     shown = 10

@@ -13,11 +13,13 @@ its successors could only repeat the finding -- and every violation
 carries its node id so the trace writer can export the exact violating
 interleaving and a replayable schedule.
 
-States are deduplicated by fingerprint (a consensus-relevant projection;
-see ``mc/state.py``): an explored state whose fingerprint matched an
-earlier node is recorded as a ``revisit`` edge and not expanded again
-(for the systematic strategies; random walks keep going -- a walk is a
-path sample, not a coverage sweep).
+The frontier is a depth-first stack. Children are pushed so the
+earliest-due event is explored first: the leftmost path is the one the
+normal scheduler would have taken, and adversarial reorderings branch
+off it. States are deduplicated by fingerprint (a consensus-relevant
+projection; see ``mc/state.py``): an explored state whose fingerprint
+matched an earlier node is recorded as a ``revisit`` edge and not
+expanded again.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import InvariantViolation, ReproError
 from repro.harness.checkers import run_safety_checks
-from repro.mc.frontier import make_strategy
 from repro.mc.probes import RecoveredRejoinProbe, make_probe
 from repro.mc.state import (
     EventInfo,
@@ -56,8 +57,7 @@ class Violation:
 
 @dataclass
 class McNode:
-    """One explored state. ``world`` is dropped after expansion (the
-    root keeps its world so random walks can restart)."""
+    """One explored state. ``world`` is dropped after expansion."""
 
     node_id: int
     parent_id: int | None
@@ -73,7 +73,6 @@ class McNode:
 @dataclass
 class ExplorationReport:
     target: str
-    strategy: str
     depth_limit: int
     seed: int
     nodes: list[McNode]
@@ -109,11 +108,6 @@ class ExplorationReport:
         path.reverse()
         return path
 
-    def visited_fingerprints(self) -> list[str]:
-        """Every distinct explored fingerprint, sorted (the determinism
-        battery compares these across runs)."""
-        return sorted(self.visited)
-
     def summary(self) -> str:
         flavour = (f"{len(self.safety_violations)} safety / "
                    f"{len(self.liveness_violations)} liveness violations")
@@ -121,25 +115,20 @@ class ExplorationReport:
         return (f"mc {self.target}: {self.states_explored} states, "
                 f"{self.transitions} transitions, "
                 f"{len(self.visited)} distinct, {flavour} "
-                f"({self.strategy}, depth {self.depth_limit}){extra}")
+                f"(dfs, depth {self.depth_limit}){extra}")
 
 
 class Explorer:
     """Drives one bounded exploration of an :class:`McTarget`."""
 
-    def __init__(self, target: McTarget, strategy: str = "dfs",
-                 depth: int = 8, max_states: int = 4000,
-                 max_branch: int | None = None, safety: bool = True,
-                 probes: list | None = None, walk_seed: int = 0,
-                 walks: int = 8) -> None:
+    def __init__(self, target: McTarget, depth: int = 8,
+                 max_states: int = 4000, max_branch: int | None = None,
+                 safety: bool = True, probes: list | None = None) -> None:
         self.target = target
-        self.strategy_name = strategy
         self.depth_limit = depth
         self.max_states = max_states
         self.max_branch = max_branch
         self.safety = safety
-        self.walk_seed = walk_seed
-        self.walks = walks
         if probes is None:
             bound = target.liveness_bound if target.liveness_bound > 0 else 10
             probes = []
@@ -154,8 +143,6 @@ class Explorer:
 
     # ------------------------------------------------------------------
     def run(self) -> ExplorationReport:
-        strategy = make_strategy(self.strategy_name, seed=self.walk_seed,
-                                 walks=self.walks)
         world = prepare_world(self.target)
         root_state = capture_state(world)
         root = McNode(node_id=0, parent_id=None, depth=0,
@@ -168,34 +155,28 @@ class Explorer:
         truncated = False
 
         self._evaluate(root, [root], violations, world)
-        strategy.seed_root(root)
+        stack = [root]
 
-        while True:
-            node = strategy.take()
-            if node is None:
-                break
+        while stack:
+            node = stack.pop()
             if len(nodes) >= self.max_states:
                 truncated = True
                 break
             if node.depth >= self.depth_limit or node.world is None:
-                strategy.add([])
                 continue
-            children = self._expand(node, nodes, edges, violations,
-                                    visited, strategy.dedup)
-            if node.node_id != 0:
-                node.world = None   # root stays restartable
-            strategy.add(children)
+            children = self._expand(node, nodes, edges, violations, visited)
+            node.world = None
+            stack.extend(reversed(children))
 
         return ExplorationReport(
-            target=self.target.name, strategy=self.strategy_name,
+            target=self.target.name,
             depth_limit=self.depth_limit, seed=self.target.seed,
             nodes=nodes, edges=edges, violations=violations,
             visited=visited, truncated=truncated)
 
     # ------------------------------------------------------------------
     def _expand(self, node: McNode, nodes: list[McNode], edges: list,
-                violations: list[Violation], visited: dict,
-                dedup: bool) -> list[McNode]:
+                violations: list[Violation], visited: dict) -> list[McNode]:
         branch = branch_set(node.world)
         if self.max_branch is not None:
             branch = branch[:self.max_branch]
@@ -230,7 +211,7 @@ class Explorer:
             prior = visited.get(child.fingerprint)
             if prior is None:
                 visited[child.fingerprint] = child.node_id
-            elif dedup:
+            else:
                 child.revisit_of = prior
                 child.world = None
                 continue
@@ -271,7 +252,3 @@ class Explorer:
         path.reverse()
         return path
 
-
-def explore(target: McTarget, **kwargs) -> ExplorationReport:
-    """Convenience one-call exploration."""
-    return Explorer(target, **kwargs).run()

@@ -16,7 +16,7 @@ import pathlib
 from dataclasses import dataclass
 
 from repro.errors import ModelCheckError
-from repro.mc.state import World, capture_state, fingerprint
+from repro.mc.state import World, fingerprint
 from repro.scenarios.mc import get_mc_target, prepare_world
 
 
@@ -26,10 +26,6 @@ class ReplayResult:
     world: World                # the reproduced violating state, live
     fingerprint: str
     matched: bool               # fingerprint equals the schedule's
-
-    @property
-    def state(self) -> dict:
-        return capture_state(self.world)
 
     def summary(self) -> str:
         verdict = ("reproduced" if self.matched

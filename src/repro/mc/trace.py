@@ -46,7 +46,6 @@ def schedule_for(report: ExplorationReport, node_id: int) -> dict:
     return {
         "target": report.target,
         "seed": report.seed,
-        "strategy": report.strategy,
         "depth_limit": report.depth_limit,
         "node_id": node_id,
         "final_fingerprint": path[-1].fingerprint,
@@ -107,7 +106,7 @@ def export_report(report: ExplorationReport, directory) -> pathlib.Path:
 
     (out / "report.json").write_text(json.dumps({
         "target": report.target, "seed": report.seed,
-        "strategy": report.strategy, "depth_limit": report.depth_limit,
+        "depth_limit": report.depth_limit,
         "states_explored": report.states_explored,
         "transitions": report.transitions,
         "distinct_states": len(report.visited),

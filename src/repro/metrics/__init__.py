@@ -2,33 +2,24 @@
 
 - :mod:`repro.metrics.summary` -- dependency-free summary statistics
   (mean, median, percentiles, confidence half-widths).
-- :mod:`repro.metrics.series` -- event/value time series with windowed
-  aggregation (throughput curves, latency timelines).
 - :mod:`repro.metrics.rounds` -- message-round accounting used to validate
   the paper's Fig. 1/Fig. 2 message-flow claims.
 """
 
 from repro.metrics.rounds import hops_from_latency
-from repro.metrics.series import EventSeries, ValueSeries
 from repro.metrics.summary import (
-    RecoveryProbeCounters,
     SnapshotCounters,
     StreamingReservoir,
     SummaryStats,
     summarize,
-    tally_probe_outcomes,
     tally_snapshots,
 )
 
 __all__ = [
-    "EventSeries",
-    "RecoveryProbeCounters",
     "SnapshotCounters",
     "StreamingReservoir",
     "SummaryStats",
-    "ValueSeries",
     "hops_from_latency",
     "summarize",
-    "tally_probe_outcomes",
     "tally_snapshots",
 ]

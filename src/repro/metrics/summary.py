@@ -24,11 +24,6 @@ class SummaryStats:
     p99: float = 0.0
     p999: float = 0.0
 
-    def format(self, unit: str = "", scale: float = 1.0) -> str:
-        """Human-readable one-liner, e.g. ``'52.1 ms (median 51.3, n=100)'``."""
-        return (f"{self.mean * scale:.1f}{unit} "
-                f"(median {self.median * scale:.1f}, n={self.count})")
-
 
 @dataclass(frozen=True)
 class SnapshotCounters:
@@ -146,10 +141,6 @@ class StreamingReservoir:
         if slot < self._capacity:
             self._sample[slot] = value
 
-    @property
-    def sample(self) -> list[float]:
-        return list(self._sample)
-
     def summary(self) -> SummaryStats:
         """Exact count/mean/min/max; percentiles and stdev estimated
         from the sample. Raises on an empty stream."""
@@ -163,27 +154,3 @@ class StreamingReservoir:
             maximum=self.maximum, p5=estimated.p5, p95=estimated.p95,
             p99=estimated.p99, p999=estimated.p999)
 
-
-@dataclass(frozen=True)
-class RecoveryProbeCounters:
-    """Aggregate probe-before-trust outcomes across a set of engines
-    (see BaseEngine.recovery_probes_*)."""
-
-    confirmed: int = 0
-    rejected: int = 0
-    timed_out: int = 0
-
-    def format(self) -> str:
-        return (f"recovery probes: {self.confirmed} confirmed, "
-                f"{self.rejected} rejected, {self.timed_out} timed out")
-
-
-def tally_probe_outcomes(engines: Iterable) -> RecoveryProbeCounters:
-    """Sum the per-engine recovery-probe counters for a report."""
-    confirmed = rejected = timed_out = 0
-    for engine in engines:
-        confirmed += getattr(engine, "recovery_probes_confirmed", 0)
-        rejected += getattr(engine, "recovery_probes_rejected", 0)
-        timed_out += getattr(engine, "recovery_probes_timeout", 0)
-    return RecoveryProbeCounters(confirmed=confirmed, rejected=rejected,
-                                 timed_out=timed_out)

@@ -6,9 +6,9 @@ asynchronous) messaging with configurable latency and loss.
 - Latency models (:mod:`repro.net.latency`): constant, uniform, and a
   region matrix mirroring the paper's AWS inter-region RTTs.
 - Loss models (:mod:`repro.net.loss`): Bernoulli drop (the paper's ``tc``
-  settings), per-link overrides, and time-windowed schedules.
+  settings).
 - :class:`~repro.net.network.Network`: the switch fabric -- registration,
-  unicast/broadcast, partitions, disconnects, and per-type statistics.
+  unicast, partitions, disconnects, and per-type statistics.
 """
 
 from repro.net.latency import (
@@ -22,8 +22,6 @@ from repro.net.loss import (
     BernoulliLoss,
     LossModel,
     NoLoss,
-    PerLinkLoss,
-    ScheduledLoss,
 )
 from repro.net.network import Network
 from repro.net.sizes import estimate_size, payload_size
@@ -39,9 +37,7 @@ __all__ = [
     "Network",
     "NetworkStats",
     "NoLoss",
-    "PerLinkLoss",
     "RegionLatencyModel",
-    "ScheduledLoss",
     "Topology",
     "UniformLatency",
     "estimate_size",

@@ -23,14 +23,11 @@ class LatencyModel:
         raise NotImplementedError
 
     def transfer_delay(self, rng: random.Random, src: str, dst: str,
-                       size: int, now: float = 0.0) -> float:
+                       size: int) -> float:
         """One-way delay for a message of ``size`` simulated bytes.
 
         The default ignores size (pure propagation delay); decorators
         like :class:`BandwidthLatencyModel` add serialization cost.
-        ``now`` is the send instant on the simulation clock; stateful
-        models (:class:`SharedLinkBandwidthModel`) use it to queue
-        concurrent transfers behind each other.
         """
         return self.sample(rng, src, dst)
 
@@ -87,6 +84,10 @@ class BandwidthLatencyModel(LatencyModel):
     uncongested: concurrent messages do not queue behind each other.
     That under-charges a saturated link but keeps the model stateless
     and the simulation deterministic per-message.
+
+    Being :attr:`size_aware`, it answers only :meth:`transfer_delay`:
+    the network never asks it for a size-blind :meth:`sample` (and the
+    C-Raft envelope fast path is off under it, see ``Network.env_fast``).
     """
 
     size_aware = True
@@ -97,55 +98,17 @@ class BandwidthLatencyModel(LatencyModel):
         self.base = base
         self.bandwidth = bandwidth
 
-    def sample(self, rng: random.Random, src: str, dst: str) -> float:
-        return self.base.sample(rng, src, dst)
-
     def serialization_delay(self, size: int) -> float:
         """Wire time for ``size`` bytes (monotone non-decreasing)."""
         return max(0, size) / self.bandwidth
 
     def transfer_delay(self, rng: random.Random, src: str, dst: str,
-                       size: int, now: float = 0.0) -> float:
-        return (self.base.transfer_delay(rng, src, dst, size, now)
+                       size: int) -> float:
+        return (self.base.transfer_delay(rng, src, dst, size)
                 + self.serialization_delay(size))
 
     def __repr__(self) -> str:
         return (f"BandwidthLatencyModel({self.base!r}, "
-                f"bandwidth={self.bandwidth!r})")
-
-
-class SharedLinkBandwidthModel(BandwidthLatencyModel):
-    """Bandwidth model where concurrent transfers on one link contend.
-
-    :class:`BandwidthLatencyModel` charges every message independently,
-    as if each had the link to itself. Here each directed ``src -> dst``
-    link is a FIFO queue: a message starts serializing only when the
-    link finishes the previous one, so two overlapping chunk windows
-    slow each other down exactly as on a real saturated pipe.
-
-    The model is stateful (it remembers when each link frees up), which
-    is still deterministic: state advances only on ``transfer_delay``
-    calls, and those happen in simulation order.
-    """
-
-    def __init__(self, base: LatencyModel, bandwidth: float) -> None:
-        super().__init__(base, bandwidth)
-        self._busy_until: dict[tuple[str, str], float] = {}
-
-    def link_busy_until(self, src: str, dst: str) -> float:
-        """Time the ``src -> dst`` link finishes its queued transfers."""
-        return self._busy_until.get((src, dst), 0.0)
-
-    def transfer_delay(self, rng: random.Random, src: str, dst: str,
-                       size: int, now: float = 0.0) -> float:
-        start = max(now, self.link_busy_until(src, dst))
-        finish = start + self.serialization_delay(size)
-        self._busy_until[(src, dst)] = finish
-        return ((finish - now)
-                + self.base.transfer_delay(rng, src, dst, size, now))
-
-    def __repr__(self) -> str:
-        return (f"SharedLinkBandwidthModel({self.base!r}, "
                 f"bandwidth={self.bandwidth!r})")
 
 
@@ -173,10 +136,9 @@ class RegionLatencyModel(LatencyModel):
         self._intra_rtt = intra_rtt
         self._jitter = jitter
         # (src, dst) -> one-way base delay. Region assignments are
-        # fixed per node (add_node only ever adds), so resolving
-        # region_of twice plus the matrix lookup per message is pure
-        # rework; the jitter draw stays in sample() so the RNG stream
-        # is untouched.
+        # fixed per node, so resolving region_of twice plus the matrix
+        # lookup per message is pure rework; the jitter draw stays in
+        # sample() so the RNG stream is untouched.
         self._pair_one_way: dict[tuple[str, str], float] = {}
         # Flat-sampler constants: ``rng.uniform(a, b)`` evaluates
         # ``a + (b - a) * rng.random()``, so with ``a = 1 - jitter`` and
@@ -202,10 +164,6 @@ class RegionLatencyModel(LatencyModel):
             return self._node_regions[node]
         except KeyError:
             raise NetworkError(f"node {node!r} has no region") from None
-
-    def add_node(self, node: str, region: str) -> None:
-        """Register a node that joined after model construction."""
-        self._node_regions[node] = region
 
     def rtt_between(self, region_a: str, region_b: str) -> float:
         if region_a == region_b:

@@ -2,8 +2,8 @@
 
 The paper forces loss rates with Linux ``tc``, which drops each packet
 independently with a fixed probability -- exactly the Bernoulli model
-here. Per-link and time-windowed variants support fault-injection
-scenarios (e.g. a lossy WAN link, or loss that starts mid-experiment).
+here. A run changes the rate mid-experiment by swapping the model
+(``Network.set_loss``).
 """
 
 from __future__ import annotations
@@ -49,80 +49,3 @@ class BernoulliLoss(LossModel):
     def __repr__(self) -> str:
         return f"BernoulliLoss({self.rate!r})"
 
-
-class PerLinkLoss(LossModel):
-    """Directional per-link loss rates over a fallback.
-
-    ``rates`` maps ``(src, dst)`` pairs to Bernoulli rates. Useful for
-    modelling one bad link without touching the rest of the fabric.
-    Links without an override fall back to ``base`` (an arbitrary loss
-    model -- this is how ``set_link_loss`` events overlay a running
-    network's existing model) or, without one, to the ``default`` rate.
-    A zero-rate override re-enables the reliable path for that link.
-    """
-
-    def __init__(self, rates: dict[tuple[str, str], float],
-                 default: float = 0.0, base: LossModel | None = None) -> None:
-        for pair, rate in rates.items():
-            if not 0 <= rate <= 1:
-                raise NetworkError(
-                    f"loss rate for {pair!r} must be in [0, 1]: {rate!r}")
-        if not 0 <= default <= 1:
-            raise NetworkError(f"default rate must be in [0, 1]: {default!r}")
-        self._rates = dict(rates)
-        self._default = default
-        self.base = base
-
-    def set_rate(self, src: str, dst: str, rate: float) -> None:
-        if not 0 <= rate <= 1:
-            raise NetworkError(f"loss rate must be in [0, 1]: {rate!r}")
-        self._rates[(src, dst)] = rate
-
-    def should_drop(self, rng: random.Random, src: str, dst: str,
-                    now: float) -> bool:
-        rate = self._rates.get((src, dst))
-        if rate is None:
-            if self.base is not None:
-                return self.base.should_drop(rng, src, dst, now)
-            rate = self._default
-        if rate == 0:
-            return False
-        return rng.random() < rate
-
-    def __repr__(self) -> str:
-        tail = (f"base={self.base!r}" if self.base is not None
-                else f"default={self._default}")
-        return f"PerLinkLoss({len(self._rates)} links, {tail})"
-
-
-class ScheduledLoss(LossModel):
-    """Time-windowed loss: a base model plus ``(start, end, model)`` windows.
-
-    The first window containing ``now`` wins; outside all windows the base
-    model applies. Models, e.g., "5 % loss for the whole run, but a full
-    outage between t=30 s and t=40 s".
-    """
-
-    def __init__(self, base: LossModel,
-                 windows: list[tuple[float, float, LossModel]] | None = None
-                 ) -> None:
-        self._base = base
-        self._windows: list[tuple[float, float, LossModel]] = []
-        for start, end, model in windows or []:
-            self.add_window(start, end, model)
-
-    def add_window(self, start: float, end: float, model: LossModel) -> None:
-        if start >= end:
-            raise NetworkError(
-                f"window must have start < end: [{start!r}, {end!r})")
-        self._windows.append((start, end, model))
-
-    def should_drop(self, rng: random.Random, src: str, dst: str,
-                    now: float) -> bool:
-        for start, end, model in self._windows:
-            if start <= now < end:
-                return model.should_drop(rng, src, dst, now)
-        return self._base.should_drop(rng, src, dst, now)
-
-    def __repr__(self) -> str:
-        return f"ScheduledLoss(base={self._base!r}, windows={len(self._windows)})"

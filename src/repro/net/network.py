@@ -1,4 +1,4 @@
-"""The network fabric: registration, unicast/broadcast, partitions.
+"""The network fabric: registration, unicast, partitions.
 
 Semantics mirror UDP over the paper's testbed:
 
@@ -43,9 +43,8 @@ class Network:
     is swapped or a fault installed.
 
     The send and deliver paths bump :class:`NetworkStats` counters
-    inline, and deliveries call :meth:`Actor.on_message` directly: the
-    fabric has just checked ``actor.alive``, which is all
-    :meth:`Actor.deliver` adds.
+    inline, and deliveries check ``actor.alive`` and call
+    :meth:`Actor.on_message` directly.
 
     Model call order (what the RNG streams depend on): a remote send
     that is not blocked asks ``should_drop`` on the ``net.loss`` stream
@@ -97,30 +96,6 @@ class Network:
             raise NetworkError(f"address already registered: {actor.name!r}")
         self._actors[actor.name] = actor
 
-    def replace(self, actor: Actor) -> None:
-        """Re-bind an address to a new actor object (crash recovery)."""
-        if actor.name not in self._actors:
-            raise NetworkError(f"address not registered: {actor.name!r}")
-        self._actors[actor.name] = actor
-
-    def unregister(self, name: str) -> None:
-        self._actors.pop(name, None)
-        self._disconnected.discard(name)
-        self._refresh_fault_flag()
-
-    def is_registered(self, name: str) -> bool:
-        return name in self._actors
-
-    def actor(self, name: str) -> Actor:
-        try:
-            return self._actors[name]
-        except KeyError:
-            raise NetworkError(f"unknown address: {name!r}") from None
-
-    @property
-    def addresses(self) -> list[str]:
-        return sorted(self._actors)
-
     # ------------------------------------------------------------------
     # Faults
     # ------------------------------------------------------------------
@@ -164,14 +139,6 @@ class Network:
         self._latency = latency
         self._refresh_model_flags()
 
-    @property
-    def latency_model(self) -> LatencyModel:
-        return self._latency
-
-    @property
-    def loss_model(self) -> LossModel:
-        return self._loss
-
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
@@ -210,8 +177,7 @@ class Network:
             return
         if size_aware:
             delay = self._latency.transfer_delay(self._latency_rng,
-                                                 src, dst, size,
-                                                 self._loop.now())
+                                                 src, dst, size)
         elif self._fixed_delay is not None:
             # ConstantLatency.sample ignores the RNG; read the cached
             # delay instead of dispatching through the model.
@@ -219,20 +185,6 @@ class Network:
         else:
             delay = self._latency.sample(self._latency_rng, src, dst)
         self._loop.call_later(delay, self._deliver, src, dst, message)
-
-    def broadcast(self, src: str, dsts: list[str], message: Any,
-                  include_self: bool = True) -> None:
-        """Send ``message`` to every destination (independent fates).
-
-        ``include_self=False`` skips ``src`` if it appears in ``dsts``.
-        Self-delivery still traverses the loss/latency models: the paper's
-        implementation uses real UDP to self, and keeping that uniform
-        avoids special-casing quorum math.
-        """
-        for dst in dsts:
-            if not include_self and dst == src:
-                continue
-            self.send(src, dst, message)
 
     def send_local(self, src: str, dst: str, message: Any) -> None:
         """Reliable same-instant delivery (co-located client <-> site).
@@ -292,9 +244,7 @@ class Network:
 
     def _deliver_enveloped(self, src: str, dst: str, level: str,
                            scope: str, inner: Any) -> None:
-        # Same re-checks as _deliver; the actor is looked up by name at
-        # delivery time because crash recovery re-binds addresses to new
-        # actor objects (see replace()).
+        # Same re-checks as _deliver.
         stats = self.stats
         if self._faults_installed and self._is_blocked(src, dst):
             stats.blocked += 1

@@ -29,21 +29,3 @@ class NetworkStats:
     by_type: Counter = field(default_factory=Counter)
     bytes_by_type: Counter = field(default_factory=Counter)
     delivered_by_type: Counter = field(default_factory=Counter)
-
-    @property
-    def loss_fraction(self) -> float:
-        """Fraction of sent messages dropped by the loss model."""
-        if self.sent == 0:
-            return 0.0
-        return self.dropped / self.sent
-
-    def snapshot(self) -> dict[str, int]:
-        """Plain-dict summary (for printing in experiment reports)."""
-        return {
-            "sent": self.sent,
-            "delivered": self.delivered,
-            "dropped": self.dropped,
-            "blocked": self.blocked,
-            "dead_letter": self.dead_letter,
-            "bytes_sent": self.bytes_sent,
-        }

@@ -24,13 +24,6 @@ class Topology:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def single_region(cls, node_names: list[str],
-                      region: str = "local") -> "Topology":
-        """All nodes in one region, one implicit cluster."""
-        return cls(node_regions={n: region for n in node_names},
-                   node_clusters={n: region for n in node_names})
-
-    @classmethod
     def even_clusters(cls, total_sites: int, regions: list[str],
                       name_prefix: str = "n") -> "Topology":
         """Split ``total_sites`` evenly across ``regions``, one cluster per
@@ -67,10 +60,6 @@ class Topology:
         return sorted(self.node_regions)
 
     @property
-    def regions(self) -> list[str]:
-        return sorted(set(self.node_regions.values()))
-
-    @property
     def clusters(self) -> list[str]:
         return sorted(set(self.node_clusters.values()))
 
@@ -81,12 +70,6 @@ class Topology:
     def nodes_in_region(self, region: str) -> list[str]:
         return sorted(n for n, r in self.node_regions.items()
                       if r == region)
-
-    def region_of(self, node: str) -> str:
-        try:
-            return self.node_regions[node]
-        except KeyError:
-            raise NetworkError(f"unknown node: {node!r}") from None
 
     def cluster_of(self, node: str) -> str:
         try:

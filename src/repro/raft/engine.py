@@ -372,9 +372,17 @@ class ClassicRaftEngine(BaseEngine):
         self._start_next_config_change()
 
     def _start_next_config_change(self) -> None:
-        if self._pending_config is not None or not self._config_queue:
+        if self._pending_config is not None:
             return
-        change = self._config_queue.pop(0)
+        # A change queued while an earlier one was in flight may be moot
+        # by now (the same site added, or removed, twice): skip it.
+        while self._config_queue:
+            change = self._config_queue.pop(0)
+            if (change["site"] in self._configuration) != (
+                    change["action"] == "add"):
+                break
+        else:
+            return
         self._pending_config = change
         site = change["site"]
         if change["action"] == "add":

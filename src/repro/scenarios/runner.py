@@ -30,7 +30,7 @@ from repro.errors import ExperimentError
 from repro.harness.builder import build_from_spec
 from repro.harness.checkers import run_safety_checks
 from repro.harness.faults import FaultInjector
-from repro.harness.workload import ClosedLoopWorkload, PoissonWorkload
+from repro.harness.workload import ClosedLoopWorkload
 from repro.metrics.summary import summarize
 from repro.scenarios.spec import Cell, Event, ScenarioSpec
 
@@ -99,7 +99,7 @@ class RunContext:
         self.spec = spec
         self.initial_leader: str | None = None
         self.clients: list = []
-        self.workloads: list[ClosedLoopWorkload | PoissonWorkload] = []
+        self.workloads: list[ClosedLoopWorkload] = []
         self.faults = FaultInjector(system)
         #: (fire time, event, resolved sites) per fired schedule event.
         self.fired: list[tuple[float, Event, list[str]]] = []
@@ -154,31 +154,19 @@ def proposer_sites(system, spec: ScenarioSpec, leader: str | None
 
 def attach_workloads(system, spec: ScenarioSpec, ctx: RunContext,
                      leader: str | None) -> None:
-    """Create the spec's clients + workloads (closed-loop or Poisson
-    open-loop, per ``WorkloadSpec.arrival``) and start them."""
+    """Create the spec's clients + closed-loop workloads and start them."""
     wl = spec.workload
     for index, site in enumerate(proposer_sites(system, spec, leader)):
         name = (wl.client_names[index]
                 if index < len(wl.client_names) else None)
         client = system.add_client(site=site, name=name,
                                    proposal_timeout=wl.proposal_timeout)
-        if wl.arrival == "poisson":
-            workload = PoissonWorkload(
-                client, system.loop, wl.rate, max_requests=wl.requests,
-                command_factory=wl.command_factory(index))
-        else:
-            workload = ClosedLoopWorkload(
-                client, max_requests=wl.requests,
-                command_factory=wl.command_factory(index))
         ctx.clients.append(client)
-        ctx.workloads.append(workload)
-    for index, workload in enumerate(ctx.workloads):
-        if isinstance(workload, PoissonWorkload):
-            # One dedicated stream per proposer keeps arrivals
-            # independent of each other and of the fabric's RNG use.
-            workload.start(system.rng.stream(f"{wl.rng_stream}.{index}"))
-        else:
-            workload.start()
+        ctx.workloads.append(ClosedLoopWorkload(
+            client, max_requests=wl.requests,
+            command_factory=wl.command_factory(index)))
+    for workload in ctx.workloads:
+        workload.start()
 
 
 def arm_timed_events(ctx: RunContext) -> None:

@@ -28,7 +28,6 @@ from repro.net.latency import (
     ConstantLatency,
     LatencyModel,
     RegionLatencyModel,
-    SharedLinkBandwidthModel,
     UniformLatency,
 )
 from repro.net.loss import BernoulliLoss, LossModel
@@ -83,12 +82,6 @@ class TopologySpec:
                 index += 1
         return topo
 
-    def site_names(self) -> list[str]:
-        topo = self.build()
-        if topo is not None:
-            return topo.nodes
-        return [f"{self.name_prefix}{i}" for i in range(self.n_sites)]
-
 
 # ----------------------------------------------------------------------
 # Network models
@@ -103,8 +96,7 @@ class LatencySpec:
     :mod:`repro.experiments.regions` over the scenario topology), and
     ``rtt_matrix`` (an explicit ``(region_a, region_b, rtt)`` table).
     ``bandwidth`` (simulated bytes/second) wraps the base model so
-    message delays charge payload size; ``shared_link`` upgrades that to
-    the congestion-aware queueing model.
+    message delays charge payload size.
     """
 
     kind: str = "default"
@@ -115,13 +107,6 @@ class LatencySpec:
     intra_rtt: float = 0.001
     jitter: float = 0.10
     bandwidth: float | None = None
-    shared_link: bool = False
-
-    def __post_init__(self) -> None:
-        if self.shared_link and self.bandwidth is None:
-            raise ExperimentError(
-                "shared_link needs a bandwidth (the congestion model is "
-                "a queue on the serialization delay)")
 
     @classmethod
     def constant(cls, delay: float, **kwargs) -> "LatencySpec":
@@ -161,9 +146,7 @@ class LatencySpec:
         if base is None:
             from repro.harness.builder import DEFAULT_LATENCY
             base = DEFAULT_LATENCY
-        wrapper = (SharedLinkBandwidthModel if self.shared_link
-                   else BandwidthLatencyModel)
-        return wrapper(base, self.bandwidth)
+        return BandwidthLatencyModel(base, self.bandwidth)
 
 
 @dataclass(frozen=True)
@@ -186,7 +169,7 @@ class LossSpec:
 EVENT_ACTIONS = frozenset({
     "crash", "recover", "silent_leave", "silent_return", "announced_leave",
     "request_join", "partition", "heal_partition", "set_loss",
-    "set_link_loss", "set_bandwidth", "set_latency",
+    "set_latency",
 })
 
 
@@ -200,9 +183,7 @@ class Event:
     leader), ``"nonleader:<i>"`` (the i-th non-leader by sorted site id,
     excluding the *fire-time* leader), or ``"cluster:<name>"`` (every
     site of that cluster). ``args`` carry action parameters: partition
-    groups, a loss rate, ``(src, dst, rate)`` for ``set_link_loss``,
-    ``(bytes_per_second,)`` (optionally ``(bytes_per_second, shared)``)
-    for ``set_bandwidth``, a :class:`LatencySpec`, or a join contact --
+    groups, a loss rate, a :class:`LatencySpec`, or a join contact --
     ``(contact,)`` or ``(contact, replaces)`` for ``request_join``,
     where ``replaces`` is the seat hint carried on the
     :class:`~repro.consensus.messages.JoinRequest`.
@@ -263,20 +244,6 @@ class EventSchedule:
             t += stable
         return cls(events=tuple(events))
 
-    def outage_windows(self) -> list[tuple[float, float]]:
-        """``(start, end)`` of every partition interval in the schedule."""
-        windows: list[tuple[float, float]] = []
-        start: float | None = None
-        for event in self.timed():
-            if event.action == "partition" and start is None:
-                start = event.at
-            elif event.action == "heal_partition" and start is not None:
-                windows.append((start, event.at))
-                start = None
-        if start is not None:
-            windows.append((start, float("inf")))
-        return windows
-
 
 # ----------------------------------------------------------------------
 # Workload
@@ -291,10 +258,8 @@ class WorkloadSpec:
     or ``sites`` (the explicit ``sites`` tuple, in order). ``command``
     picks the submitted payloads: ``default`` (``k<seq>``), ``keyed``
     (``<prefixes[i]>.<seq>``), or ``payload`` (``value_bytes`` of
-    filler per value). ``arrival`` picks the pacing: ``closed_loop``
-    (the paper's proposers -- next command after the previous commit) or
-    ``poisson`` (open-loop, exponential inter-arrivals at ``rate``
-    requests/second from the ``rng_stream`` random stream).
+    filler per value). Proposers are closed-loop, as the paper's are:
+    each submits its next command when the previous one commits.
     """
 
     placement: str = "leader"
@@ -306,8 +271,6 @@ class WorkloadSpec:
     command: str = "default"
     prefixes: tuple[str, ...] = ()
     value_bytes: int = 0
-    arrival: str = "closed_loop"
-    rate: float = 0.0
     rng_stream: str = "scenario.proposer"
 
     def __post_init__(self) -> None:
@@ -319,11 +282,6 @@ class WorkloadSpec:
             raise ExperimentError("placement 'sites' needs a sites tuple")
         if self.command not in ("default", "keyed", "payload"):
             raise ExperimentError(f"unknown command kind: {self.command!r}")
-        if self.arrival not in ("closed_loop", "poisson"):
-            raise ExperimentError(f"unknown arrival kind: {self.arrival!r}")
-        if self.arrival == "poisson" and self.rate <= 0:
-            raise ExperimentError(
-                "poisson arrivals need a positive rate (requests/second)")
 
     def command_factory(self, index: int):
         """The per-proposer command factory (None = workload default)."""

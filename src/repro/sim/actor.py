@@ -3,9 +3,8 @@
 An actor is anything that lives on the simulation loop and receives
 messages from the network: consensus nodes, clients, fault injectors.
 Subclasses implement :meth:`on_message`. The network checks
-:attr:`alive` itself (a crashed actor's traffic is a dead letter) and
-calls :meth:`on_message` directly; :meth:`deliver` is the same gate for
-callers that hold an actor and not the fabric.
+:attr:`alive` (a crashed actor's traffic is a dead letter) and calls
+:meth:`on_message`.
 
 ``name``, ``alive`` and ``loop`` are plain instance attributes and
 ``now`` is the loop's own bound ``now``: every delivered event reads
@@ -56,12 +55,6 @@ class Actor:
     # ------------------------------------------------------------------
     # Messaging
     # ------------------------------------------------------------------
-    def deliver(self, message: Any, sender: str) -> None:
-        """Hand ``message`` to the actor; dropped when it is dead."""
-        if not self.alive:
-            return
-        self.on_message(message, sender)
-
     def on_message(self, message: Any, sender: str) -> None:
         """Handle a delivered message. Subclasses must implement."""
         raise NotImplementedError

@@ -48,9 +48,8 @@ class Handle:
 
     Cancellation is lazy: the entry stays in its bucket (or heap) and is
     skipped when popped. This makes ``cancel()`` O(1). The owning loop
-    keeps a count of cancelled entries still stored so
-    ``pending_count()`` stays O(1) and the structure can be compacted
-    when cancellations dominate it.
+    keeps a count of cancelled entries still stored so the structure can
+    be compacted when cancellations dominate it.
     """
 
     __slots__ = ("when", "_callback", "_args", "_cancelled", "seq",
@@ -77,10 +76,6 @@ class Handle:
         self._args = ()
         if self._in_heap and self._loop is not None:
             self._loop._note_cancelled()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self._cancelled else "pending"
@@ -361,7 +356,7 @@ class SimLoop:
                     # Everything left lies beyond the scanned window
                     # (deep overflow): jump the clock to the earliest
                     # pending event and go again.
-                    self._now = self._next_event_time()
+                    self._now = self.pending_handles()[0].when
                     self._cursor = int(self._now * _WHEEL_INV)
             # Unlike run_until, the clock stays at the last fired event
             # here -- pull the cursor back next to it so later schedules
@@ -372,25 +367,6 @@ class SimLoop:
             if paused:
                 gc.enable()
         return executed
-
-    def _next_event_time(self) -> float:
-        """Earliest non-cancelled pending time (O(stored), only reached
-        on the deep-overflow path of run_until_idle)."""
-        best = None
-        for slot in self._wheel:
-            for when, _seq, handle in slot:
-                if not handle._cancelled and (best is None or when < best):
-                    best = when
-        for when, _seq, handle in self._overflow:
-            if not handle._cancelled and (best is None or when < best):
-                best = when
-        if best is None:  # pragma: no cover - guarded by _active
-            return self._now
-        return best
-
-    def pending_count(self) -> int:
-        """Number of scheduled, non-cancelled callbacks. O(1)."""
-        return self._active
 
     # ------------------------------------------------------------------
     # Model-checking hooks: enumerate and fire events out of order
@@ -465,4 +441,4 @@ class SimLoop:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<SimLoop now={self._now:.6f} "
-                f"pending={self.pending_count()}>")
+                f"pending={self._active}>")

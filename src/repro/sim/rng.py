@@ -29,10 +29,6 @@ class RngRegistry:
         self._root_seed = root_seed
         self._streams: dict[str, random.Random] = {}
 
-    @property
-    def root_seed(self) -> int:
-        return self._root_seed
-
     def stream(self, name: str) -> random.Random:
         """Return the stream for ``name``, creating it on first use.
 
@@ -44,14 +40,6 @@ class RngRegistry:
             stream = random.Random(derive_seed(self._root_seed, name))
             self._streams[name] = stream
         return stream
-
-    def fork(self, name: str) -> "RngRegistry":
-        """Create a child registry rooted at a derived seed.
-
-        Useful when one experiment spawns sub-experiments that must not
-        share streams with the parent.
-        """
-        return RngRegistry(derive_seed(self._root_seed, name))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<RngRegistry root_seed={self._root_seed} "

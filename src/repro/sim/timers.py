@@ -38,12 +38,10 @@ class PeriodicTimer:
         self._handle: Handle | None = None
 
     @property
-    def interval(self) -> float:
-        return self._interval
-
-    @property
     def running(self) -> bool:
-        return self._handle is not None and not self._handle.cancelled
+        # stop() clears the handle and _fire() re-arms before calling
+        # back, so a held handle is always the pending firing.
+        return self._handle is not None
 
     def start(self) -> None:
         """Arm the timer. No-op if already running."""
@@ -80,10 +78,6 @@ class RestartableTimer:
         self._loop = loop
         self._callback = callback
         self._handle: Handle | None = None
-
-    @property
-    def running(self) -> bool:
-        return self._handle is not None and not self._handle.cancelled
 
     def reset(self, delay: float) -> None:
         """(Re-)arm the timer to fire ``delay`` seconds from now."""

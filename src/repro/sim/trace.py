@@ -9,7 +9,7 @@ node internals mid-run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,6 @@ class TraceRecorder:
     def __len__(self) -> int:
         return len(self._events)
 
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
-
     @property
     def events(self) -> list[TraceEvent]:
         """The raw event list (do not mutate)."""
@@ -80,13 +77,3 @@ class TraceRecorder:
     def select_prefix(self, prefix: str) -> list[TraceEvent]:
         """Events whose category starts with ``prefix``."""
         return [e for e in self._events if e.category.startswith(prefix)]
-
-    def last(self, category: str) -> TraceEvent | None:
-        """Most recent event of ``category``, or None."""
-        for event in reversed(self._events):
-            if event.category == category:
-                return event
-        return None
-
-    def clear(self) -> None:
-        self._events.clear()

@@ -9,12 +9,10 @@ loop and exactly-once semantics.
 
 from repro.smr.client import Client
 from repro.smr.kv import KVCommand, KVStateMachine
-from repro.smr.machine import AppendOnlyLog, CounterMachine, StateMachine
+from repro.smr.machine import StateMachine
 
 __all__ = [
-    "AppendOnlyLog",
     "Client",
-    "CounterMachine",
     "KVCommand",
     "KVStateMachine",
     "StateMachine",

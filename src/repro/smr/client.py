@@ -80,10 +80,6 @@ class Client(Actor):
         #: Requests abandoned after ``max_attempts`` retries.
         self.abandoned: list[RequestRecord] = []
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
     def attach_to(self, site: str) -> None:
         """Re-attach to a different site (e.g. after its site departed)."""
         self.site = site
@@ -177,16 +173,3 @@ class Client(Actor):
         self.completed.append(record)
         for callback in record.callbacks:
             callback(record)
-
-    # ------------------------------------------------------------------
-    # Results
-    # ------------------------------------------------------------------
-    def latencies(self) -> list[float]:
-        """Commit latencies of completed requests, in completion order."""
-        return [r.latency for r in self.completed if r.latency is not None]
-
-    def kill(self) -> None:
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
-        super().kill()

@@ -66,10 +66,6 @@ class ServingFrontend:
         """Turn on per-session dedup (idempotent)."""
         self.tracking = True
 
-    @property
-    def session_count(self) -> int:
-        return len(self.sessions)
-
     # ------------------------------------------------------------------
     # Requests in
     # ------------------------------------------------------------------

@@ -20,10 +20,6 @@ class KVCommand:
         return {"op": "put", "key": key, "value": value}
 
     @staticmethod
-    def delete(key: str) -> dict[str, Any]:
-        return {"op": "delete", "key": key}
-
-    @staticmethod
     def append(key: str, value: str) -> dict[str, Any]:
         return {"op": "append", "key": key, "value": value}
 
@@ -59,6 +55,3 @@ class KVStateMachine(StateMachine):
 
     def restore(self, state: Any) -> None:
         self._data = dict(state)
-
-    def __len__(self) -> int:
-        return len(self._data)

@@ -17,7 +17,6 @@ change to the snapshot wire format.
 from __future__ import annotations
 
 import functools
-from typing import Iterable
 
 
 # Every replica of every level parses each applied id within moments
@@ -49,9 +48,6 @@ class SessionTable:
     def __init__(self) -> None:
         self._sessions: dict[str, tuple[int, int]] = {}
 
-    def __len__(self) -> int:
-        return len(self._sessions)
-
     def observe(self, entry_id: str, index: int) -> None:
         """Record one applied DATA entry (called in apply order)."""
         parsed = parse_session(entry_id)
@@ -70,15 +66,3 @@ class SessionTable:
     def is_duplicate(self, session: str, sequence: int) -> bool:
         """Has this request already been applied?"""
         return sequence <= self._sessions.get(session, (0, 0))[0]
-
-    @classmethod
-    def from_applied_ids(cls, applied_ids: Iterable[str]) -> "SessionTable":
-        """Rebuild from a snapshot's applied-id set. Indices below the
-        snapshot point are unknown and recorded as 0, which is not a log
-        index: a duplicate answered from a rebuilt table replies with
-        ``index=None`` (completion is what the retrying client needs,
-        not the exact slot)."""
-        table = cls()
-        for entry_id in applied_ids:
-            table.observe(entry_id, 0)
-        return table

@@ -146,9 +146,6 @@ class SnapshotSender:
         """Every chunk acked (the install confirmation may still be due)."""
         return len(self.acked) == len(self.chunks)
 
-    def in_flight(self) -> int:
-        return len(self._in_flight)
-
     def take(self, window: int) -> list[tuple[int, int, bytes, bool]]:
         """Chunks to put on the wire now, keeping at most ``window`` in
         flight: ``(offset, length, data slice, done flag)`` tuples."""

@@ -29,10 +29,6 @@ class StableStore:
         self._write_bytes = 0
 
     @property
-    def owner(self) -> str:
-        return self._owner
-
-    @property
     def write_count(self) -> int:
         """Total durable writes (a cheap proxy for fsync cost in reports)."""
         return self._writes
@@ -72,26 +68,11 @@ class StableStore:
     def get(self, key: str, default: Any = None) -> Any:
         return self._values.get(key, default)
 
-    def require(self, key: str) -> Any:
-        """Like :meth:`get` but raises if the key was never written."""
-        try:
-            return self._values[key]
-        except KeyError:
-            raise StorageError(
-                f"{self._owner}: no stable value for {key!r}") from None
-
     def __contains__(self, key: str) -> bool:
         return key in self._values
 
-    def keys(self) -> list[str]:
-        return sorted(self._values)
-
-    def wipe(self) -> None:
-        """Destroy the stored state (models disk loss, NOT a crash)."""
-        self._values.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<StableStore {self._owner} keys={self.keys()}>"
+        return f"<StableStore {self._owner} keys={sorted(self._values)}>"
 
 
 class StorageFabric:
@@ -111,10 +92,6 @@ class StorageFabric:
             store = StableStore(name)
             self._stores[name] = store
         return store
-
-    def forget(self, name: str) -> None:
-        """Drop a site's storage entirely (permanent departure)."""
-        self._stores.pop(name, None)
 
     def __contains__(self, name: str) -> bool:
         return name in self._stores

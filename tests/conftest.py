@@ -10,6 +10,7 @@ from repro.fastraft.server import FastRaftServer
 from repro.harness.builder import Cluster, build_cluster
 from repro.harness.checkers import run_safety_checks
 from repro.net import sizes
+from repro.net.loss import LossModel, NoLoss
 from repro.raft.server import RaftServer
 from repro.sim.actor import Actor
 from repro.smr.kv import KVStateMachine
@@ -109,6 +110,42 @@ class Inbox(Actor):
 
 def assert_safe(cluster: Cluster) -> None:
     run_safety_checks(cluster.servers.values(), cluster.trace)
+
+
+def live_servers(cluster: Cluster) -> list:
+    """Servers that are up and connected."""
+    return [s for s in cluster.servers.values()
+            if s.alive and not cluster.network.is_disconnected(s.name)]
+
+
+def session_applied(server, session: str) -> bool:
+    """Has ``server`` applied any request of ``session``?"""
+    return server.frontend.sessions.last_applied(session)[0] >= 1
+
+
+class LinkLoss(LossModel):
+    """Bernoulli rates on chosen directed links over a ``base`` model for
+    every other link (one bad route, as ``tc`` on a single path)."""
+
+    def __init__(self, rates: dict, base: LossModel | None = None) -> None:
+        self.rates = dict(rates)
+        self.base = base if base is not None else NoLoss()
+
+    @classmethod
+    def around(cls, site: str, peers, rate: float) -> "LinkLoss":
+        """``rate`` on every link between ``site`` and ``peers``, both
+        directions."""
+        rates = {}
+        for peer in peers:
+            if peer != site:
+                rates[(site, peer)] = rates[(peer, site)] = rate
+        return cls(rates)
+
+    def should_drop(self, rng, src, dst, now):
+        rate = self.rates.get((src, dst))
+        if rate is None:
+            return self.base.should_drop(rng, src, dst, now)
+        return rate != 0 and rng.random() < rate
 
 
 @pytest.fixture

@@ -75,9 +75,6 @@ class HeapLoop(SimLoop):
             self._running = False
         return fired
 
-    def pending_count(self) -> int:
-        return len(self._heap) - self._cancelled_in_heap
-
     def _note_cancelled(self) -> None:
         self._cancelled_in_heap += 1
         heap = self._heap
@@ -87,3 +84,11 @@ class HeapLoop(SimLoop):
             heap[:] = [item for item in heap if not item[2]._cancelled]
             heapq.heapify(heap)
             self._cancelled_in_heap = 0
+
+
+def pending_count(loop: SimLoop) -> int:
+    """Scheduled, non-cancelled callbacks, as the loop itself counts them
+    (the wheel's ``_active`` is what ``run_until_idle`` runs down)."""
+    if isinstance(loop, HeapLoop):
+        return len(loop._heap) - loop._cancelled_in_heap
+    return loop._active

@@ -33,17 +33,6 @@ class TestLogEntry:
         assert original.term == 1
         assert original.inserted_by is InsertedBy.SELF
 
-    def test_same_entry_by_id(self):
-        a = entry(term=1)
-        b = entry(term=9, inserted_by=InsertedBy.LEADER)
-        assert a.same_entry(b)
-        assert not a.same_entry(entry(entry_id="other"))
-
-    def test_kind_predicates(self):
-        assert entry(kind=EntryKind.CONFIG).is_config
-        assert not entry().is_config
-        assert make_noop("n0", 1).is_noop
-
     def test_noop_ids_unique(self):
         a = make_noop("n0", 1)
         b = make_noop("n0", 1)

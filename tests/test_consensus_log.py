@@ -22,7 +22,7 @@ class TestBasics:
     def test_empty_log(self):
         log = RaftLog()
         assert log.last_index == 0
-        assert len(log) == 0
+        assert list(log) == []
         assert log.get(1) is None
         assert not log.has(1)
 
@@ -38,7 +38,7 @@ class TestBasics:
         assert log.last_index == 5
         assert log.get(5).entry_id == "e5"
         assert log.get(3) is None
-        assert len(log) == 1
+        assert [i for i, _ in log] == [5]
 
     def test_insert_below_one_rejected(self):
         with pytest.raises(LogError):
@@ -89,7 +89,7 @@ class TestTruncate:
         log.append(entry("a"))
         log.truncate_from(1)
         assert log.last_index == 0
-        assert len(log) == 0
+        assert list(log) == []
 
     def test_truncate_invalid_index(self):
         with pytest.raises(LogError):
@@ -103,14 +103,6 @@ class TestRangesAndProvenance:
         log.insert(3, entry("c"))
         got = log.entries_between(1, 3)
         assert [i for i, _ in got] == [1, 3]
-
-    def test_contiguous_from(self):
-        log = RaftLog()
-        log.insert(1, entry("a"))
-        log.insert(2, entry("b"))
-        log.insert(4, entry("d"))
-        assert log.contiguous_from(1, 2)
-        assert not log.contiguous_from(1, 4)
 
     def test_last_with_provenance(self):
         log = RaftLog()
@@ -138,12 +130,12 @@ class TestRangesAndProvenance:
         log.insert(2, entry("d1"))
         log.insert(3, entry("c2", kind=EntryKind.CONFIG,
                             payload=ConfigPayload(("a", "b"))))
-        index, config_entry = log.latest_config_entry()
+        index, config_entry = log.best_config_entry()
         assert index == 3
         assert config_entry.payload.members == ("a", "b")
 
     def test_latest_config_entry_none(self):
-        assert RaftLog().latest_config_entry() is None
+        assert RaftLog().best_config_entry() is None
 
 
 class TestDuplicateDetection:

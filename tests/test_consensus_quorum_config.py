@@ -142,11 +142,3 @@ class TestConfiguration:
     def test_cannot_remove_last_member(self):
         with pytest.raises(ConfigurationError):
             Configuration(("a",)).without_member("a")
-
-    def test_single_change_from(self):
-        base = Configuration(("a", "b", "c"))
-        assert base.single_change_from(base)
-        assert base.with_member("d").single_change_from(base)
-        assert base.without_member("c").single_change_from(base)
-        two_changes = Configuration(("a", "b", "d", "e"))
-        assert not two_changes.single_change_from(base)

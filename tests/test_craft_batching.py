@@ -20,7 +20,7 @@ def state_entry(entry_id):
 
 def feed(batcher, start, count, now=0.0):
     for i in range(start, start + count):
-        batcher.observe_local_commit(i, data_entry(f"e{i}"), now)
+        batcher.observe_and_check(i, data_entry(f"e{i}"), now)
 
 
 class TestReadiness:
@@ -63,8 +63,10 @@ class TestTakeBatch:
         assert payload.sequence == 1
         assert [e.entry_id for e in payload.entries] == ["e4", "e5", "e6"]
         assert payload.local_range == (4, 6)
-        assert batcher.pending_count == 2
         assert batcher.next_unbatched == 7
+        batcher.batch_done()
+        rest = batcher.take_batch(0.0)
+        assert [e.entry_id for e in rest.entries] == ["e7", "e8"]
 
     def test_sequences_increment(self):
         batcher = Batcher("c", BatchPolicy(batch_size=2, max_outstanding=5))
@@ -74,9 +76,9 @@ class TestTakeBatch:
 
     def test_interleaved_non_data_skipped(self):
         batcher = Batcher("c", BatchPolicy(batch_size=2))
-        batcher.observe_local_commit(1, data_entry("a"), 0.0)
-        batcher.observe_local_commit(2, state_entry("s"), 0.0)
-        batcher.observe_local_commit(3, data_entry("b"), 0.0)
+        batcher.observe_and_check(1, data_entry("a"), 0.0)
+        batcher.observe_and_check(2, state_entry("s"), 0.0)
+        batcher.observe_and_check(3, data_entry("b"), 0.0)
         payload = batcher.take_batch(0.0)
         assert [e.entry_id for e in payload.entries] == ["a", "b"]
         assert payload.local_range == (1, 3)
@@ -87,8 +89,9 @@ class TestCoverage:
         batcher = Batcher("c", BatchPolicy(batch_size=10))
         feed(batcher, 1, 6)
         batcher.advance_covered(4)
-        assert batcher.pending_count == 2
         assert batcher.next_unbatched == 5
+        payload = batcher.take_batch(0.0)
+        assert [e.entry_id for e in payload.entries] == ["e5", "e6"]
 
     def test_advance_covered_ignores_stale(self):
         batcher = Batcher("c", BatchPolicy(batch_size=10))
@@ -98,10 +101,9 @@ class TestCoverage:
         assert batcher.next_unbatched == 13
 
     def test_entries_below_next_unbatched_ignored(self):
-        batcher = Batcher("c", BatchPolicy(batch_size=10))
+        batcher = Batcher("c", BatchPolicy(batch_size=1))
         batcher.advance_covered(5)
-        batcher.observe_local_commit(3, data_entry("old"), 0.0)
-        assert batcher.pending_count == 0
+        assert not batcher.observe_and_check(3, data_entry("old"), 0.0)
 
 
 class TestRebuild:
@@ -110,17 +112,19 @@ class TestRebuild:
         applied = [(i, data_entry(f"e{i}")) for i in range(1, 8)]
         applied.insert(3, (99, state_entry("s")))  # non-data ignored
         batcher.rebuild(applied, next_unbatched=4, now=0.0)
-        assert batcher.pending_count == 4  # e4..e7
-        assert batcher.outstanding == 0
         assert batcher.next_unbatched == 4
+        payload = batcher.take_batch(0.0)
+        assert [e.entry_id for e in payload.entries] == [
+            "e4", "e5", "e6", "e7"]
 
     def test_rebuild_resets_outstanding(self):
         batcher = Batcher("c", BatchPolicy(batch_size=2))
-        feed(batcher, 1, 2)
+        feed(batcher, 1, 4)
         batcher.take_batch(0.0)
-        assert batcher.outstanding == 1
-        batcher.rebuild([], next_unbatched=1, now=0.0)
-        assert batcher.outstanding == 0
+        assert not batcher.ready(0.0)  # the one allowed batch is out
+        applied = [(i, data_entry(f"e{i}")) for i in range(1, 5)]
+        batcher.rebuild(applied, next_unbatched=3, now=0.0)
+        assert batcher.ready(0.0)
 
 
 class TestPolicyValidation:
@@ -214,21 +218,9 @@ class TestAdaptiveController:
 
 
 class TestFusedObserve:
-    def test_observe_and_check_matches_split_calls(self):
-        split = Batcher("c", BatchPolicy(batch_size=3))
-        fused = Batcher("c", BatchPolicy(batch_size=3))
-        due = []
-        for i in range(1, 6):
-            entry = data_entry(f"e{i}")
-            split.observe_local_commit(i, entry, 0.0)
-            due.append(split.ready(0.0))
-            assert fused.observe_and_check(i, entry, 0.0) == due[-1]
-        assert split.pending_count == fused.pending_count
-
     def test_observe_and_check_skips_non_data(self):
         batcher = Batcher("c", BatchPolicy(batch_size=1))
         assert not batcher.observe_and_check(1, state_entry("s"), 0.0)
-        assert batcher.pending_count == 0
 
 
 class TestAgeDeadline:

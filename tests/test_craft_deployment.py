@@ -3,13 +3,16 @@
 import pytest
 
 from repro.consensus.entry import EntryKind
+from repro.consensus.messages import JoinRequest
 from repro.craft import build_craft_deployment
 from repro.craft.batching import BatchPolicy
 from repro.net.latency import RegionLatencyModel
 from repro.net.topology import Topology
 from repro.harness.checkers import check_election_safety
+from repro.harness.faults import FaultInjector
 from repro.harness.workload import ClosedLoopWorkload
 from repro.smr.kv import KVStateMachine
+from repro.snapshot import CompactionPolicy
 
 RTTS = {("us", "eu"): 0.080, ("us", "ap"): 0.170, ("eu", "ap"): 0.220}
 
@@ -194,6 +197,54 @@ class TestLocalLeaderFailover:
                         if eid.startswith(f"client.{follower_site}")) >= 10,
             timeout=180.0)
         check_election_safety(dep.trace)
+
+    def test_site_without_global_engine_relays_joins_from_snapshot(self):
+        """A former local leader comes back from a crash as a follower:
+        it runs no global engine. A global-level JoinRequest reaching it
+        (a late joiner on a stale contact) is forwarded to the governing
+        global members -- not back to the sender, not to itself -- even
+        once view pruning has compacted every CONFIG entry and only the
+        view's snapshot base still names the members."""
+        topo, dep = make_deployment(
+            n_sites=9, regions=("us", "eu", "ap"), seed=3, batch_size=2,
+            local_compaction=CompactionPolicy(threshold=8, retain=2),
+            global_compaction=CompactionPolicy(threshold=4, retain=1))
+        dep.start_all()
+        leaders = dep.run_until_local_leaders()
+        dep.run_until_global_ready(timeout=60.0)
+        dep.run_for(3.0)
+        victim = leaders["eu"]
+        assert victim != dep.global_leader()
+        faults = FaultInjector(dep)
+        faults.crash(victim)
+        dep.run_for(5.0)
+        faults.recover(victim)
+        dep.run_until_local_leaders(timeout=30.0)
+        dep.run_until_global_ready(timeout=120.0)
+        dep.run_for(3.0)
+        site = dep.servers[victim]
+        assert site.global_engine is None
+        assert dep.local_leader("eu") != victim
+        assert site.global_view.best_config_entry() is None  # pruned
+        members = dep.servers[dep.global_leader()].global_engine \
+            .configuration.members
+        sender = members[0]
+        forwarded = []
+        send_enveloped = dep.network.send_enveloped
+
+        def record(src, dst, level, scope, inner):
+            if src == victim and level == "global":
+                forwarded.append((dst, inner))
+            send_enveloped(src, dst, level, scope, inner)
+
+        dep.network.send_enveloped = record
+        request = JoinRequest(site=sender)
+        dep.network.send_enveloped(sender, victim, "global", "global",
+                                   request)
+        dep.run_for(0.05)
+        assert forwarded
+        assert sorted(forwarded) == sorted(
+            (m, request) for m in members if m not in (sender, victim))
 
 
 class TestTwoMemberGlobalDeadlock:

@@ -6,7 +6,7 @@ from repro.fastraft.server import FastRaftServer
 from repro.harness.faults import FaultInjector
 from repro.harness.workload import ClosedLoopWorkload
 from repro.net.loss import BernoulliLoss
-from tests.conftest import assert_safe, commit_n, started_cluster
+from tests.conftest import assert_safe, commit_n, live_servers, started_cluster
 
 
 class TestElection:
@@ -42,7 +42,7 @@ class TestElection:
         assert cluster.run_until(lambda: record.done, timeout=20.0)
         cluster.run_for(1.0)
         assert_safe(cluster)
-        live = [s for s in cluster.live_servers()]
+        live = live_servers(cluster)
         assert all(s.state_machine.get("carry") == 9 for s in live)
 
     def test_commits_survive_leader_change(self):

@@ -14,8 +14,9 @@ from repro.harness.checkers import (
     check_log_matching,
 )
 from repro.harness.faults import FaultInjector
-from repro.harness.workload import ClosedLoopWorkload, PoissonWorkload
+from repro.harness.workload import ClosedLoopWorkload
 from repro.raft.server import RaftServer
+from repro.scenarios.spec import Event
 from repro.sim.trace import TraceRecorder
 from tests.conftest import started_cluster
 
@@ -64,60 +65,20 @@ class TestFaults:
         faults = FaultInjector(cluster)
         victim = next(n for n in cluster.servers if n != cluster.leader())
         at = cluster.loop.now() + 1.0
-        faults.schedule(at, "crash", victim)
+        event = Event("crash", target=victim, at=at)
+        cluster.loop.call_at(at, faults.apply_event, event)
         assert cluster.servers[victim].alive
         cluster.run_for(1.5)
         assert not cluster.servers[victim].alive
 
     def test_unknown_fault_kind_rejected(self):
-        cluster = started_cluster(RaftServer, seed=1)
         with pytest.raises(ExperimentError):
-            FaultInjector(cluster).schedule(1.0, "meteor", "n0")
+            Event("meteor", target="n0", at=1.0)
 
     def test_unknown_site_rejected(self):
         cluster = started_cluster(RaftServer, seed=1)
         with pytest.raises(ExperimentError):
             FaultInjector(cluster).crash("ghost")
-
-    def test_set_link_loss_overlays_current_model(self):
-        from repro.net.loss import PerLinkLoss
-        cluster = started_cluster(RaftServer, seed=1)
-        faults = FaultInjector(cluster)
-        faults.set_loss(0.05)
-        base = cluster.network.loss_model
-        faults.set_link_loss("n0", "n1", 1.0)
-        model = cluster.network.loss_model
-        assert isinstance(model, PerLinkLoss)
-        assert model.base is base
-        rng = cluster.rng.stream("test.loss")
-        # the degraded link always drops, both directions
-        assert model.should_drop(rng, "n0", "n1", 0.0)
-        assert model.should_drop(rng, "n1", "n0", 0.0)
-        # a second override accumulates on the same overlay
-        faults.set_link_loss("n0", "n2", 1.0, symmetric=False)
-        assert cluster.network.loss_model is model
-        assert model.should_drop(rng, "n0", "n2", 0.0)
-        # zero-rate override re-enables the reliable path on that link
-        faults.set_link_loss("n0", "n1", 0.0)
-        assert not model.should_drop(rng, "n0", "n1", 0.0)
-
-    def test_set_bandwidth_wraps_and_rewraps(self):
-        from repro.net.latency import (
-            BandwidthLatencyModel,
-            SharedLinkBandwidthModel,
-        )
-        cluster = started_cluster(RaftServer, seed=1)
-        base = cluster.network.latency_model
-        faults = FaultInjector(cluster)
-        faults.set_bandwidth(1_000_000.0)
-        model = cluster.network.latency_model
-        assert isinstance(model, BandwidthLatencyModel)
-        assert model.base is base and model.bandwidth == 1_000_000.0
-        # re-wrapping swaps the rate without nesting wrappers
-        faults.set_bandwidth(500.0, shared=True)
-        model = cluster.network.latency_model
-        assert isinstance(model, SharedLinkBandwidthModel)
-        assert model.base is base and model.bandwidth == 500.0
 
 
 class TestNonleaderSelector:
@@ -193,22 +154,6 @@ class TestWorkloads:
         done_at_stop = workload.completed_count
         cluster.run_for(2.0)
         assert workload.completed_count <= done_at_stop + 1
-
-    def test_poisson_submits_at_rate(self):
-        cluster = started_cluster(FastRaftServer, seed=1)
-        client = cluster.add_client(site="n0")
-        workload = PoissonWorkload(client, cluster.loop, rate=20.0,
-                                   max_requests=30)
-        workload.start(cluster.rng.stream("workload"))
-        cluster.run_for(4.0)
-        assert len(workload.records) == 30
-        assert workload.records[-1].done
-
-    def test_poisson_rejects_bad_rate(self):
-        cluster = started_cluster(FastRaftServer, seed=1)
-        client = cluster.add_client(site="n0")
-        with pytest.raises(ValueError):
-            PoissonWorkload(client, cluster.loop, rate=0.0)
 
 
 def _entry(entry_id, term=1, by=InsertedBy.LEADER):

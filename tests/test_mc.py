@@ -7,7 +7,7 @@ Four guarantees are pinned here:
    the rest of the queue.
 2. **Fork isolation** -- driving a forked world never mutates its
    parent (the scheduled-closure deep copy actually severs the worlds).
-3. **Determinism** -- the same target, depth, and strategy produce
+3. **Determinism** -- the same target and depth produce
    identical visited-state fingerprints and byte-identical exported
    traces, and an exported schedule replays to the recorded state.
 4. **The recovery liveness edge** -- the probe-before-trust handshake
@@ -30,13 +30,12 @@ import pytest
 
 from repro.errors import ModelCheckError, SimulationError
 from repro.mc import (
+    Explorer,
     branch_set,
-    explore,
     export_report,
     fingerprint,
     fire_event,
     fork_world,
-    make_strategy,
     replay_file,
 )
 from repro.mc.probes import (
@@ -47,6 +46,10 @@ from repro.mc.probes import (
 )
 from repro.scenarios.mc import get_mc_target, mc_target_names, prepare_world
 from repro.sim.loop import SimLoop
+
+
+def explore(target, **kwargs):
+    return Explorer(target, **kwargs).run()
 
 
 # ----------------------------------------------------------------------
@@ -201,19 +204,12 @@ def _export_digest(report, directory) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("strategy", ["dfs", "bfs", "random"])
-def test_exploration_is_deterministic(healthy_target, strategy, tmp_path):
-    runs = [explore(healthy_target, strategy=strategy, depth=4,
-                    max_states=120, walk_seed=3) for _ in range(2)]
-    assert (runs[0].visited_fingerprints()
-            == runs[1].visited_fingerprints())
+def test_exploration_is_deterministic(healthy_target, tmp_path):
+    runs = [explore(healthy_target, depth=4, max_states=120)
+            for _ in range(2)]
+    assert sorted(runs[0].visited) == sorted(runs[1].visited)
     assert (_export_digest(runs[0], tmp_path / "a")
             == _export_digest(runs[1], tmp_path / "b"))
-
-
-def test_unknown_strategy_rejected():
-    with pytest.raises(ModelCheckError):
-        make_strategy("simulated-annealing")
 
 
 def test_registry_lists_targets():
@@ -237,14 +233,14 @@ DEPTH = 12
 
 @pytest.fixture(scope="module")
 def evicted_report(evicted_target):
-    return explore(evicted_target, strategy="dfs", depth=DEPTH,
+    return explore(evicted_target, depth=DEPTH,
                    max_states=150)
 
 
 @pytest.fixture(scope="module")
 def noprobe_report():
     return explore(get_mc_target("mc_evicted_while_down_noprobe"),
-                   strategy="dfs", depth=DEPTH, max_states=150)
+                   depth=DEPTH, max_states=150)
 
 
 def test_evicted_while_down_recovery_is_live(evicted_report):
@@ -277,7 +273,7 @@ def test_replay_reproduces_flagged_state(noprobe_report, tmp_path):
 
 
 def test_healthy_cluster_is_clean_at_same_depth(healthy_target):
-    report = explore(healthy_target, strategy="dfs", depth=DEPTH,
+    report = explore(healthy_target, depth=DEPTH,
                      max_states=150)
     assert not report.violations
 
@@ -289,7 +285,7 @@ def test_recovery_timing_battery_is_clean(name):
     """The eviction-timing battery: recovery before / racing / just
     after the member timeout, each explored from a root where the
     handshake is still in flight. Every ordering must stay live."""
-    report = explore(get_mc_target(name), strategy="dfs", depth=DEPTH,
+    report = explore(get_mc_target(name), depth=DEPTH,
                      max_states=150)
     assert not report.violations
 

@@ -1,9 +1,8 @@
-"""Tests for metrics: summaries, series, round accounting."""
+"""Tests for metrics: summaries and round accounting."""
 
 import pytest
 
 from repro.metrics.rounds import hops_from_latency
-from repro.metrics.series import EventSeries, ValueSeries
 from repro.metrics.summary import percentile, summarize
 
 
@@ -33,62 +32,6 @@ class TestSummary:
     def test_stdev_sample(self):
         stats = summarize([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
         assert stats.stdev == pytest.approx(2.138, abs=0.01)
-
-    def test_format(self):
-        stats = summarize([0.050, 0.060])
-        text = stats.format(unit="ms", scale=1000)
-        assert "55.0ms" in text
-        assert "n=2" in text
-
-
-class TestEventSeries:
-    def test_counts_and_rates(self):
-        series = EventSeries("commits")
-        for t in (0.1, 0.5, 0.9, 1.5, 2.5):
-            series.record(t)
-        assert len(series) == 5
-        assert series.count_between(0.0, 1.0) == 3
-        assert series.rate_between(0.0, 1.0) == pytest.approx(3.0)
-
-    def test_out_of_order_rejected(self):
-        series = EventSeries()
-        series.record(1.0)
-        with pytest.raises(ValueError):
-            series.record(0.5)
-
-    def test_rates_per_window(self):
-        series = EventSeries()
-        for t in (0.1, 0.2, 1.1):
-            series.record(t)
-        windows = series.rates_per_window(0.0, 2.0, 1.0)
-        assert windows[0] == (0.5, pytest.approx(2.0))
-        assert windows[1] == (1.5, pytest.approx(1.0))
-
-    def test_bad_window_rejected(self):
-        with pytest.raises(ValueError):
-            EventSeries().rate_between(1.0, 1.0)
-
-
-class TestValueSeries:
-    def test_record_and_summary(self):
-        series = ValueSeries("latency")
-        series.record(0.1, 0.050)
-        series.record(0.2, 0.070)
-        assert series.summary().mean == pytest.approx(0.060)
-
-    def test_between(self):
-        series = ValueSeries()
-        for t in range(5):
-            series.record(float(t), float(t) * 10)
-        assert series.values_between(1.0, 3.0) == [10.0, 20.0]
-
-    def test_window_means_skip_empty(self):
-        series = ValueSeries()
-        series.record(0.5, 1.0)
-        series.record(2.5, 3.0)
-        means = series.window_means(0.0, 3.0, 1.0)
-        assert len(means) == 2  # the window [1,2) is empty
-        assert means[0] == (0.5, 1.0)
 
 
 class TestRounds:
@@ -134,13 +77,13 @@ class TestStreamingReservoir:
         assert stats.minimum == 1.0
         assert stats.maximum == 1000.0
         assert stats.mean == pytest.approx(500.5)
-        assert len(reservoir.sample) == 16  # bounded memory
+        assert len(reservoir._sample) == 16  # bounded memory
 
     def test_below_capacity_keeps_everything(self):
         reservoir = self.make(capacity=100)
         for v in (3.0, 1.0, 2.0):
             reservoir.add(v)
-        assert sorted(reservoir.sample) == [1.0, 2.0, 3.0]
+        assert reservoir.summary() == summarize([3.0, 1.0, 2.0])
         assert reservoir.summary().median == 2.0
 
     def test_deterministic_with_injected_rng(self):
@@ -148,7 +91,7 @@ class TestStreamingReservoir:
         for i in range(500):
             a.add(float(i))
             b.add(float(i))
-        assert a.sample == b.sample
+        assert a.summary() == b.summary()
 
     def test_sample_is_plausibly_uniform(self):
         reservoir = self.make(capacity=200, seed=3)
@@ -164,31 +107,3 @@ class TestStreamingReservoir:
         with pytest.raises(ValueError):
             self.make(capacity=4).summary()
 
-
-class TestRecoveryProbeCounters:
-    class FakeEngine:
-        def __init__(self, confirmed=0, rejected=0, timeout=0):
-            self.recovery_probes_confirmed = confirmed
-            self.recovery_probes_rejected = rejected
-            self.recovery_probes_timeout = timeout
-
-    def test_tally_sums_across_engines(self):
-        from repro.metrics.summary import tally_probe_outcomes
-        counters = tally_probe_outcomes([
-            self.FakeEngine(confirmed=2),
-            self.FakeEngine(rejected=1, timeout=3)])
-        assert counters.confirmed == 2
-        assert counters.rejected == 1
-        assert counters.timed_out == 3
-
-    def test_engines_without_counters_count_zero(self):
-        from repro.metrics.summary import tally_probe_outcomes
-        counters = tally_probe_outcomes([object()])
-        assert (counters.confirmed, counters.rejected,
-                counters.timed_out) == (0, 0, 0)
-
-    def test_format(self):
-        from repro.metrics.summary import RecoveryProbeCounters
-        text = RecoveryProbeCounters(confirmed=1, timed_out=2).format()
-        assert "1 confirmed" in text
-        assert "2 timed out" in text

@@ -11,7 +11,6 @@ from repro.errors import NetworkError
 from repro.net.latency import (
     ConstantLatency,
     RegionLatencyModel,
-    SharedLinkBandwidthModel,
     UniformLatency,
 )
 
@@ -83,12 +82,6 @@ class TestRegionLatencyModel:
         with pytest.raises(NetworkError):
             model.sample(random.Random(0), "a", "b")
 
-    def test_add_node_later(self):
-        model = self.make()
-        model.add_node("n9", "eu")
-        rng = random.Random(0)
-        assert model.sample(rng, "n9", "n2") == pytest.approx(0.0005)
-
     def test_region_of(self):
         model = self.make()
         assert model.region_of("n2") == "eu"
@@ -100,85 +93,6 @@ class TestRegionLatencyModel:
     def test_bad_jitter_rejected(self):
         with pytest.raises(NetworkError):
             RegionLatencyModel({"a": "x"}, {}, jitter=1.5)
-
-
-class TestSharedLinkBandwidthModel:
-    """Congestion-aware variant: concurrent transfers on one directed
-    link queue behind each other instead of being charged independently."""
-
-    def make(self):
-        return SharedLinkBandwidthModel(ConstantLatency(0.010),
-                                        bandwidth=1000.0)
-
-    def test_single_transfer_matches_uncongested(self):
-        model = self.make()
-        rng = random.Random(0)
-        assert model.transfer_delay(rng, "a", "b", 500, now=0.0) == \
-            pytest.approx(0.010 + 0.5)
-
-    def test_overlapping_transfers_contend(self):
-        model = self.make()
-        rng = random.Random(0)
-        first = model.transfer_delay(rng, "a", "b", 500, now=0.0)
-        second = model.transfer_delay(rng, "a", "b", 500, now=0.0)
-        # The second message waits for the first to finish serializing.
-        assert first == pytest.approx(0.010 + 0.5)
-        assert second == pytest.approx(0.010 + 1.0)
-
-    def test_queue_drains_with_time(self):
-        model = self.make()
-        rng = random.Random(0)
-        model.transfer_delay(rng, "a", "b", 500, now=0.0)
-        # At t=10 the 0.5s transfer has long finished: no queueing left.
-        late = model.transfer_delay(rng, "a", "b", 500, now=10.0)
-        assert late == pytest.approx(0.010 + 0.5)
-
-    def test_links_are_independent(self):
-        model = self.make()
-        rng = random.Random(0)
-        model.transfer_delay(rng, "a", "b", 1000, now=0.0)
-        other_dir = model.transfer_delay(rng, "b", "a", 500, now=0.0)
-        other_pair = model.transfer_delay(rng, "a", "c", 500, now=0.0)
-        assert other_dir == pytest.approx(0.010 + 0.5)
-        assert other_pair == pytest.approx(0.010 + 0.5)
-
-    def test_two_overlapping_chunk_windows_contend_on_the_wire(self):
-        """Two bulk messages sent at the same instant over a Network with
-        the shared-link model arrive serially, not in parallel."""
-        from repro.net.network import Network
-        from repro.sim.loop import SimLoop
-        from repro.sim.rng import RngRegistry
-        from repro.sim.actor import Actor
-
-        class Sink(Actor):
-            def __init__(self, loop):
-                super().__init__(loop, "dst")
-                self.arrivals = []
-
-            def on_message(self, message, sender):
-                self.arrivals.append(self.loop.now())
-
-        class Src(Actor):
-            def __init__(self, loop):
-                super().__init__(loop, "src")
-
-            def on_message(self, message, sender):
-                pass
-
-        loop = SimLoop()
-        model = SharedLinkBandwidthModel(ConstantLatency(0.0),
-                                         bandwidth=1000.0)
-        network = Network(loop, RngRegistry(0), model)
-        network.register(Src(loop))
-        sink = Sink(loop)
-        network.register(sink)
-        network.send("src", "dst", "x" * 82)   # ~100 B with overhead
-        network.send("src", "dst", "y" * 82)
-        loop.run_until_idle()
-        assert len(sink.arrivals) == 2
-        # Second arrival is one full serialization later than the first.
-        assert sink.arrivals[1] - sink.arrivals[0] == pytest.approx(
-            sink.arrivals[0], rel=0.01)
 
 
 class _CountingRandom(random.Random):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import NetworkError
-from repro.net.loss import BernoulliLoss, NoLoss, PerLinkLoss, ScheduledLoss
+from repro.net.loss import BernoulliLoss, NoLoss
 
 
 def drop_fraction(model, n=5000, now=0.0):
@@ -36,59 +36,3 @@ class TestBernoulliLoss:
         with pytest.raises(NetworkError):
             BernoulliLoss(-0.1)
 
-
-class TestPerLinkLoss:
-    def test_link_specific_rate(self):
-        model = PerLinkLoss({("a", "b"): 1.0}, default=0.0)
-        rng = random.Random(0)
-        assert model.should_drop(rng, "a", "b", 0.0)
-        assert not model.should_drop(rng, "b", "a", 0.0)  # directional
-        assert not model.should_drop(rng, "a", "c", 0.0)
-
-    def test_default_applies_to_unlisted(self):
-        model = PerLinkLoss({}, default=1.0)
-        assert model.should_drop(random.Random(0), "x", "y", 0.0)
-
-    def test_set_rate(self):
-        model = PerLinkLoss({})
-        model.set_rate("a", "b", 1.0)
-        assert model.should_drop(random.Random(0), "a", "b", 0.0)
-
-    def test_invalid_rates_rejected(self):
-        with pytest.raises(NetworkError):
-            PerLinkLoss({("a", "b"): 2.0})
-        with pytest.raises(NetworkError):
-            PerLinkLoss({}, default=-1)
-        with pytest.raises(NetworkError):
-            PerLinkLoss({}).set_rate("a", "b", 7)
-
-
-class TestScheduledLoss:
-    def test_base_outside_windows(self):
-        model = ScheduledLoss(NoLoss(), [(10.0, 20.0, BernoulliLoss(1.0))])
-        rng = random.Random(0)
-        assert not model.should_drop(rng, "a", "b", 5.0)
-        assert model.should_drop(rng, "a", "b", 15.0)
-        assert not model.should_drop(rng, "a", "b", 25.0)
-
-    def test_window_boundaries_half_open(self):
-        model = ScheduledLoss(NoLoss(), [(10.0, 20.0, BernoulliLoss(1.0))])
-        rng = random.Random(0)
-        assert model.should_drop(rng, "a", "b", 10.0)
-        assert not model.should_drop(rng, "a", "b", 20.0)
-
-    def test_first_matching_window_wins(self):
-        model = ScheduledLoss(NoLoss(), [
-            (0.0, 100.0, BernoulliLoss(1.0)),
-            (50.0, 60.0, NoLoss()),
-        ])
-        assert model.should_drop(random.Random(0), "a", "b", 55.0)
-
-    def test_bad_window_rejected(self):
-        with pytest.raises(NetworkError):
-            ScheduledLoss(NoLoss(), [(5.0, 5.0, NoLoss())])
-
-    def test_add_window(self):
-        model = ScheduledLoss(NoLoss())
-        model.add_window(0.0, 1.0, BernoulliLoss(1.0))
-        assert model.should_drop(random.Random(0), "a", "b", 0.5)

@@ -85,7 +85,7 @@ plain = st.recursive(
     max_leaves=6)
 commands = st.one_of(
     st.builds(KVCommand.put, names, plain),
-    st.builds(KVCommand.delete, names),
+    st.builds(lambda key: {"op": "delete", "key": key}, names),
     st.builds(KVCommand.append, names, names))
 snapshots = st.builds(
     Snapshot, last_included_index=st.integers(0, 10**6),

@@ -6,14 +6,6 @@ from repro.errors import NetworkError
 from repro.net.topology import Topology
 
 
-class TestSingleRegion:
-    def test_all_in_one_region(self):
-        topo = Topology.single_region(["a", "b", "c"], region="us")
-        assert topo.regions == ["us"]
-        assert topo.nodes == ["a", "b", "c"]
-        assert topo.region_of("b") == "us"
-
-
 class TestEvenClusters:
     def test_fig5_layout(self):
         topo = Topology.even_clusters(20, ["r0", "r1", "r2", "r3"])
@@ -24,7 +16,7 @@ class TestEvenClusters:
     def test_cluster_equals_region(self):
         topo = Topology.even_clusters(4, ["x", "y"])
         for node in topo.nodes:
-            assert topo.cluster_of(node) == topo.region_of(node)
+            assert topo.cluster_of(node) == topo.node_regions[node]
 
     def test_uneven_split_rejected(self):
         with pytest.raises(NetworkError):
@@ -44,7 +36,7 @@ class TestMutation:
         topo = Topology()
         topo.add_node("n0", region="us", cluster="c1")
         assert topo.cluster_of("n0") == "c1"
-        assert topo.region_of("n0") == "us"
+        assert topo.node_regions["n0"] == "us"
 
     def test_cluster_defaults_to_region(self):
         topo = Topology()
@@ -59,7 +51,5 @@ class TestMutation:
 
     def test_unknown_node_rejected(self):
         topo = Topology()
-        with pytest.raises(NetworkError):
-            topo.region_of("ghost")
         with pytest.raises(NetworkError):
             topo.cluster_of("ghost")

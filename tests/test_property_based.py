@@ -68,7 +68,7 @@ class TestLogProperties:
             log.insert(index, entry(entry_id))
             expected[index] = entry_id
         assert log.last_index == (max(expected) if expected else 0)
-        assert len(log) == len(expected)
+        assert [i for i, _ in log] == sorted(expected)
         for index, entry_id in expected.items():
             assert log.get(index).entry_id == entry_id
         for index, entry_id in expected.items():
@@ -86,7 +86,7 @@ class TestLogProperties:
             expected[index] = entry_id
         log.truncate_from(cut)
         survivors = {i: e for i, e in expected.items() if i < cut}
-        assert len(log) == len(survivors)
+        assert [i for i, _ in log] == sorted(survivors)
         for index in expected:
             if index >= cut:
                 assert log.get(index) is None

@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.consensus.config import Configuration
+from repro.consensus.engine import Role
 from repro.errors import ConsensusError, NotLeaderError
 from repro.harness.faults import FaultInjector
 from repro.raft.server import RaftServer
 from repro.smr.kv import KVStateMachine
 from repro.snapshot import CompactionPolicy
-from tests.conftest import assert_safe, commit_n, started_cluster
+from tests.conftest import assert_safe, commit_n, live_servers, started_cluster
 
 
 def add_fresh_server(cluster, name):
@@ -179,7 +180,7 @@ class FreshnessRun:
 
     def act(self, action, pick):
         leader = self.leader()
-        live = self.cluster.live_servers()
+        live = live_servers(self.cluster)
         crashed = [s for s in self.cluster.servers.values() if not s.alive]
         if action == "write":
             self.client.attach_to(live[pick % len(live)].name)
@@ -235,6 +236,20 @@ class TestConfigurationFreshness:
             run.act(action, pick)
         run.settle()
 
+    def test_second_add_of_a_queued_site_is_skipped(self):
+        """An add queued while the same site's first add is still
+        catching up is moot once the first commits: it must not start
+        (it used to raise from inside the leader's event handler)."""
+        run = FreshnessRun(seed=0)
+        for _ in range(2):
+            run.step(1)
+            run.act("add", 0)
+        run.settle()
+        leader = run.leader()
+        assert "n8" in leader.engine.configuration.members
+        assert leader.engine._pending_config is None
+        assert not leader.engine._config_queue
+
     def test_truncated_config_entry_is_un_adopted(self):
         """The case the guard exists for: a follower-to-be holds an
         uncommitted CONFIG entry that the next leader truncates away."""
@@ -254,7 +269,7 @@ class TestConfigurationFreshness:
         run.step(1500)
         assert old_leader.engine.log.config_epoch > epoch
         assert old_leader.engine.configuration.size == 3
-        assert not old_leader.engine.is_leader
+        assert old_leader.engine.role is not Role.LEADER
 
     def test_joiner_behind_the_compaction_point_installs_a_snapshot(self):
         run = FreshnessRun(seed=5)

@@ -27,9 +27,11 @@ from repro.consensus.timing import TimingConfig
 from repro.errors import ExperimentError
 from repro.fastraft.server import FastRaftServer
 from repro.harness.faults import FaultInjector
+from repro.net.loss import NoLoss
 from repro.scenarios.spec import Event
 from repro.snapshot import CompactionPolicy
-from tests.conftest import assert_safe, commit_n, started_cluster
+from tests.conftest import (LinkLoss, assert_safe, commit_n, live_servers,
+                            started_cluster)
 
 
 def _trace_events(cluster, category):
@@ -52,7 +54,7 @@ def _evict(cluster, faults, victim):
     faults.crash(victim)
     assert cluster.run_until(
         lambda: all(victim not in s.engine.configuration.members
-                    for s in cluster.live_servers()),
+                    for s in live_servers(cluster)),
         timeout=10.0), "member timeout never evicted the crashed site"
 
 
@@ -109,18 +111,15 @@ class TestProbeHandshake:
         victim = next(n for n in cluster.servers if n != cluster.leader())
         faults = FaultInjector(cluster)
         _evict(cluster, faults, victim)
-        for peer in cluster.servers:
-            if peer != victim:
-                faults.set_link_loss(victim, peer, 1.0)
+        cluster.network.set_loss(
+            LinkLoss.around(victim, cluster.servers, 1.0))
         faults.recover(victim)
         cluster.run_for(0.25)  # past recovery_probe_timeout=0.15
         outcomes = [e.payload["outcome"] for e in
                     _trace_events(cluster, "fastraft.recovery.probe_done")]
         assert outcomes == ["timeout"]
         assert not cluster.servers[victim].engine._evicted  # still trusting
-        for peer in cluster.servers:
-            if peer != victim:
-                faults.set_link_loss(victim, peer, 0.0)
+        cluster.network.set_loss(NoLoss())
         assert cluster.run_until(
             lambda: victim in _leader_members(cluster),
             timeout=20.0)
@@ -219,9 +218,8 @@ class TestEvictionTimingBattery:
         victim = next(n for n in cluster.servers if n != cluster.leader())
         faults = FaultInjector(cluster)
         _evict(cluster, faults, victim)
-        for peer in cluster.servers:
-            if peer != victim:
-                faults.set_link_loss(victim, peer, loss)
+        cluster.network.set_loss(
+            LinkLoss.around(victim, cluster.servers, loss))
         faults.recover(victim)
         assert cluster.run_until(
             lambda: victim in _leader_members(cluster),
@@ -301,13 +299,19 @@ class TestDeclarativeJoinReplaces:
         assert request.replaces is None
 
 
+def _probe_outcomes(cluster):
+    """``(confirmed, rejected, timeout)`` summed over every engine."""
+    engines = [s.engine for s in cluster.servers.values()]
+    return tuple(sum(getattr(e, f"recovery_probes_{outcome}")
+                     for e in engines)
+                 for outcome in ("confirmed", "rejected", "timeout"))
+
+
 class TestProbeCounters:
-    """The engine-level outcome counters behind
-    ``metrics.tally_probe_outcomes`` (trace-free runs still get
+    """The engine-level outcome counters (trace-free runs still get
     recovery-probe accounting)."""
 
     def test_confirmed_recovery_increments_counter(self):
-        from repro.metrics import tally_probe_outcomes
         cluster = started_cluster(FastRaftServer, seed=4)
         victim = next(n for n in cluster.servers if n != cluster.leader())
         faults = FaultInjector(cluster)
@@ -315,23 +319,15 @@ class TestProbeCounters:
         cluster.run_for(0.15)
         faults.recover(victim)
         cluster.run_for(0.5)
-        counters = tally_probe_outcomes(
-            s.engine for s in cluster.servers.values())
-        assert counters.confirmed == 1
-        assert counters.rejected == 0
-        assert counters.timed_out == 0
+        assert _probe_outcomes(cluster) == (1, 0, 0)
 
     def test_timeout_recovery_increments_counter(self):
-        from repro.metrics import tally_probe_outcomes
         cluster = started_cluster(FastRaftServer, seed=5)
         victim = next(n for n in cluster.servers if n != cluster.leader())
         faults = FaultInjector(cluster)
         faults.crash(victim)
-        for peer in cluster.servers:
-            if peer != victim:
-                faults.set_link_loss(victim, peer, 1.0)
+        cluster.network.set_loss(
+            LinkLoss.around(victim, cluster.servers, 1.0))
         faults.recover(victim)
         cluster.run_for(0.25)  # past recovery_probe_timeout=0.15
-        counters = tally_probe_outcomes(
-            s.engine for s in cluster.servers.values())
-        assert counters.timed_out == 1
+        assert _probe_outcomes(cluster)[2] == 1

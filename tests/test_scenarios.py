@@ -270,7 +270,9 @@ class TestSpecs:
         schedule = EventSchedule.flapping_link(
             (("a",), ("b",)), first_outage=1.0, outage=0.5, stable=2.0,
             cycles=2)
-        assert schedule.outage_windows() == [(1.0, 1.5), (3.5, 4.0)]
+        assert [(e.action, e.at) for e in schedule.timed()] == [
+            ("partition", 1.0), ("heal_partition", 1.5),
+            ("partition", 3.5), ("heal_partition", 4.0)]
 
     def test_craft_requires_regions(self):
         with pytest.raises(ExperimentError):
@@ -281,24 +283,11 @@ class TestSpecs:
             WorkloadSpec(placement="everywhere")
 
     def test_latency_spec_builds_bandwidth_wrappers(self):
-        from repro.net.latency import (
-            BandwidthLatencyModel,
-            SharedLinkBandwidthModel,
-        )
+        from repro.net.latency import BandwidthLatencyModel, ConstantLatency
         plain = LatencySpec.constant(0.01, bandwidth=1000.0).build(None)
-        shared = LatencySpec.constant(0.01, bandwidth=1000.0,
-                                      shared_link=True).build(None)
         assert type(plain) is BandwidthLatencyModel
-        assert type(shared) is SharedLinkBandwidthModel
-
-    def test_shared_link_without_bandwidth_rejected(self):
-        """The congestion knob must never silently no-op."""
-        from repro.harness.builder import build_cluster
-        from repro.raft.server import RaftServer
-        with pytest.raises(ExperimentError):
-            LatencySpec.constant(0.01, shared_link=True)
-        with pytest.raises(ExperimentError):
-            build_cluster(RaftServer, n_sites=3, shared_link=True)
+        assert type(plain.base) is ConstantLatency
+        assert plain.bandwidth == 1000.0
 
     def test_duplicate_cell_keys_rejected(self):
         spec = ScenarioSpec(name="dup", engine="raft",
@@ -466,48 +455,53 @@ class TestNewScenarios:
 class TestScenarioVocabulary:
     def test_new_actions_registered(self):
         from repro.scenarios.spec import EVENT_ACTIONS
-        assert "set_link_loss" in EVENT_ACTIONS
-        assert "set_bandwidth" in EVENT_ACTIONS
+        assert {"set_loss", "set_latency", "request_join"} <= EVENT_ACTIONS
+        assert not {"set_link_loss", "set_bandwidth"} & EVENT_ACTIONS
 
-    def test_poisson_workload_spec_validation(self):
-        with pytest.raises(ExperimentError):
-            WorkloadSpec(arrival="poisson")  # needs a positive rate
-        with pytest.raises(ExperimentError):
-            WorkloadSpec(arrival="burst")
-        spec = WorkloadSpec(arrival="poisson", rate=25.0, requests=10)
-        assert spec.rate == 25.0
+    def test_set_latency_event_changes_delays_from_its_fire_time(self):
+        """A scheduled ``set_latency`` swaps the fabric's latency model
+        when it fires: a message sent earlier keeps the delay it drew,
+        even while in flight across the swap; one sent later draws from
+        the new model. ``LatencySpec()`` (kind "default") means the
+        builder's ``DEFAULT_LATENCY``."""
+        from repro.harness.builder import DEFAULT_LATENCY, build_cluster
+        from repro.harness.faults import FaultInjector
+        from repro.net.latency import ConstantLatency
+        from repro.raft.server import RaftServer
+        from repro.sim.actor import Actor
 
-    def test_poisson_cell_runs_and_completes(self):
-        spec = ScenarioSpec(
-            name="unit.poisson", engine="raft",
-            topology=TopologySpec(n_sites=3),
-            workload=WorkloadSpec(placement="leader", requests=20,
-                                  arrival="poisson", rate=50.0))
-        stats = run_cell(spec, seed=7)
-        assert stats.count == 20
+        class Stamp(Actor):
+            def __init__(self, system, name):
+                super().__init__(system.loop, name)
+                self.arrivals = {}
+                system.network.register(self)
 
-    def test_poisson_cell_deterministic(self):
-        spec = ScenarioSpec(
-            name="unit.poisson_det", engine="raft",
-            topology=TopologySpec(n_sites=3),
-            workload=WorkloadSpec(placement="leader", requests=12,
-                                  arrival="poisson", rate=40.0))
-        first = run_cell(spec, seed=5)
-        second = run_cell(spec, seed=5)
-        assert first.mean == second.mean
+            def on_message(self, message, sender):
+                self.arrivals[message] = self.now()
 
-    def test_link_loss_and_bandwidth_events_fire(self):
-        spec = ScenarioSpec(
-            name="unit.link_events", engine="raft",
-            topology=TopologySpec(n_sites=3),
-            schedule=EventSchedule((
-                Event("set_link_loss", at=0.5, args=("n0", "n1", 0.3)),
-                Event("set_bandwidth", at=0.8, args=(10_000_000.0,)),
-                Event("set_link_loss", at=1.2, args=("n0", "n1", 0.0)),
-            )),
-            workload=WorkloadSpec(placement="leader", requests=25))
-        stats = run_cell(spec, seed=4)
-        assert stats.count == 25
+        cluster = build_cluster(RaftServer, n_sites=1,
+                                latency=ConstantLatency(0.010))
+        Stamp(cluster, "p")
+        sink = Stamp(cluster, "q")
+        faults = FaultInjector(cluster)
+        loop = cluster.loop
+        for event in (
+                Event("set_latency", at=1.0,
+                      args=(LatencySpec.constant(0.050),)),
+                Event("set_latency", at=2.0, args=(LatencySpec(),))):
+            loop.call_at(event.at, faults.apply_event, event)
+        sent = {"before": 0.5, "in_flight": 0.995, "after": 1.5,
+                "default": 2.5}
+        for message, at in sent.items():
+            loop.call_at(at, cluster.network.send, "p", "q", message)
+        loop.run_until(3.0)
+        delay = {m: sink.arrivals[m] - at for m, at in sent.items()}
+        assert delay["before"] == pytest.approx(0.010)
+        assert delay["in_flight"] == pytest.approx(0.010)
+        assert delay["after"] == pytest.approx(0.050)
+        assert DEFAULT_LATENCY.low <= delay["default"] < DEFAULT_LATENCY.high
+        assert [kind for _, kind, _ in faults.injected] == [
+            "set_latency", "set_latency"]
 
 
 class TestSLOSpec:

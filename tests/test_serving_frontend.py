@@ -18,7 +18,7 @@ from repro.harness.faults import FaultInjector
 from repro.net.latency import RegionLatencyModel
 from repro.net.topology import Topology
 from repro.smr.kv import KVCommand, KVStateMachine
-from tests.conftest import Inbox, started_cluster
+from tests.conftest import Inbox, session_applied, started_cluster
 
 
 def flat_system():
@@ -106,7 +106,7 @@ def test_session_tracking_sticky_across_crash_and_recover(system):
                               KVCommand.append("k", "x"))
     server = system.servers[peer]
     assert system.run_until(
-        lambda: server.frontend.session_count >= 1, timeout=60.0)
+        lambda: session_applied(server, client.name), timeout=60.0)
     inbox = Inbox(system)
     system.network.send_local(inbox.name, peer, retry_of(record, client))
     system.run_for(0.5)
@@ -119,7 +119,7 @@ def test_session_tracking_sticky_across_crash_and_recover(system):
     assert server.frontend.tracking
     assert server.session_duplicates == 1
     assert system.run_until(
-        lambda: server.frontend.session_count >= 1, timeout=60.0)
+        lambda: session_applied(server, client.name), timeout=60.0)
     system.network.send_local(inbox.name, peer, retry_of(record, client))
     system.run_for(0.5)
     assert server.session_duplicates == 2

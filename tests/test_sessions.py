@@ -19,7 +19,8 @@ from repro.raft.server import RaftServer
 from repro.smr.kv import KVCommand
 from repro.smr.sessions import SessionTable, parse_session
 from repro.snapshot import CompactionPolicy
-from tests.conftest import Inbox, started_cluster
+from tests.conftest import (Inbox, live_servers, session_applied,
+                            started_cluster)
 
 
 def duplicate_of(record, client):
@@ -51,7 +52,7 @@ class TestSessionTable:
         assert table.is_duplicate("c0", 1)
         assert table.is_duplicate("c0", 2)
         assert not table.is_duplicate("c0", 3)
-        assert len(table) == 1
+        assert list(table._sessions) == ["c0"]
 
     def test_unknown_session_is_never_duplicate(self):
         table = SessionTable()
@@ -68,15 +69,7 @@ class TestSessionTable:
         table = SessionTable()
         table.observe("noop", 1)
         table.observe("batch!3", 2)
-        assert len(table) == 0
-
-    def test_rebuild_from_applied_ids(self):
-        table = SessionTable.from_applied_ids(
-            ["c0.1", "c0.3", "c1.2", "noop"])
-        assert table.is_duplicate("c0", 3)
-        assert table.is_duplicate("c1", 2)
-        assert not table.is_duplicate("c1", 3)
-        assert len(table) == 2
+        assert table._sessions == {}
 
 
 class TestDuplicateDelivery:
@@ -89,7 +82,7 @@ class TestDuplicateDelivery:
         # a real retry fires a full proposal timeout later -- long after
         # the commit has propagated and applied at the attached site
         assert cluster.run_until(
-            lambda: server.frontend.session_count >= 1, timeout=10.0)
+            lambda: session_applied(server, client.name), timeout=10.0)
         commits_before = server.engine.commit_index
         cluster.network.send_local(client.name, "n0",
                                    duplicate_of(record, client))
@@ -97,7 +90,7 @@ class TestDuplicateDelivery:
         assert server.session_duplicates == 1
         # answered from the table: nothing new entered the log
         assert server.engine.commit_index == commits_before
-        for live in cluster.live_servers():
+        for live in live_servers(cluster):
             assert live.state_machine.get("k") == "x"  # not "xx"
 
     def test_duplicate_of_older_sequence_still_suppressed(self):
@@ -120,7 +113,7 @@ class TestDuplicateDelivery:
         record = cluster.propose_and_wait(client,
                                           KVCommand.append("k", "x"))
         assert record.sequence == 0  # wire-identical to the old client
-        assert cluster.servers["n0"].frontend.session_count == 0
+        assert not session_applied(cluster.servers["n0"], client.name)
 
 
 class TestRetryRacingCommit:
@@ -136,7 +129,7 @@ class TestRetryRacingCommit:
         record = client.submit(KVCommand.append("raced", "x"))
         assert cluster.run_until(lambda: record.done, timeout=30.0)
         cluster.run_for(2.0)  # let any straggler retry land too
-        for live in cluster.live_servers():
+        for live in live_servers(cluster):
             assert live.state_machine.get("raced") == "x"
 
     def test_retry_before_commit_falls_through_to_consensus(self):
@@ -152,7 +145,7 @@ class TestRetryRacingCommit:
         assert cluster.run_until(lambda: record.done, timeout=10.0)
         cluster.run_for(1.0)
         assert cluster.servers["n0"].session_duplicates == 0
-        for live in cluster.live_servers():
+        for live in live_servers(cluster):
             assert live.state_machine.get("k") == "x"
 
 
@@ -169,12 +162,12 @@ class TestDedupSurvivesFailover:
         assert new_leader != old_leader
         promoted = cluster.servers[new_leader]
         assert cluster.run_until(
-            lambda: promoted.frontend.session_count >= 1, timeout=30.0)
+            lambda: session_applied(promoted, client.name), timeout=30.0)
         cluster.network.send_local(client.name, new_leader,
                                    duplicate_of(record, client))
         cluster.run_for(1.0)
         assert cluster.servers[new_leader].session_duplicates == 1
-        for live in cluster.live_servers():
+        for live in live_servers(cluster):
             assert live.state_machine.get("k") == "x"
 
     def test_dedup_survives_crash_recovery(self):
@@ -190,7 +183,7 @@ class TestDedupSurvivesFailover:
         faults.recover("n2")
         recovered = cluster.servers["n2"]
         assert cluster.run_until(
-            lambda: recovered.frontend.session_count >= 1, timeout=30.0)
+            lambda: session_applied(recovered, client.name), timeout=30.0)
         cluster.network.send_local(client.name, "n2",
                                    duplicate_of(record, client))
         cluster.run_for(1.0)
@@ -215,7 +208,7 @@ class TestDedupSurvivesSnapshotRestore:
         target = cluster.servers["n0"].engine.commit_index
         assert cluster.run_until(
             lambda: behind.engine.commit_index >= target, timeout=60.0)
-        assert behind.frontend.session_count >= 1
+        assert session_applied(behind, client.name)
         cluster.network.send_local(client.name, "n4",
                                    duplicate_of(records[0], client))
         cluster.run_for(1.0)
@@ -278,7 +271,7 @@ class TestCraftSessions:
         record = client.submit(KVCommand.append("k", "x"))
         assert dep.run_until(lambda: record.done, timeout=60.0)
         server = dep.servers[site]
-        assert dep.run_until(lambda: server.frontend.session_count >= 1,
+        assert dep.run_until(lambda: session_applied(server, client.name),
                              timeout=60.0)
         dep.network.send_local(client.name, site,
                                duplicate_of(record, client))
@@ -295,7 +288,7 @@ class TestCraftSessions:
         record = client.submit(KVCommand.append("k", "x"))
         assert dep.run_until(lambda: record.done, timeout=60.0)
         remote = dep.servers[away]
-        assert dep.run_until(lambda: remote.frontend.session_count >= 1,
+        assert dep.run_until(lambda: session_applied(remote, client.name),
                              timeout=60.0)
         dep.network.send_local(client.name, away,
                                duplicate_of(record, client))
@@ -372,7 +365,7 @@ class TestProposalCoalescing:
         assert cluster.run_until(
             lambda: all(r.done for r in records), timeout=10.0)
         cluster.run_for(1.0)  # let the commit propagate to followers
-        for live in cluster.live_servers():
+        for live in live_servers(cluster):
             assert live.state_machine.get("k3") == 3
 
     def test_partial_batch_flushes_on_age(self):

@@ -1,7 +1,10 @@
 """Tests for Actor lifecycle and the trace recorder."""
 
+from repro.net.latency import ConstantLatency
+from repro.net.network import Network
 from repro.sim.actor import Actor
 from repro.sim.loop import SimLoop
+from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
 
 
@@ -14,16 +17,24 @@ class Echo(Actor):
         self.received.append((message, sender))
 
 
+def deliver(actor, message, sender):
+    """Hand ``message`` to ``actor`` through a fabric, as a site would."""
+    network = Network(actor.loop, RngRegistry(0), ConstantLatency(0.0))
+    network.register(actor)
+    network.send_local(sender, actor.name, message)
+    actor.loop.run_until(actor.loop.now() + 0.001)
+
+
 class TestActor:
     def test_deliver_reaches_handler(self):
         actor = Echo(SimLoop(), "a")
-        actor.deliver("hello", "b")
+        deliver(actor, "hello", "b")
         assert actor.received == [("hello", "b")]
 
     def test_dead_actor_drops_messages(self):
         actor = Echo(SimLoop(), "a")
         actor.kill()
-        actor.deliver("hello", "b")
+        deliver(actor, "hello", "b")
         assert actor.received == []
         assert not actor.alive
 
@@ -31,7 +42,7 @@ class TestActor:
         actor = Echo(SimLoop(), "a")
         actor.kill()
         actor.revive()
-        actor.deliver("hi", "b")
+        deliver(actor, "hi", "b")
         assert actor.received == [("hi", "b")]
 
     def test_now_tracks_loop(self):
@@ -68,26 +79,13 @@ class TestTraceRecorder:
         trace.record(3.0, "n1", "net.drop")
         assert len(trace.select_prefix("raft.")) == 2
 
-    def test_last(self):
-        trace = TraceRecorder()
-        trace.record(1.0, "n1", "commit", index=1)
-        trace.record(2.0, "n2", "commit", index=2)
-        assert trace.last("commit").node == "n2"
-        assert trace.last("missing") is None
-
     def test_disabled_recording(self):
         trace = TraceRecorder(enabled=False)
         trace.record(1.0, "n1", "commit")
-        assert len(trace) == 0
-
-    def test_clear(self):
-        trace = TraceRecorder()
-        trace.record(1.0, "n1", "commit")
-        trace.clear()
         assert len(trace) == 0
 
     def test_iteration_order(self):
         trace = TraceRecorder()
         for i in range(5):
             trace.record(float(i), "n", "tick", i=i)
-        assert [e.payload["i"] for e in trace] == list(range(5))
+        assert [e.payload["i"] for e in trace.events] == list(range(5))

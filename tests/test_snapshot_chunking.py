@@ -566,7 +566,7 @@ class TestChunkedCatchupEndToEnd:
                     >= cluster.servers[name].engine.commit_index)
         assert cluster.run_until(caught_up, timeout=120.0)
         assert recovered.engine.snapshots_installed >= 1
-        discards = [e for e in cluster.trace
+        discards = [e for e in cluster.trace.events
                     if e.category == "raft.snapshot.transfer_discarded"
                     and e.node == victim]
         assert discards, "the partial transfer should have been discarded"

@@ -17,34 +17,17 @@ class TestStableStore:
         assert store.get("missing", 7) == 7
         assert store.get("missing") is None
 
-    def test_require_raises_on_missing(self):
-        store = StableStore("n1")
-        with pytest.raises(StorageError):
-            store.require("missing")
-
     def test_contains(self):
         store = StableStore("n1")
         store.set("x", 1)
         assert "x" in store
         assert "y" not in store
 
-    def test_keys_sorted(self):
-        store = StableStore("n1")
-        store.set("b", 1)
-        store.set("a", 2)
-        assert store.keys() == ["a", "b"]
-
     def test_write_count(self):
         store = StableStore("n1")
         store.set("a", 1)
         store.set("a", 2)
         assert store.write_count == 2
-
-    def test_wipe(self):
-        store = StableStore("n1")
-        store.set("a", 1)
-        store.wipe()
-        assert "a" not in store
 
     def test_touch_counts_in_place_mutation(self):
         """In-place mutations of stored mutable objects must be charged
@@ -85,12 +68,6 @@ class TestStorageFabric:
         fabric = StorageFabric()
         fabric.store_for("n1").set("x", 1)
         assert fabric.store_for("n2").get("x") is None
-
-    def test_forget(self):
-        fabric = StorageFabric()
-        fabric.store_for("n1").set("x", 1)
-        fabric.forget("n1")
-        assert fabric.store_for("n1").get("x") is None
 
     def test_contains(self):
         fabric = StorageFabric()

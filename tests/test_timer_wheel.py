@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from heap_loop import HeapLoop
+from heap_loop import HeapLoop, pending_count
 from repro.sim.loop import _WHEEL_HORIZON, SimLoop
 
 
@@ -56,7 +56,7 @@ class Recorder:
         elif kind == "idle":
             executed = loop.run_until_idle(max_events=100_000)
             self.history.append(("idle", executed, round(loop.now(), 9),
-                                 loop.pending_count()))
+                                 pending_count(loop)))
 
 
 def random_trace(rng: random.Random, length: int) -> list[tuple]:
@@ -100,7 +100,7 @@ def test_random_traces_fire_identically(seed):
         wheel.apply(op)
         heap.apply(op)
     assert wheel.history == heap.history
-    assert wheel.loop.pending_count() == heap.loop.pending_count()
+    assert pending_count(wheel.loop) == pending_count(heap.loop)
     assert wheel.loop.events_processed == heap.loop.events_processed
 
 
@@ -139,7 +139,7 @@ def test_bucket_boundary_geometry_equivalence():
                 loop.run_until(deadline)
                 mid = list(seen)
                 loop.run_until(5.0)
-                results.append((mid, seen, loop.pending_count(),
+                results.append((mid, seen, pending_count(loop),
                                 loop.events_processed))
             assert results[0] == results[1], (event_at, deadline)
     """A callback that re-schedules at the current instant lands behind
