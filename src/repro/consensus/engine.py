@@ -9,8 +9,14 @@ inside the same site, exactly as the paper layers Fast Raft on Fast Raft.
 :class:`BaseEngine` implements everything classic Raft and Fast Raft
 share: persistent term/vote handling, role transitions, election timers
 and vote counting, configuration tracking from the log, commit-index
-advancement with ordered apply callbacks, and the configuration-membership
-gate ("Messages from sites not listed in the configuration are ignored").
+advancement with ordered apply callbacks, the configuration-membership
+gate ("Messages from sites not listed in the configuration are ignored"),
+snapshot shipping, and Raft's AppendEntries replication -- the leader's
+beat, its nextIndex/matchIndex bookkeeping on acks, the follower's term
+check, consistency check and ack, and the serialized config-change
+queue. Fast Raft runs that same path as its classic track (Section
+IV-B); each engine supplies only its replication frontier, commit rule,
+consistency check, absorb step and membership protocol.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from repro.consensus.timing import TimingConfig
 from repro.errors import ConsensusError
 from repro.net.sizes import estimate_size
 from repro.sim.loop import SimLoop
-from repro.sim.timers import RestartableTimer, randomized_timeout
+from repro.sim.timers import PeriodicTimer, RestartableTimer, randomized_timeout
 from repro.sim.trace import TraceRecorder
 from repro.snapshot import CompactionPolicy, Snapshot, SnapshotImage, SnapshotStore
 from repro.snapshot.chunking import (
@@ -232,6 +238,17 @@ class BaseEngine:
         self.role = Role.FOLLOWER
         self._leader_id: str | None = None
         self._votes_received: set[str] = set()
+        # --- leader volatile state (rebuilt by _init_leader_state) ---
+        self.next_index: dict[str, int] = {}
+        self.match_index: dict[str, int] = {}
+        self._heartbeat = PeriodicTimer(ctx.loop,
+                                        self.timing.heartbeat_interval,
+                                        self._broadcast_append_entries)
+        # --- membership bookkeeping (leader only) ---
+        self._catchup_targets: set[str] = set()
+        self._pending_config: dict[str, Any] | None = None
+        self._config_queue: list[dict[str, Any]] = []
+        self._internal_seq = 0
         persisted = self.snapshot_store.latest
         if persisted is not None:
             # Recovery with a compacted log: the snapshot stands in for
@@ -274,6 +291,10 @@ class BaseEngine:
         #: ``hook(sent_at, leader_commit, lease_until)``. Follower lease
         #: reads drain against it.
         self.on_lease_beat: Any = None
+        #: Server-installed hook: the global commitIndex a C-Raft local
+        #: leader piggybacks on its AppendEntries (Section V-B); unset,
+        #: the field carries 0.
+        self.global_commit_provider: Callable[[], int] | None = None
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -329,7 +350,13 @@ class BaseEngine:
         self._stop_role_timers()
 
     def _stop_role_timers(self) -> None:
-        """Cancel role-specific timers; subclasses extend."""
+        """Cancel the heartbeat and drop leader-only membership state;
+        Fast Raft extends."""
+        self._heartbeat.stop()
+        self._catchup_targets.clear()
+        self._extra_allowed.clear()
+        self._pending_config = None
+        self._config_queue.clear()
 
     # ------------------------------------------------------------------
     # Persistence helpers
@@ -752,6 +779,176 @@ class BaseEngine:
             self._become_leader()
 
     # ------------------------------------------------------------------
+    # Replication: leader side (Raft's AppendEntries track, which Fast
+    # Raft runs as its classic track). Each engine supplies the rest:
+    # ``_replication_frontier`` (the last index a leader replicates),
+    # ``_advance_leader_commit`` (its commit rule), ``_log_matches`` and
+    # ``_absorb_append_entries`` (its follower's consistency check and
+    # absorb step), and ``_start_next_config_change`` /
+    # ``_propose_joiner_config`` (its membership protocol).
+    # ------------------------------------------------------------------
+    def _append_targets(self) -> list[str]:
+        # Replicas = members + standing observers (which replicate but
+        # never vote commits); plus any joiners mid-catch-up. An observer
+        # under pre-join catch-up would appear twice.
+        targets = list(self._configuration.replicas_without(self.name))
+        targets.extend(sorted(self._catchup_targets))
+        return list(dict.fromkeys(targets))
+
+    def _broadcast_append_entries(self) -> None:
+        """One leader beat: AppendEntries to every replication target.
+
+        Followers with equal nextIndex need byte-identical messages, so
+        the beat builds one immutable AppendEntries per distinct
+        nextIndex and reuses it (entries slice, size memo and all)
+        across those followers. Send order is per target, so the
+        fabric's RNG stream does not depend on the sharing.
+        """
+        if self.role is not Role.LEADER:
+            return
+        self._tick_member_timeouts()
+        round_cache: dict[int, AppendEntries] = {}
+        for target in self._append_targets():
+            self._send_append_entries(target, round_cache)
+
+    def _tick_member_timeouts(self) -> None:
+        """Hook: Fast Raft's silent-leave detector counts a missed beat."""
+
+    def _send_append_entries(self, target: str,
+                             round_cache: dict | None = None) -> None:
+        next_index = self.next_index.get(target)
+        if next_index is None:
+            next_index = self._replication_frontier() + 1
+        if next_index <= self.log.snapshot_index:
+            # The entries this follower needs are compacted away: ship the
+            # snapshot instead of replaying the log.
+            self._send_install_snapshot(target)
+            return
+        message = (round_cache.get(next_index)
+                   if round_cache is not None else None)
+        if message is None:
+            prev_index = next_index - 1
+            prev_term = self.log.term_at(prev_index) if prev_index > 0 else 0
+            hi = min(self._replication_frontier(),
+                     prev_index + self.timing.max_append_batch)
+            entries = tuple(self.log.entries_between(next_index, hi))
+            if self.lease_enabled:
+                sent_at = self.now()
+                lease_until = self._lease_expiry(sent_at)
+            else:
+                sent_at = lease_until = 0.0
+            message = AppendEntries(
+                term=self.current_term, leader_id=self.name,
+                prev_log_index=prev_index, prev_log_term=prev_term,
+                entries=entries, leader_commit=self.commit_index,
+                global_commit=self._global_commit_piggyback(),
+                sent_at=sent_at, lease_until=lease_until)
+            if round_cache is not None:
+                round_cache[next_index] = message
+        self._send(target, message)
+
+    @handles(AppendEntriesResponse)
+    def _handle_append_entries_response(self, msg: AppendEntriesResponse,
+                                        sender: str) -> None:
+        self._observe_term(msg.term)
+        if self.role is not Role.LEADER or msg.term < self.current_term:
+            return
+        follower = msg.follower
+        self._note_follower_alive(follower)
+        # A responding follower's needs are freshly known: a suppressed
+        # snapshot re-ship (if any) may go out immediately. (A stale
+        # reply racing an in-flight ship can cause one redundant bulk
+        # transfer; installs are idempotent, so this is accepted cost.)
+        self._snapshot_inflight.pop(follower, None)
+        if msg.success:
+            if msg.beat_sent_at:
+                self._record_lease_ack(follower, msg.beat_sent_at)
+            match = max(self.match_index.get(follower, 0), msg.match_index)
+            self.match_index[follower] = match
+            self.next_index[follower] = max(
+                self.next_index.get(follower, 1), match + 1)
+            self._advance_leader_commit()
+            self._check_catchup_complete(follower)
+            self._maybe_complete_stepdown()
+        else:
+            current = self.next_index.get(follower)
+            if current is None:
+                current = self._replication_frontier() + 1
+            self.next_index[follower] = max(
+                1, min(current - 1, msg.last_log_index + 1))
+            self._nudge_chunk_transfer(follower)
+
+    def _note_follower_alive(self, follower: str) -> None:
+        """Hook: Fast Raft resets the member-timeout beat counter."""
+
+    def _maybe_complete_stepdown(self) -> None:
+        """Hook: a Fast Raft leader that committed its own exclusion
+        abdicates once its successors hold that entry."""
+
+    # ------------------------------------------------------------------
+    # Replication: follower side
+    # ------------------------------------------------------------------
+    @handles(AppendEntries)
+    def _handle_append_entries(self, msg: AppendEntries, sender: str) -> None:
+        self._observe_term(msg.term, leader_hint=msg.leader_id)
+        if msg.term >= self.current_term:
+            self._follow(msg.leader_id)
+            self._on_leader_append()
+            if self._log_matches(msg.prev_log_index, msg.prev_log_term):
+                self._absorb_append_entries(msg, sender)
+                return
+        # A stale term or a failed consistency check.
+        self._send(sender, AppendEntriesResponse(
+            term=self.current_term, success=False, follower=self.name,
+            match_index=0, last_log_index=self.log.last_index))
+
+    def _follow(self, leader_id: str) -> None:
+        """A current-term leader spoke (AppendEntries or a snapshot),
+        which implies an elected leader: candidates convert to follower,
+        followers refresh their election timer."""
+        if self.role is not Role.FOLLOWER:
+            self._become_follower(leader_id)
+        else:
+            self.leader_id = leader_id
+            self._arm_election_timer()
+
+    def _on_leader_append(self) -> None:
+        """Hook: Fast Raft clears an eviction notice and retries a join
+        here, before the consistency check."""
+
+    def _append_entries_absorbed(self, sender: str, msg: AppendEntries,
+                                 last_new: int) -> None:
+        """The absorb step is done (for C-Raft's global engine, after a
+        round of local consensus): commit, note the lease, and ack."""
+        if msg.leader_commit > self.commit_index:
+            self._advance_commit_index(min(msg.leader_commit,
+                                           max(last_new, self.commit_index)))
+        if msg.lease_until:
+            self._note_lease_beat(msg)
+        self._send(sender, AppendEntriesResponse(
+            term=self.current_term, success=True, follower=self.name,
+            match_index=last_new, last_log_index=self.log.last_index,
+            beat_sent_at=msg.sent_at))
+
+    # ------------------------------------------------------------------
+    # Serialized configuration changes (leader)
+    # ------------------------------------------------------------------
+    def _enqueue_config_change(self, change: dict[str, Any]) -> None:
+        self._config_queue.append(change)
+        self._start_next_config_change()
+
+    def _check_catchup_complete(self, follower: str) -> None:
+        """A joiner mid-catch-up that now holds everything the leader
+        replicates gets its configuration entry."""
+        pending = self._pending_config
+        if (pending is None or pending["action"] != "add"
+                or pending["site"] != follower
+                or "entry_id" in pending):
+            return
+        if self.match_index.get(follower, 0) >= self._replication_frontier():
+            self._propose_joiner_config(pending)
+
+    # ------------------------------------------------------------------
     # Commit advancement
     # ------------------------------------------------------------------
     def _advance_commit_index(self, new_commit: int) -> None:
@@ -902,8 +1099,8 @@ class BaseEngine:
             global_commit=self._global_commit_piggyback()))
 
     def _global_commit_piggyback(self) -> int:
-        """C-Raft's local level overrides this (see ReplicationMixin)."""
-        return 0
+        provider = self.global_commit_provider
+        return 0 if provider is None else provider()
 
     # ------------------------------------------------------------------
     # Chunked snapshot transfer: leader side
@@ -1033,13 +1230,7 @@ class BaseEngine:
                 last_included_index=snapshot.last_included_index,
                 success=False))
             return
-        # Like AppendEntries, a current-term snapshot implies an elected
-        # leader: convert to follower / refresh the election timer.
-        if self.role is not Role.FOLLOWER:
-            self._become_follower(msg.leader_id)
-        else:
-            self.leader_id = msg.leader_id
-            self._arm_election_timer()
+        self._follow(msg.leader_id)
         self._accept_snapshot(snapshot, sender)
 
     def _accept_snapshot(self, snapshot: Snapshot, sender: str) -> None:
@@ -1090,13 +1281,7 @@ class BaseEngine:
                 last_included_index=msg.last_included_index,
                 offset=msg.offset, success=False))
             return
-        # Like AppendEntries, a current-term chunk implies an elected
-        # leader: convert to follower / refresh the election timer.
-        if self.role is not Role.FOLLOWER:
-            self._become_follower(msg.leader_id)
-        else:
-            self.leader_id = msg.leader_id
-            self._arm_election_timer()
+        self._follow(msg.leader_id)
         if msg.last_included_index <= self.commit_index:
             # Already past this snapshot: full-confirm so the leader
             # abandons the transfer and resumes AppendEntries.
@@ -1184,9 +1369,8 @@ class BaseEngine:
     @handles(InstallSnapshotResponse)
     def _handle_install_snapshot_response(self, msg: InstallSnapshotResponse,
                                           sender: str) -> None:
-        # Leader side. next/match bookkeeping lives on the concrete
-        # engines (classic and Fast Raft both define it); BaseEngine is
-        # never a leader on its own.
+        # Leader side: the snapshot half of the next/match bookkeeping
+        # (the AppendEntries half is _handle_append_entries_response).
         self._observe_term(msg.term)
         if self.role is not Role.LEADER or msg.term < self.current_term:
             return
@@ -1208,25 +1392,9 @@ class BaseEngine:
             self.next_index.get(follower, 1), msg.last_included_index + 1)
         self._check_catchup_complete(follower)
 
-    def _note_follower_alive(self, follower: str) -> None:
-        """Hook: Fast Raft resets the member-timeout beat counter."""
-
-    def _check_catchup_complete(self, follower: str) -> None:
-        """Hook: membership code finishes a pending join once the target
-        is caught up."""
-
     # ------------------------------------------------------------------
     # Default no-op handlers (overridden where meaningful)
     # ------------------------------------------------------------------
-    @handles(AppendEntries)
-    def _handle_append_entries(self, msg: AppendEntries, sender: str) -> None:
-        raise NotImplementedError
-
-    @handles(AppendEntriesResponse)
-    def _handle_append_entries_response(self, msg: AppendEntriesResponse,
-                                        sender: str) -> None:
-        raise NotImplementedError
-
     @handles(CommitNotice)
     def _handle_commit_notice(self, msg: CommitNotice, sender: str) -> None:
         entry = self.log.get(msg.index)

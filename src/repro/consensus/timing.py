@@ -14,7 +14,7 @@ latency (the ``ablations`` scenario sweeps the ratio).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -123,10 +123,6 @@ class TimingConfig:
         if self.decision_interval is not None:
             return self.decision_interval
         return self.heartbeat_interval / 2.0
-
-    def with_overrides(self, **kwargs) -> "TimingConfig":
-        """Copy with some fields replaced."""
-        return replace(self, **kwargs)
 
     # ------------------------------------------------------------------
     # Paper presets

@@ -20,12 +20,9 @@ class CRaftLocalEngine(FastRaftEngine):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # Wired by CRaftServer after construction.
-        self.global_commit_provider: Callable[[], int] = lambda: 0
+        # Wired by CRaftServer after construction, beside the base
+        # engine's global_commit_provider (what a local leader sends).
         self.global_commit_sink: Callable[[int], None] = lambda value: None
-
-    def _global_commit_piggyback(self) -> int:
-        return self.global_commit_provider()
 
     def _absorb_global_commit(self, global_commit: int) -> None:
         if global_commit > 0:

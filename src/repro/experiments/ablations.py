@@ -18,7 +18,7 @@ every sweep as one batch so ``--jobs N`` parallelizes across tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.consensus.timing import TimingConfig
 from repro.craft.batching import BatchPolicy
@@ -88,8 +88,8 @@ def decision_cells(config: AblationConfig) -> list[Cell]:
     base = TimingConfig.intra_cluster()
     return [
         _flat_cell(("decision", fraction), "fastraft",
-                   base.with_overrides(
-                       decision_interval=base.heartbeat_interval * fraction),
+                   replace(base, decision_interval=(
+                       base.heartbeat_interval * fraction)),
                    cell_seed(config.seed, "decision", fraction),
                    config.commits)
         for fraction in config.decision_fractions]
@@ -104,7 +104,7 @@ def dispatch_cells(config: AblationConfig) -> list[Cell]:
                                 cell_seed(config.seed, "tick", name),
                                 config.commits))
         cells.append(_flat_cell(("dispatch", name, "eager"), engine,
-                                base.with_overrides(eager_append=True),
+                                replace(base, eager_append=True),
                                 cell_seed(config.seed, "eager", name),
                                 config.commits))
     return cells
@@ -135,8 +135,8 @@ def decision_table(config: AblationConfig, results: dict) -> ResultTable:
         ["decision/heartbeat", "decision ms", "mean latency ms"])
     base = TimingConfig.intra_cluster()
     for fraction in config.decision_fractions:
-        timing = base.with_overrides(
-            decision_interval=base.heartbeat_interval * fraction)
+        timing = replace(
+            base, decision_interval=base.heartbeat_interval * fraction)
         table.add_row(fraction, timing.effective_decision_interval * 1000,
                       results[("decision", fraction)] * 1000)
     table.add_note("fast-track latency tracks the decision cadence; the "

@@ -3,8 +3,8 @@
 State layout follows the paper's Section IV-A: persistent ``currentTerm``,
 ``votedFor``, ``log`` (via :class:`BaseEngine` and the stable store) plus
 ``lastLeaderIndex`` (derived from provenance marks on recovery); volatile
-leader state ``nextIndex``, ``matchIndex``, ``fastMatchIndex``, and
-``possibleEntries``.
+leader state ``nextIndex``, ``matchIndex`` (both :class:`BaseEngine`'s),
+``fastMatchIndex``, and ``possibleEntries``.
 
 The ``_gate_insert`` hook is the C-Raft extension point: every log insert
 funnels through it, and the inter-cluster engine overrides it to first run
@@ -45,8 +45,6 @@ class FastRaftEngine(ProposalMixin, DecisionMixin, ReplicationMixin,
         super().__init__(ctx, bootstrap_config)
         # Volatile leader state (Section IV-A).
         self.possible_entries = PossibleEntries()
-        self.next_index: dict[str, int] = {}
-        self.match_index: dict[str, int] = {}
         self.fast_match_index: dict[str, int] = {}
         # lastLeaderIndex is persistent in the paper; here it is derived
         # from the (persistent) provenance marks on every recovery. A
@@ -55,11 +53,8 @@ class FastRaftEngine(ProposalMixin, DecisionMixin, ReplicationMixin,
         self.last_leader_index = max(
             self.log.last_with_provenance(InsertedBy.LEADER),
             self.log.snapshot_index)
-        # Timers: AppendEntries dispatch and the decision procedure run on
-        # separate cadences (see the TimingConfig calibration note).
-        self._heartbeat = PeriodicTimer(ctx.loop,
-                                        self.timing.heartbeat_interval,
-                                        self._broadcast_append_entries)
+        # The decision procedure runs on its own cadence beside the
+        # heartbeat (see the TimingConfig calibration note).
         self._decision_timer = PeriodicTimer(
             ctx.loop, self.timing.effective_decision_interval,
             self._decision_tick)
@@ -69,12 +64,8 @@ class FastRaftEngine(ProposalMixin, DecisionMixin, ReplicationMixin,
         self._gating_indices: set[int] = set()
         self._last_decision_outcome = "blocked"
         # Membership bookkeeping.
-        self._catchup_targets: set[str] = set()
-        self._pending_config: dict[str, Any] | None = None
-        self._config_queue: list[dict[str, Any]] = []
         self._awaiting_commit: dict[str, dict[str, Any]] = {}
         self._recovery_votes: dict[str, tuple] = {}
-        self._internal_seq = 0
         self._evicted = False
         # A standing observer keeps replicating without asking to join;
         # the host flips this on when the site actually wants a voting
@@ -108,7 +99,7 @@ class FastRaftEngine(ProposalMixin, DecisionMixin, ReplicationMixin,
         self._maybe_complete_stepdown()
 
     def _stop_role_timers(self) -> None:
-        self._heartbeat.stop()
+        super()._stop_role_timers()
         self._decision_timer.stop()
         self.possible_entries.clear()
         self.next_index.clear()
@@ -117,10 +108,6 @@ class FastRaftEngine(ProposalMixin, DecisionMixin, ReplicationMixin,
         self._beats_missed.clear()
         self._gap_since.clear()
         self._gating_indices.clear()
-        self._catchup_targets.clear()
-        self._extra_allowed.clear()
-        self._pending_config = None
-        self._config_queue.clear()
         self._awaiting_commit.clear()
         self._stepdown_index = None
 

@@ -118,10 +118,6 @@ class MembershipMixin:
     # ------------------------------------------------------------------
     # Serialized configuration changes
     # ------------------------------------------------------------------
-    def _enqueue_config_change(self, change: dict[str, Any]) -> None:
-        self._config_queue.append(change)
-        self._start_next_config_change()
-
     def _start_next_config_change(self) -> None:
         if self.role is not Role.LEADER:
             return
@@ -226,15 +222,9 @@ class MembershipMixin:
         self._pending_config = None
         self._start_next_config_change()
 
-    def _check_catchup_complete(self, follower: str) -> None:
-        pending = self._pending_config
-        if (pending is None or pending["action"] != "add"
-                or pending["site"] != follower
-                or "entry_id" in pending):
-            return
-        if self.match_index.get(follower, 0) >= self.last_leader_index:
-            self._propose_config_entry(
-                self._target_config("add", follower), pending)
+    def _propose_joiner_config(self, change: dict[str, Any]) -> None:
+        self._propose_config_entry(
+            self._target_config("add", change["site"]), change)
 
     # ------------------------------------------------------------------
     # Joining-leader exclusion quorum (the two-voter liveness fix)
@@ -456,11 +446,14 @@ class MembershipMixin:
             self._send_join_requests()
             self._election_timer.reset(self.timing.join_timeout)
 
-    def _maybe_retry_join(self) -> None:
-        """Heartbeat-paced join retry for membership seekers that keep
-        receiving AppendEntries (observers; joiners mid-catch-up whose
-        accepting leader died): their election timer never times out, so
-        lost join requests must be re-sent from the replication path."""
+    def _on_leader_append(self) -> None:
+        """A current-term AppendEntries arrived. It supersedes any earlier
+        eviction notice, and it paces join retries for membership seekers
+        that keep receiving AppendEntries (observers; joiners mid-catch-up
+        whose accepting leader died): their election timer never times
+        out, so lost join requests must be re-sent from here."""
+        if self.name in self._configuration:
+            self._evicted = False
         if (self.wants_membership and not self.is_member
                 and self.now() - self._last_join_request
                 >= self.timing.join_timeout):

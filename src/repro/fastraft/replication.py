@@ -1,10 +1,14 @@
-"""Classic-track replication and silent-leave detection.
+"""Fast Raft's part of classic-track replication, and silent-leave
+detection.
 
-The leader periodically sends AppendEntries covering its leader-approved
-region (``nextIndex[i] .. lastLeaderIndex``). Followers *overwrite*
-conflicting slots instead of truncating: self-approved entries are
-tentative, and only the leader has made safe decisions about them
-(Section IV-B, "When a follower receives AppendEntries message", step 4).
+The classic track is Raft's AppendEntries path, written once in
+:class:`BaseEngine`; this mixin supplies what Fast Raft changes in it.
+The leader replicates its leader-approved region (``nextIndex[i] ..
+lastLeaderIndex``) and commits by its own classic-track rule. Followers
+*overwrite* conflicting slots instead of truncating: self-approved
+entries are tentative, and only the leader has made safe decisions about
+them (Section IV-B, "When a follower receives AppendEntries message",
+step 4).
 
 The heartbeat doubles as the paper's silent-leave failure detector: a
 member that misses ``member_timeout_beats`` consecutive response windows
@@ -13,9 +17,8 @@ is proposed out of the configuration.
 
 from __future__ import annotations
 
-from repro.consensus.engine import Role
 from repro.consensus.entry import InsertedBy
-from repro.consensus.messages import AppendEntries, AppendEntriesResponse
+from repro.consensus.messages import AppendEntries
 
 
 class ReplicationMixin:
@@ -24,97 +27,13 @@ class ReplicationMixin:
     # ------------------------------------------------------------------
     # Leader side
     # ------------------------------------------------------------------
-    def _append_targets(self) -> list[str]:
-        targets = list(self._configuration.replicas_without(self.name))
-        targets.extend(sorted(self._catchup_targets))
-        # An observer under pre-join catch-up would appear twice.
-        return list(dict.fromkeys(targets))
-
-    def _broadcast_append_entries(self) -> None:
-        """One leader beat covering every replication target.
-
-        As in classic Raft's beat, followers sharing a nextIndex get the
-        *same* immutable AppendEntries object (one entries slice and one
-        size memo per distinct nextIndex per round, instead of one per
-        follower). Send order is per target, so the fabric's RNG stream
-        does not depend on the sharing.
-        """
-        if self.role is not Role.LEADER:
-            return
-        self._tick_member_timeouts()
-        round_cache: dict[int, AppendEntries] = {}
-        for target in self._append_targets():
-            self._send_append_entries(target, round_cache)
-
-    def _send_append_entries(self, target: str,
-                             round_cache: dict | None = None) -> None:
-        next_index = self.next_index.get(target, self.last_leader_index + 1)
-        if next_index <= self.log.snapshot_index:
-            # The needed prefix is compacted away: ship the snapshot
-            # instead of replaying the log.
-            self._send_install_snapshot(target)
-            return
-        message = (round_cache.get(next_index)
-                   if round_cache is not None else None)
-        if message is None:
-            prev_index = next_index - 1
-            prev_term = self.log.term_at(prev_index) if prev_index > 0 else 0
-            hi = min(self.last_leader_index,
-                     prev_index + self.timing.max_append_batch)
-            entries = tuple(self.log.entries_between(next_index, hi))
-            if self.lease_enabled:
-                sent_at = self.now()
-                lease_until = self._lease_expiry(sent_at)
-            else:
-                sent_at = lease_until = 0.0
-            message = AppendEntries(
-                term=self.current_term, leader_id=self.name,
-                prev_log_index=prev_index, prev_log_term=prev_term,
-                entries=entries, leader_commit=self.commit_index,
-                global_commit=self._global_commit_piggyback(),
-                sent_at=sent_at, lease_until=lease_until)
-            if round_cache is not None:
-                round_cache[next_index] = message
-        self._send(target, message)
-
-    def _global_commit_piggyback(self) -> int:
-        """C-Raft's local level overrides this; plain Fast Raft sends 0."""
-        return 0
+    def _replication_frontier(self) -> int:
+        return self.last_leader_index
 
     def _note_follower_alive(self, follower: str) -> None:
         self._beats_missed[follower] = 0
 
-    def _handle_append_entries_response(self, msg: AppendEntriesResponse,
-                                        sender: str) -> None:
-        self._observe_term(msg.term)
-        if self.role is not Role.LEADER or msg.term < self.current_term:
-            return
-        follower = msg.follower
-        self._note_follower_alive(follower)
-        # A responding follower's needs are freshly known: a suppressed
-        # snapshot re-ship (if any) may go out immediately. (A stale
-        # reply racing an in-flight ship can cause one redundant bulk
-        # transfer; installs are idempotent, so this is accepted cost.)
-        self._snapshot_inflight.pop(follower, None)
-        if msg.success:
-            if msg.beat_sent_at:
-                self._record_lease_ack(follower, msg.beat_sent_at)
-            self.match_index[follower] = max(
-                self.match_index.get(follower, 0), msg.match_index)
-            self.next_index[follower] = max(
-                self.next_index.get(follower, 1),
-                self.match_index[follower] + 1)
-            self._classic_track_commit()
-            self._check_catchup_complete(follower)
-            self._maybe_complete_stepdown()
-        else:
-            current = self.next_index.get(follower,
-                                          self.last_leader_index + 1)
-            self.next_index[follower] = max(
-                1, min(current - 1, msg.last_log_index + 1))
-            self._nudge_chunk_transfer(follower)
-
-    def _classic_track_commit(self) -> None:
+    def _advance_leader_commit(self) -> None:
         """Commit rule over matchIndex (identical to classic Raft but
         bounded by the leader-approved region). A leader that is no
         longer a configuration member (lingering step-down after its own
@@ -189,28 +108,9 @@ class ReplicationMixin:
     # ------------------------------------------------------------------
     # Follower side
     # ------------------------------------------------------------------
-    def _handle_append_entries(self, msg: AppendEntries, sender: str) -> None:
-        self._observe_term(msg.term, leader_hint=msg.leader_id)
-        if msg.term < self.current_term:
-            self._send(sender, AppendEntriesResponse(
-                term=self.current_term, success=False, follower=self.name,
-                match_index=0, last_log_index=self.log.last_index))
-            return
-        if self.role is not Role.FOLLOWER:
-            self._become_follower(msg.leader_id)
-        else:
-            self.leader_id = msg.leader_id
-            self._arm_election_timer()
-        if self.name in self._configuration:
-            # Current-term replication from the leader is authoritative:
-            # any earlier eviction notice is superseded.
-            self._evicted = False
-        self._maybe_retry_join()
-        if not self._log_matches(msg.prev_log_index, msg.prev_log_term):
-            self._send(sender, AppendEntriesResponse(
-                term=self.current_term, success=False, follower=self.name,
-                match_index=0, last_log_index=self.log.last_index))
-            return
+    def _absorb_append_entries(self, msg: AppendEntries, sender: str) -> None:
+        """Overwrite absorb: leader-approved entries replace whatever the
+        slot holds, through the (possibly asynchronous) insert gate."""
         self._absorb_global_commit(msg.global_commit)
         to_insert = []
         for index, entry in msg.entries:
@@ -229,18 +129,6 @@ class ReplicationMixin:
             return
         self._gate_insert(to_insert, lambda: self._append_entries_absorbed(
             sender, msg, last_new))
-
-    def _append_entries_absorbed(self, sender: str, msg: AppendEntries,
-                                 last_new: int) -> None:
-        if msg.leader_commit > self.commit_index:
-            self._advance_commit_index(min(msg.leader_commit,
-                                           max(last_new, self.commit_index)))
-        if msg.lease_until:
-            self._note_lease_beat(msg)
-        self._send(sender, AppendEntriesResponse(
-            term=self.current_term, success=True, follower=self.name,
-            match_index=last_new, last_log_index=self.log.last_index,
-            beat_sent_at=msg.sent_at))
 
     def _absorb_global_commit(self, global_commit: int) -> None:
         """C-Raft local level overrides; plain Fast Raft ignores."""

@@ -6,6 +6,10 @@ appends and replicates them through periodic AppendEntries, and commits
 once a classic quorum acknowledges. Conflicting follower suffixes are
 truncated. Membership changes are administrator-driven, one site at a
 time, with joiners caught up as non-voting members first.
+
+The replication path itself (beat, ack, follow) is :class:`BaseEngine`'s;
+this engine supplies its frontier (the log end), the classic commit rule
+and the truncating absorb step.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.consensus.config import Configuration
-from repro.consensus.engine import BaseEngine, EngineContext, Role, handles
+from repro.consensus.engine import BaseEngine, Role, handles
 from repro.consensus.entry import (
     ConfigPayload,
     EntryKind,
@@ -22,7 +26,6 @@ from repro.consensus.entry import (
 )
 from repro.consensus.messages import (
     AppendEntries,
-    AppendEntriesResponse,
     ClientRequest,
     CommitNotice,
     JoinAccepted,
@@ -32,7 +35,6 @@ from repro.consensus.messages import (
 )
 from repro.errors import ConsensusError, NotLeaderError
 from repro.net.sizes import estimate_size
-from repro.sim.timers import PeriodicTimer
 
 
 class ClassicRaftEngine(BaseEngine):
@@ -40,31 +42,9 @@ class ClassicRaftEngine(BaseEngine):
 
     protocol_name = "raft"
 
-    def __init__(self, ctx: EngineContext,
-                 bootstrap_config: Configuration) -> None:
-        super().__init__(ctx, bootstrap_config)
-        # --- leader volatile state ---
-        self.next_index: dict[str, int] = {}
-        self.match_index: dict[str, int] = {}
-        self._heartbeat = PeriodicTimer(ctx.loop,
-                                        self.timing.heartbeat_interval,
-                                        self._broadcast_append_entries)
-        # --- membership bookkeeping (leader only) ---
-        self._catchup_targets: set[str] = set()
-        self._pending_config: dict[str, Any] | None = None
-        self._config_queue: list[dict[str, Any]] = []
-        self._internal_seq = 0
-
     # ------------------------------------------------------------------
     # Role transitions
     # ------------------------------------------------------------------
-    def _stop_role_timers(self) -> None:
-        self._heartbeat.stop()
-        self._catchup_targets.clear()
-        self._extra_allowed.clear()
-        self._pending_config = None
-        self._config_queue.clear()
-
     def _make_vote_request(self) -> RequestVote:
         last_index = self.log.last_index
         last_term = self.log.term_at(last_index) if last_index else 0
@@ -146,7 +126,7 @@ class ClassicRaftEngine(BaseEngine):
     def _maybe_commit_single_member(self) -> None:
         """A single-member configuration commits its own appends."""
         if self._configuration.size == 1 and self.role is Role.LEADER:
-            self._leader_advance_commit()
+            self._advance_leader_commit()
 
     def _make_internal_entry(self, kind: EntryKind, payload: Any) -> LogEntry:
         self._internal_seq += 1
@@ -156,86 +136,12 @@ class ClassicRaftEngine(BaseEngine):
                         inserted_by=InsertedBy.LEADER)
 
     # ------------------------------------------------------------------
-    # Replication: leader side
+    # Replication (the shared path is BaseEngine's)
     # ------------------------------------------------------------------
-    def _append_targets(self) -> list[str]:
-        # Replicas = members + standing observers (which replicate but
-        # never vote commits); plus any joiners mid-catch-up.
-        targets = list(self._configuration.replicas_without(self.name))
-        targets.extend(sorted(self._catchup_targets))
-        return list(dict.fromkeys(targets))
+    def _replication_frontier(self) -> int:
+        return self.log.last_index
 
-    def _broadcast_append_entries(self) -> None:
-        """One leader beat: AppendEntries to every replication target.
-
-        Followers with equal nextIndex need byte-identical messages, so
-        the beat builds one immutable AppendEntries per distinct
-        nextIndex and reuses it (entries slice, size memo and all)
-        across those followers. Send order is per target, so the
-        fabric's RNG stream does not depend on the sharing.
-        """
-        if self.role is not Role.LEADER:
-            return
-        round_cache: dict[int, AppendEntries] = {}
-        for target in self._append_targets():
-            self._send_append_entries(target, round_cache)
-
-    def _send_append_entries(self, target: str,
-                             round_cache: dict | None = None) -> None:
-        next_index = self.next_index.get(target, self.log.last_index + 1)
-        if next_index <= self.log.snapshot_index:
-            # The entries this follower needs are compacted away: ship the
-            # snapshot instead of replaying the log.
-            self._send_install_snapshot(target)
-            return
-        message = (round_cache.get(next_index)
-                   if round_cache is not None else None)
-        if message is None:
-            prev_index = next_index - 1
-            prev_term = self.log.term_at(prev_index) if prev_index > 0 else 0
-            hi = min(self.log.last_index,
-                     prev_index + self.timing.max_append_batch)
-            entries = tuple(self.log.entries_between(next_index, hi))
-            if self.lease_enabled:
-                sent_at = self.now()
-                lease_until = self._lease_expiry(sent_at)
-            else:
-                sent_at = lease_until = 0.0
-            message = AppendEntries(
-                term=self.current_term, leader_id=self.name,
-                prev_log_index=prev_index, prev_log_term=prev_term,
-                entries=entries, leader_commit=self.commit_index,
-                sent_at=sent_at, lease_until=lease_until)
-            if round_cache is not None:
-                round_cache[next_index] = message
-        self._send(target, message)
-
-    def _handle_append_entries_response(self, msg: AppendEntriesResponse,
-                                        sender: str) -> None:
-        self._observe_term(msg.term)
-        if self.role is not Role.LEADER or msg.term < self.current_term:
-            return
-        follower = msg.follower
-        # A responding follower's needs are freshly known: a suppressed
-        # snapshot re-ship (if any) may go out immediately. (A stale
-        # reply racing an in-flight ship can cause one redundant bulk
-        # transfer; installs are idempotent, so this is accepted cost.)
-        self._snapshot_inflight.pop(follower, None)
-        if msg.success:
-            if msg.beat_sent_at:
-                self._record_lease_ack(follower, msg.beat_sent_at)
-            self.match_index[follower] = max(
-                self.match_index.get(follower, 0), msg.match_index)
-            self.next_index[follower] = self.match_index[follower] + 1
-            self._leader_advance_commit()
-            self._check_catchup_complete(follower)
-        else:
-            current = self.next_index.get(follower, self.log.last_index + 1)
-            self.next_index[follower] = max(
-                1, min(current - 1, msg.last_log_index + 1))
-            self._nudge_chunk_transfer(follower)
-
-    def _leader_advance_commit(self) -> None:
+    def _advance_leader_commit(self) -> None:
         """Commit the highest index replicated on a classic quorum whose
         entry is from the current term.
 
@@ -262,40 +168,6 @@ class ClassicRaftEngine(BaseEngine):
                 and self.log.term_at(frontier) == self.current_term):
             self._advance_commit_index(frontier)
 
-    # ------------------------------------------------------------------
-    # Replication: follower side
-    # ------------------------------------------------------------------
-    def _handle_append_entries(self, msg: AppendEntries, sender: str) -> None:
-        self._observe_term(msg.term, leader_hint=msg.leader_id)
-        if msg.term < self.current_term:
-            self._send(sender, AppendEntriesResponse(
-                term=self.current_term, success=False, follower=self.name,
-                match_index=0, last_log_index=self.log.last_index))
-            return
-        # Same-term AppendEntries implies an elected leader: candidates
-        # convert to follower, followers refresh their timer.
-        if self.role is not Role.FOLLOWER:
-            self._become_follower(msg.leader_id)
-        else:
-            self.leader_id = msg.leader_id
-            self._arm_election_timer()
-        if not self._log_matches(msg.prev_log_index, msg.prev_log_term):
-            self._send(sender, AppendEntriesResponse(
-                term=self.current_term, success=False, follower=self.name,
-                match_index=0, last_log_index=self.log.last_index))
-            return
-        self._absorb_entries(msg.entries)
-        last_new = msg.prev_log_index + len(msg.entries)
-        if msg.leader_commit > self.commit_index:
-            self._advance_commit_index(min(msg.leader_commit,
-                                           max(last_new, self.commit_index)))
-        if msg.lease_until:
-            self._note_lease_beat(msg)
-        self._send(sender, AppendEntriesResponse(
-            term=self.current_term, success=True, follower=self.name,
-            match_index=last_new, last_log_index=self.log.last_index,
-            beat_sent_at=msg.sent_at))
-
     def _log_matches(self, prev_index: int, prev_term: int) -> bool:
         if prev_index == 0:
             return True
@@ -305,11 +177,13 @@ class ClassicRaftEngine(BaseEngine):
             return False
         return self.log.term_at(prev_index) == prev_term
 
-    def _absorb_entries(self, entries) -> None:
+    def _absorb_append_entries(self, msg: AppendEntries, sender: str) -> None:
+        """Classic absorb: truncate the log at the first conflicting
+        entry, then append."""
         config_epoch = self.log.config_epoch
         truncated = False
         inserted_bytes = 0
-        for index, entry in entries:
+        for index, entry in msg.entries:
             if index <= self.commit_index:
                 continue  # committed prefixes agree (and may be compacted)
             existing = self.log.get(index)
@@ -328,6 +202,8 @@ class ClassicRaftEngine(BaseEngine):
             # A CONFIG slot was written or truncated away: only then can
             # the governing configuration differ from the one we hold.
             self._refresh_configuration()
+        self._append_entries_absorbed(
+            sender, msg, msg.prev_log_index + len(msg.entries))
 
     # ------------------------------------------------------------------
     # Commit side effects (leader)
@@ -367,10 +243,6 @@ class ClassicRaftEngine(BaseEngine):
         if self.role is not Role.LEADER:
             raise NotLeaderError(leader_hint=self._leader_id)
 
-    def _enqueue_config_change(self, change: dict[str, Any]) -> None:
-        self._config_queue.append(change)
-        self._start_next_config_change()
-
     def _start_next_config_change(self) -> None:
         if self._pending_config is not None:
             return
@@ -397,15 +269,9 @@ class ClassicRaftEngine(BaseEngine):
             new_config = self._configuration.without_member(site)
             self._append_config_entry(new_config, change)
 
-    def _check_catchup_complete(self, follower: str) -> None:
-        pending = self._pending_config
-        if (pending is None or pending["action"] != "add"
-                or pending["site"] != follower
-                or "entry_id" in pending):
-            return
-        if self.match_index.get(follower, 0) >= self.log.last_index:
-            new_config = self._configuration.with_member(follower)
-            self._append_config_entry(new_config, pending)
+    def _propose_joiner_config(self, change: dict[str, Any]) -> None:
+        self._append_config_entry(
+            self._configuration.with_member(change["site"]), change)
 
     def _append_config_entry(self, new_config: Configuration,
                              change: dict[str, Any]) -> None:

@@ -54,17 +54,6 @@ class TestValidation:
 
 
 class TestOverrides:
-    def test_with_overrides(self):
-        timing = TimingConfig().with_overrides(heartbeat_interval=0.05,
-                                               decision_interval=0.01)
-        assert timing.heartbeat_interval == 0.05
-        assert timing.effective_decision_interval == 0.01
-
-    def test_overrides_keep_other_fields(self):
-        timing = TimingConfig(member_timeout_beats=9)
-        assert timing.with_overrides(
-            heartbeat_interval=0.05).member_timeout_beats == 9
-
     def test_frozen(self):
         with pytest.raises(Exception):
             TimingConfig().heartbeat_interval = 1.0

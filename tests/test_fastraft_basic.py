@@ -123,17 +123,41 @@ class TestClassicTrackFallback:
 
 
 @functools.lru_cache(maxsize=None)
-def _oracle_leader_engine():
-    """One elected Fast Raft leader shared by every oracle example: each
-    example overwrites all the state the commit rule reads."""
-    cluster = started_cluster(FastRaftServer, seed=5)
+def _oracle_leader_engine(server_cls):
+    """One elected leader per engine kind, shared by every oracle
+    example: each example overwrites all the state the commit rule
+    reads."""
+    cluster = started_cluster(server_cls, seed=5)
     return cluster.servers[cluster.leader()].engine
 
 
+def _commit_decision(engine, members, match, terms, commit, current_term):
+    """Load the commit rule's inputs into ``engine`` and return the
+    indexes its ``_advance_leader_commit`` hands to the commit sweep."""
+    log = RaftLog()
+    for index, term in terms.items():
+        log.insert(index, LogEntry(
+            entry_id=f"e{index}", kind=EntryKind.DATA, payload=None,
+            origin=engine.name, term=term, inserted_by=InsertedBy.LEADER))
+    engine.log = log
+    engine._configuration = Configuration(tuple(members))
+    engine.match_index = match
+    engine.commit_index = commit
+    engine.current_term = current_term
+    advanced_to = []
+    engine._advance_commit_index = advanced_to.append
+    try:
+        engine._advance_leader_commit()
+    finally:
+        del engine._advance_commit_index
+    return advanced_to
+
+
 class TestClassicTrackCommitOracle:
-    """``_classic_track_commit`` computes the commit point from one order
-    statistic of ``matchIndex`` and a downward term scan. The paper's
-    rule, stated naively here, is the only other statement of it."""
+    """Fast Raft's ``_advance_leader_commit`` computes the commit point
+    from one order statistic of ``matchIndex`` and a downward term scan.
+    The paper's rule, stated naively here, is the only other statement
+    of it."""
 
     @staticmethod
     def paper_rule(members, leader, match, terms, commit, last_leader,
@@ -172,7 +196,7 @@ class TestClassicTrackCommitOracle:
     def test_advances_exactly_where_the_paper_rule_says(
             self, n_others, leader_in_config, matches, slots, commit,
             leader_region, current_term):
-        engine = _oracle_leader_engine()
+        engine = _oracle_leader_engine(FastRaftServer)
         leader = engine.name
         if not leader_in_config:
             n_others = max(n_others, 1)  # a configuration needs a member
@@ -180,25 +204,67 @@ class TestClassicTrackCommitOracle:
         members = others + [leader] if leader_in_config else others
         match = {m: v for m, v in zip(others, matches) if v is not None}
         terms = {i + 1: t for i, t in enumerate(slots) if t is not None}
-        log = RaftLog()
-        for index, term in terms.items():
-            log.insert(index, LogEntry(
-                entry_id=f"e{index}", kind=EntryKind.DATA, payload=None,
-                origin=leader, term=term, inserted_by=InsertedBy.LEADER))
-        engine.log = log
-        engine._configuration = Configuration(tuple(members))
-        engine.match_index = match
-        engine.commit_index = commit
         engine.last_leader_index = leader_region
-        engine.current_term = current_term
-        advanced_to = []
-        engine._advance_commit_index = advanced_to.append
-        try:
-            engine._classic_track_commit()
-        finally:
-            del engine._advance_commit_index
+        advanced_to = _commit_decision(engine, members, match, terms, commit,
+                                       current_term)
         expected = self.paper_rule(members, leader, match, terms, commit,
                                    leader_region, current_term)
+        assert advanced_to == ([expected] if expected > commit else [])
+
+
+class TestClassicRaftCommitOracle:
+    """Raft's own commit rule, stated naively: commit the highest N above
+    commitIndex that a majority's matchIndex covers with log[N].term ==
+    currentTerm (the leader counts its whole log). Classic Raft reads
+    the frontier off one order statistic and checks the term only there,
+    which is right only because its log terms never decrease; Fast
+    Raft's rule must agree on such a log when its leader-approved region
+    is the whole log. Both engines are held to the naive rule."""
+
+    @staticmethod
+    def raft_rule(members, leader, match, terms, commit, current_term):
+        last = len(terms)
+        quorum = len(members) // 2 + 1
+        best = commit
+        for n in range(commit + 1, last + 1):
+            covered = sum(1 for m in members
+                          if (last if m == leader else match.get(m, 0)) >= n)
+            if covered >= quorum and terms[n] == current_term:
+                best = n
+        return best
+
+    @pytest.mark.parametrize("server_cls", [RaftServer, FastRaftServer])
+    @given(
+        n_others=st.integers(min_value=0, max_value=5),
+        matches=st.lists(st.one_of(st.none(),
+                                   st.integers(min_value=0, max_value=14)),
+                         min_size=5, max_size=5),
+        # Term steps along a contiguous log: entry k's term is 1 plus the
+        # steps up to k, capped at the leader's term (never decreasing).
+        steps=st.lists(st.integers(min_value=0, max_value=1), max_size=12),
+        commit=st.integers(min_value=0, max_value=12),
+        current_term=st.integers(min_value=2, max_value=4),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_advances_exactly_where_raft_says(self, server_cls, n_others,
+                                              matches, steps, commit,
+                                              current_term):
+        engine = _oracle_leader_engine(server_cls)
+        leader = engine.name
+        others = [f"m{i}" for i in range(n_others)]
+        members = others + [leader]
+        match = {m: v for m, v in zip(others, matches) if v is not None}
+        terms, term = {}, 1
+        for index, step in enumerate(steps, start=1):
+            term = min(term + step, current_term)
+            terms[index] = term
+        commit = min(commit, len(terms))
+        if server_cls is FastRaftServer:
+            engine.last_leader_index = len(terms)
+        advanced_to = _commit_decision(engine, members, match, terms, commit,
+                                       current_term)
+        expected = self.raft_rule(members, leader, match, terms, commit,
+                                  current_term)
         assert advanced_to == ([expected] if expected > commit else [])
 
 

@@ -136,7 +136,7 @@ class TestSequentialChanges:
 
 
 # ----------------------------------------------------------------------
-# Configuration freshness (the config_epoch guard in _absorb_entries)
+# Configuration freshness (the config_epoch guard in _absorb_append_entries)
 # ----------------------------------------------------------------------
 class FreshnessRun:
     """A 3-site classic Raft cluster with two spare sites, a small
