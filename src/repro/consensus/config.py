@@ -50,9 +50,6 @@ class TransferConfig:
     chunk_size: int | None = None
     #: Max unacked chunks in flight per follower (pipelining depth).
     chunk_window: int = 4
-    #: Seconds without transfer progress before the leader resends
-    #: unacked chunks; None falls back to the engine's proposal timeout.
-    retry_timeout: float | None = None
 
     def __post_init__(self) -> None:
         if self.chunk_size is not None and self.chunk_size < 1:
@@ -61,9 +58,6 @@ class TransferConfig:
         if self.chunk_window < 1:
             raise ConfigurationError(
                 f"chunk_window must be >= 1: {self.chunk_window!r}")
-        if self.retry_timeout is not None and self.retry_timeout <= 0:
-            raise ConfigurationError(
-                f"retry_timeout must be positive: {self.retry_timeout!r}")
 
     @property
     def chunked(self) -> bool:

@@ -209,7 +209,6 @@ class BaseEngine:
         self.snapshot_store = SnapshotStore(store)
         self.compaction = ctx.compaction
         self.transfer = ctx.transfer
-        self._last_snapshot_time = float("-inf")
         self.snapshots_taken = 0
         self.snapshots_installed = 0
         self.snapshots_shipped = 0
@@ -1009,8 +1008,7 @@ class BaseEngine:
         policy = self.compaction
         if policy is None or self.ctx.capture_snapshot is None:
             return
-        if policy.should_compact(self.commit_index, self.log.snapshot_index,
-                                 self.now(), self._last_snapshot_time):
+        if policy.should_compact(self.commit_index, self.log.snapshot_index):
             self.take_snapshot()
 
     def take_snapshot(self) -> Snapshot | None:
@@ -1045,7 +1043,6 @@ class BaseEngine:
             # Compaction rewrites the log file: charge the retained tail.
             self.ctx.store.touch("log", size=self._retained_log_size())
         self.snapshots_taken += 1
-        self._last_snapshot_time = self.now()
         self._trace("snapshot.taken", index=snapshot.last_included_index,
                     term=snapshot.last_included_term,
                     compacted_to=self.log.snapshot_index)
@@ -1111,7 +1108,7 @@ class BaseEngine:
         Called from the heartbeat path (every beat while the follower's
         nextIndex sits below the compaction point), so it doubles as the
         stall detector: no new chunk goes out while the window is full,
-        and unacked chunks are resent after the retry timeout.
+        and unacked chunks are resent after one proposal timeout.
         """
         sender = self._chunk_senders.get(target)
         if sender is not None and sender.snapshot_index != \
@@ -1133,10 +1130,8 @@ class BaseEngine:
                         chunks=len(sender.chunks), bytes=len(data))
             self._pump_chunks(target, sender)
             return
-        retry = (self.transfer.retry_timeout
-                 if self.transfer.retry_timeout is not None
-                 else self.timing.proposal_timeout)
-        if self.now() - sender.last_activity < retry:
+        if (self.now() - sender.last_activity
+                < self.timing.proposal_timeout):
             self._pump_chunks(target, sender)  # window may have opened
             # A follower that lost its reassembly buffer (crash
             # mid-transfer) fails the probe's match, which nudges the
@@ -1201,13 +1196,11 @@ class BaseEngine:
         if sender is None:
             return
         # The grace period must outlast one transfer round trip, which
-        # the leader cannot measure; half the retry timeout (floored at
+        # the leader cannot measure; half the proposal timeout (floored at
         # two beats) covers every WAN route this repo models while still
         # beating the full stall retry by 2x.
-        retry = (self.transfer.retry_timeout
-                 if self.transfer.retry_timeout is not None
-                 else self.timing.proposal_timeout)
-        grace = max(2 * self.timing.heartbeat_interval, retry / 2)
+        grace = max(2 * self.timing.heartbeat_interval,
+                    self.timing.proposal_timeout / 2)
         if self.now() - sender.last_ack < grace:
             return
         sender.last_ack = self.now()  # rate-limit repeated nudges

@@ -79,7 +79,6 @@ class ConsensusServer(Actor):
         self._coalescer = (_make_coalescer(propose_batch)
                            if propose_batch is not None else None)
         self._coalesce_timer: RestartableTimer | None = None
-        self._request_arrivals: dict[str, float] = {}
         self.engine = self._build_engine()
 
     # ------------------------------------------------------------------
@@ -125,7 +124,6 @@ class ConsensusServer(Actor):
         self.applied_log = []
         self.applied_floor = 0
         self._pending_reads.clear()
-        self._request_arrivals.clear()
         if self._coalescer is not None:
             self._coalescer = _make_coalescer(self._propose_policy)
         if self._coalesce_timer is not None:
@@ -175,9 +173,8 @@ class ConsensusServer(Actor):
                 return
             coalescer = self._coalescer
             if coalescer is not None and self.engine.role is Role.LEADER:
-                now = self.now()
-                self._request_arrivals[message.request_id] = now
-                if coalescer.add(message.request_id, message, sender, now):
+                if coalescer.add(message.request_id, message, sender,
+                                 self.now()):
                     self._flush_proposals()
                 else:
                     self._arm_coalesce_timer()
@@ -279,10 +276,4 @@ class ConsensusServer(Actor):
             self.state_machine.apply(entry.payload)
 
     def _on_origin_commit(self, entry: LogEntry, index: int) -> None:
-        request_id = entry.entry_id
-        coalescer = self._coalescer
-        if coalescer is not None and self.frontend.awaits_reply(request_id):
-            arrived = self._request_arrivals.pop(request_id, None)
-            if arrived is not None:
-                coalescer.observe_commit_latency(self.now() - arrived)
-        self.frontend.reply_committed(request_id, index)
+        self.frontend.reply_committed(entry.entry_id, index)

@@ -6,15 +6,16 @@ here is count-based with an optional age-based flush so interactive
 deployments do not strand a partial batch forever.
 
 On top of the count-based default sits an opt-in *adaptive* mode: an
-EWMA of the observed global-commit latency and of the batch byte-size
-drives the effective ``batch_size`` / ``max_age`` / ``max_outstanding``
-between configured floors and ceilings. Slow global rounds grow the
-batch (amortizing the fixed per-round cost over more entries) and widen
-the outstanding window; fast rounds shrink both back toward the floors
-for responsiveness. A byte ceiling caps the entry count regardless of
-what the latency signal asked for. ``adaptive=False`` (the default)
-leaves every decision exactly where the paper's count-based policy put
-it, so the fig5/ablation goldens are byte-identical.
+EWMA of the observed global-commit latency drives the effective
+``batch_size`` / ``max_outstanding`` between fixed bounds
+(:data:`BATCH_FLOOR` .. :data:`BATCH_CEILING` entries, at most
+:data:`OUTSTANDING_CEILING` batches in flight). Global rounds slower than
+:data:`TARGET_COMMIT_LATENCY` grow the batch (amortizing the fixed
+per-round cost over more entries) and widen the outstanding window;
+faster rounds shrink both back toward the policy's starting values.
+``adaptive=False`` (the default) leaves every decision exactly where the
+paper's count-based policy put it, so the fig5/ablation goldens are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -24,7 +25,16 @@ from typing import Any
 
 from repro.consensus.entry import BatchPayload, EntryKind, LogEntry
 from repro.errors import ConfigurationError
-from repro.net.sizes import estimate_size
+
+#: Bounds the adaptive batch size moves between.
+BATCH_FLOOR = 4
+BATCH_CEILING = 64
+#: Upper bound for the adaptive outstanding window.
+OUTSTANDING_CEILING = 8
+#: Global-commit latency the adaptive controller steers toward (seconds).
+TARGET_COMMIT_LATENCY = 2.0
+#: EWMA smoothing factor for the observed commit latency.
+EWMA_ALPHA = 0.2
 
 
 @dataclass(frozen=True)
@@ -38,49 +48,23 @@ class BatchPolicy:
     max_age: float | None = None
     #: How many proposed-but-uncommitted batches may be outstanding.
     max_outstanding: int = 1
-
-    # --- adaptive coalescing (opt-in; defaults keep the count-based
-    # --- policy untouched) -------------------------------------------
-    #: Let observed commit latency / batch bytes move the knobs.
+    #: Let observed global-commit latency move ``batch_size`` and
+    #: ``max_outstanding`` within the fixed bounds above.
     adaptive: bool = False
-    #: Bounds the effective batch size may move between.
-    batch_floor: int = 1
-    batch_ceiling: int = 64
-    #: Bounds for the effective age flush (None: age never adapts).
-    age_floor: float | None = None
-    age_ceiling: float | None = None
-    #: Upper bound for the outstanding window (None: pinned at
-    #: ``max_outstanding``).
-    outstanding_ceiling: int | None = None
-    #: Commit latency the controller steers toward (seconds).
-    target_commit_latency: float = 0.5
-    #: Byte ceiling per batch (None: bytes never cap the count).
-    target_batch_bytes: int | None = None
-    #: EWMA smoothing factor for both signals.
-    ewma_alpha: float = 0.2
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         if not self.adaptive:
             return
-        if not (1 <= self.batch_floor <= self.batch_ceiling):
+        if not BATCH_FLOOR <= self.batch_size <= BATCH_CEILING:
             raise ConfigurationError(
-                f"bad adaptive batch bounds "
-                f"[{self.batch_floor}, {self.batch_ceiling}]")
-        if (self.age_floor is not None and self.age_ceiling is not None
-                and self.age_floor > self.age_ceiling):
+                f"adaptive batch_size {self.batch_size} outside "
+                f"[{BATCH_FLOOR}, {BATCH_CEILING}]")
+        if self.max_outstanding > OUTSTANDING_CEILING:
             raise ConfigurationError(
-                f"bad adaptive age bounds "
-                f"[{self.age_floor}, {self.age_ceiling}]")
-        if (self.outstanding_ceiling is not None
-                and self.outstanding_ceiling < self.max_outstanding):
-            raise ConfigurationError(
-                "outstanding_ceiling below max_outstanding")
-        if not (0.0 < self.ewma_alpha <= 1.0):
-            raise ConfigurationError("ewma_alpha must be in (0, 1]")
-        if self.target_commit_latency <= 0:
-            raise ConfigurationError("target_commit_latency must be > 0")
+                f"adaptive max_outstanding {self.max_outstanding} above "
+                f"{OUTSTANDING_CEILING}")
 
 
 class Batcher:
@@ -94,40 +78,17 @@ class Batcher:
         self._next_unbatched = 1   # first local index not yet covered
         self._sequence = 0
         self._outstanding = 0
-        # Adaptive-controller state (inert unless policy.adaptive).
+        #: The knobs in force: the policy's, unless the adaptive
+        #: controller has moved them.
+        self.effective_batch_size = policy.batch_size
+        self.effective_max_outstanding = policy.max_outstanding
         self._ewma_latency: float | None = None
-        self._ewma_entry_bytes: float | None = None
-        self._adaptive_size = policy.batch_size
-        self._adaptive_age = (policy.max_age if policy.max_age is not None
-                              else policy.age_floor)
-        self._adaptive_outstanding = policy.max_outstanding
-
-    # ------------------------------------------------------------------
-    # Effective knobs (identical to the policy unless adaptive)
-    # ------------------------------------------------------------------
-    @property
-    def effective_batch_size(self) -> int:
-        if self.policy.adaptive:
-            return self._adaptive_size
-        return self.policy.batch_size
-
-    @property
-    def effective_max_age(self) -> float | None:
-        if self.policy.adaptive:
-            return self._adaptive_age
-        return self.policy.max_age
-
-    @property
-    def effective_max_outstanding(self) -> int:
-        if self.policy.adaptive:
-            return self._adaptive_outstanding
-        return self.policy.max_outstanding
 
     @property
     def has_age_flush(self) -> bool:
         """Whether an age-based flush can ever trigger (the server only
         arms its flush timer when this is set)."""
-        return self.effective_max_age is not None
+        return self.policy.max_age is not None
 
     # ------------------------------------------------------------------
     # Feeding
@@ -162,65 +123,31 @@ class Batcher:
     def observe_commit_latency(self, latency: float) -> None:
         """Feed one observed propose->global-commit latency (seconds).
         No-op unless the policy is adaptive."""
-        policy = self.policy
-        if not policy.adaptive:
+        if not self.policy.adaptive:
             return
-        alpha = policy.ewma_alpha
+        alpha = EWMA_ALPHA
         if self._ewma_latency is None:
             self._ewma_latency = latency
         else:
             self._ewma_latency = (alpha * latency
                                   + (1.0 - alpha) * self._ewma_latency)
-        self._adapt()
-
-    def _observe_batch_bytes(self, total_bytes: int, count: int) -> None:
-        if count <= 0:
-            return
-        alpha = self.policy.ewma_alpha
-        per_entry = total_bytes / count
-        if self._ewma_entry_bytes is None:
-            self._ewma_entry_bytes = per_entry
-        else:
-            self._ewma_entry_bytes = (alpha * per_entry
-                                      + (1.0 - alpha)
-                                      * self._ewma_entry_bytes)
-
-    def _adapt(self) -> None:
-        policy = self.policy
-        latency = self._ewma_latency
-        if latency is None:
-            return
-        ratio = latency / policy.target_commit_latency
-        size = self._adaptive_size
+        ratio = self._ewma_latency / TARGET_COMMIT_LATENCY
+        size = self.effective_batch_size
         if ratio > 1.1:
             # Global rounds are slow: amortize them over bigger batches
             # and a wider outstanding window.
-            size = min(size + max(1, size // 4), policy.batch_ceiling)
-            ceiling = (policy.outstanding_ceiling
-                       if policy.outstanding_ceiling is not None
-                       else policy.max_outstanding)
-            self._adaptive_outstanding = min(
-                self._adaptive_outstanding + 1, ceiling)
-            if (self._adaptive_age is not None
-                    and policy.age_ceiling is not None):
-                self._adaptive_age = min(self._adaptive_age * 1.25,
-                                         policy.age_ceiling)
+            self.effective_batch_size = min(size + max(1, size // 4),
+                                            BATCH_CEILING)
+            self.effective_max_outstanding = min(
+                self.effective_max_outstanding + 1, OUTSTANDING_CEILING)
         elif ratio < 0.9:
             # Rounds are fast: shrink back toward the floors for
             # responsiveness.
-            size = max(size - max(1, size // 4), policy.batch_floor)
-            self._adaptive_outstanding = max(
-                self._adaptive_outstanding - 1, policy.max_outstanding)
-            if (self._adaptive_age is not None
-                    and policy.age_floor is not None):
-                self._adaptive_age = max(self._adaptive_age * 0.8,
-                                         policy.age_floor)
-        if policy.target_batch_bytes and self._ewma_entry_bytes:
-            cap = max(policy.batch_floor,
-                      int(policy.target_batch_bytes
-                          // max(self._ewma_entry_bytes, 1.0)))
-            size = min(size, cap)
-        self._adaptive_size = size
+            self.effective_batch_size = max(size - max(1, size // 4),
+                                            BATCH_FLOOR)
+            self.effective_max_outstanding = max(
+                self.effective_max_outstanding - 1,
+                self.policy.max_outstanding)
 
     # ------------------------------------------------------------------
     # Draining
@@ -234,7 +161,7 @@ class Batcher:
             return False
         if len(self._pending) >= self.effective_batch_size:
             return True
-        max_age = self.effective_max_age
+        max_age = self.policy.max_age
         if (max_age is not None and self._pending
                 and self._pending_since is not None
                 and now - self._pending_since >= max_age):
@@ -245,7 +172,7 @@ class Batcher:
         """When the oldest pending entry expires (None: no pending
         partial batch, or age flushing disabled). The server arms its
         precise flush timer from this."""
-        max_age = self.effective_max_age
+        max_age = self.policy.max_age
         if max_age is None or self._pending_since is None:
             return None
         return self._pending_since + max_age
@@ -260,12 +187,6 @@ class Batcher:
         self._outstanding += 1
         first, last = taken[0][0], taken[-1][0]
         self._next_unbatched = last + 1
-        if self.policy.adaptive:
-            total = 0
-            for _, entry in taken:
-                memo = entry._est_size
-                total += memo if memo is not None else estimate_size(entry)
-            self._observe_batch_bytes(total, len(taken))
         return BatchPayload(cluster=self.cluster, sequence=self._sequence,
                             entries=tuple(e for _, e in taken),
                             local_range=(first, last))
@@ -293,21 +214,22 @@ class ProposalCoalescer:
     -> propose path (opt-in).
 
     The server buffers incoming client requests and hands them to the
-    engine in one flush -- when the pending count reaches the effective
-    batch size, or when the oldest buffered request hits the age bound
+    engine in one flush -- when the pending count reaches the policy's
+    ``batch_size``, or when the oldest buffered request hits the age bound
     (``max_age=None`` flushes on the next loop turn, coalescing only
     same-instant arrivals). Duplicate request ids coalesce; the stored
-    occurrence keeps the first arrival's sender.
+    occurrence keeps the first arrival's sender. The flush size is fixed:
+    an adaptive policy is rejected.
     """
 
     def __init__(self, policy: BatchPolicy) -> None:
+        if policy.adaptive:
+            raise ConfigurationError(
+                "proposal coalescing flushes at a fixed batch_size; "
+                "an adaptive BatchPolicy applies to C-Raft batching only")
         self.policy = policy
         self._pending: dict[str, tuple[Any, str]] = {}
         self._pending_since: float | None = None
-        # The flush size is a Batcher's adaptive batch size, driven by
-        # whatever latency the owner feeds in (its own queue stays
-        # empty: only the controller is used).
-        self._controller = Batcher("", policy)
 
     @property
     def pending_count(self) -> int:
@@ -320,7 +242,7 @@ class ProposalCoalescer:
             self._pending_since = now
         if request_id not in self._pending:
             self._pending[request_id] = (message, sender)
-        return len(self._pending) >= self._controller.effective_batch_size
+        return len(self._pending) >= self.policy.batch_size
 
     def age_deadline(self) -> float | None:
         """When the buffered batch must flush regardless of size."""
@@ -333,7 +255,3 @@ class ProposalCoalescer:
         self._pending.clear()
         self._pending_since = None
         return drained
-
-    def observe_commit_latency(self, latency: float) -> None:
-        """Adapt the flush size between the policy's floor/ceiling."""
-        self._controller.observe_commit_latency(latency)

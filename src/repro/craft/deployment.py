@@ -125,9 +125,10 @@ def build_craft_deployment(
         local_compaction: CompactionPolicy | None = None,
         global_compaction: CompactionPolicy | None = None,
         transfer: TransferConfig | None = None,
-        bandwidth: float | None = None,
-        global_seed_site: str | None = None) -> CRaftDeployment:
+        bandwidth: float | None = None) -> CRaftDeployment:
     """Build (without starting) a C-Raft deployment over ``topology``.
+
+    The global log is seeded at the first site of the first cluster.
 
     ``bandwidth`` (simulated bytes/second) wraps ``latency`` in a
     :class:`BandwidthLatencyModel`; ``transfer`` tunes snapshot shipping
@@ -138,9 +139,7 @@ def build_craft_deployment(
     deployment = CRaftDeployment(
         topology, local_timing, global_timing, seed=seed, latency=latency,
         loss=loss, trace_enabled=trace_enabled, bandwidth=bandwidth)
-    if global_seed_site is None:
-        first_cluster = topology.clusters[0]
-        global_seed_site = topology.nodes_in_cluster(first_cluster)[0]
+    global_seed = topology.nodes_in_cluster(topology.clusters[0])[0]
     for cluster in topology.clusters:
         members = topology.nodes_in_cluster(cluster)
         config = Configuration(tuple(members))
@@ -149,7 +148,7 @@ def build_craft_deployment(
                 name=name, cluster=cluster, loop=deployment.loop,
                 network=deployment.network, fabric=deployment.fabric,
                 local_bootstrap=config,
-                global_seed=global_seed_site, local_timing=local_timing,
+                global_seed=global_seed, local_timing=local_timing,
                 global_timing=global_timing, rng=deployment.rng,
                 trace=deployment.trace,
                 batch_policy=batch_policy,

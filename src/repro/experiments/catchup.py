@@ -233,8 +233,7 @@ def catchup_craft_spec(config: CatchupConfig, snapshots: bool
         state_machine=KVStateMachine,
         compaction=_policy(config, snapshots),
         latency=LatencySpec(kind="rtt_matrix",
-                            rtts=(("east", "west", 0.080),),
-                            intra_rtt=0.0008, jitter=0.1),
+                            rtts=(("east", "west", 0.080),)),
         schedule=EventSchedule((
             Event("crash", target="nonleader:0",
                   after_commits=config.warmup_commits),)),

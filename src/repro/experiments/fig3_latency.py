@@ -125,8 +125,7 @@ def fig3_spec(config: Fig3Config, protocol: str,
         topology=TopologySpec(n_sites=config.n_sites),
         timing=config.timing, loss=LossSpec(loss_rate),
         workload=WorkloadSpec(
-            placement="random", rng_stream="fig3.proposer",
-            requests=config.trials,
+            placement="random", requests=config.trials,
             proposal_timeout=config.proposal_timeout),
         probe="latency_summary", timeout=config.timeout)
 

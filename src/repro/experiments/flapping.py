@@ -129,8 +129,7 @@ def flapping_spec(config: FlappingConfig) -> ScenarioSpec:
         topology=TopologySpec(n_sites=5, regions=("core", "edge"),
                               region_sizes=(3, 2)),
         latency=LatencySpec(kind="rtt_matrix",
-                            rtts=(("core", "edge", config.wan_rtt),),
-                            intra_rtt=0.0008, jitter=0.1),
+                            rtts=(("core", "edge", config.wan_rtt),)),
         schedule=EventSchedule.flapping_link(
             (CORE, EDGE), first_outage=config.first_outage,
             outage=config.outage, stable=config.stable,

@@ -141,11 +141,9 @@ def heavy_traffic_spec(config: HeavyTrafficConfig) -> ScenarioSpec:
         timing=TimingConfig.intra_cluster(),
         global_timing=TimingConfig.inter_cluster(),
         # Latency-adaptive: the EWMA of observed global-commit latency
-        # steers batch_size/max_outstanding between the bounds below.
-        batch=BatchPolicy(batch_size=8, max_outstanding=2, adaptive=True,
-                          batch_floor=4, batch_ceiling=64,
-                          outstanding_ceiling=8,
-                          target_commit_latency=2.0),
+        # steers batch_size/max_outstanding within the fixed bounds of
+        # repro.craft.batching (4..64 entries, <= 8 in flight, 2 s target).
+        batch=BatchPolicy(batch_size=8, max_outstanding=2, adaptive=True),
         latency=LatencySpec.aws_regions(),
         schedule=EventSchedule.flapping_link(
             (rest, cut_sites), first_outage=config.first_outage,

@@ -71,6 +71,9 @@ RTT_MATRIX: dict[tuple[str, str], float] = {
 
 #: Intra-region RTT: "less than 1 ms within regions".
 INTRA_REGION_RTT = 0.0008
+#: Multiplicative jitter of every region latency model (one-way delays
+#: are scaled uniformly in [1 - jitter, 1 + jitter]).
+REGION_JITTER = 0.1
 
 
 def regions_for(cluster_count: int) -> list[str]:
@@ -81,8 +84,8 @@ def regions_for(cluster_count: int) -> list[str]:
     return REGIONS[:cluster_count]
 
 
-def latency_model_for(topology: Topology,
-                      jitter: float = 0.10) -> RegionLatencyModel:
+def latency_model_for(topology: Topology) -> RegionLatencyModel:
     """Region latency model covering every node in ``topology``."""
     return RegionLatencyModel(dict(topology.node_regions), RTT_MATRIX,
-                              intra_rtt=INTRA_REGION_RTT, jitter=jitter)
+                              intra_rtt=INTRA_REGION_RTT,
+                              jitter=REGION_JITTER)

@@ -197,8 +197,7 @@ def two_region_failover_spec(config: TwoRegionFailoverConfig
                               regions=("east", "west")),
         batch=BatchPolicy(batch_size=config.batch_size),
         latency=LatencySpec(kind="rtt_matrix",
-                            rtts=(("east", "west", config.wan_rtt),),
-                            intra_rtt=0.0008, jitter=0.1),
+                            rtts=(("east", "west", config.wan_rtt),)),
         state_machine=KVStateMachine,
         workload=WorkloadSpec(requests=config.requests),
         drive="two_region_failover", timeout=config.timeout)

@@ -180,15 +180,21 @@ def build_cluster(server_cls: type[ConsensusServer], n_sites: int = 5,
                   transfer: TransferConfig | None = None,
                   bandwidth: float | None = None,
                   n_observers: int = 0,
-                  name_prefix: str = "n",
-                  propose_batch: BatchPolicy | None = None) -> Cluster:
-    """Standard single-group cluster: ``n_sites`` voting members.
+                  propose_batch: BatchPolicy | None = None,
+                  topology: Topology | None = None) -> Cluster:
+    """Standard single-group cluster: ``n_sites`` voting members
+    ``n0``, ``n1``, ...
 
-    ``n_observers`` adds that many standing non-voting observers (named
-    after the voters: ``n<n_sites>`` onward) to the bootstrap
-    configuration -- replicas that receive everything but only tip
-    quorums as tiebreakers for CONFIG entries and elections while the
-    voting set is degenerate (see ``Configuration.observers``).
+    With ``topology`` the voting members are instead every node of it,
+    created in ``topology.nodes`` order: the geo-distributed classic-Raft
+    baseline of Fig. 5, one voting configuration whose members sit in
+    different regions (the latency model decides what that costs).
+
+    ``n_observers`` (flat clusters only) adds that many standing
+    non-voting observers (named after the voters: ``n<n_sites>`` onward)
+    to the bootstrap configuration -- replicas that receive everything
+    but only tip quorums as tiebreakers for CONFIG entries and elections
+    while the voting set is degenerate (see ``Configuration.observers``).
 
     ``bandwidth`` (simulated bytes/second) wraps the latency model in a
     :class:`BandwidthLatencyModel` so message delays charge payload size;
@@ -201,51 +207,21 @@ def build_cluster(server_cls: type[ConsensusServer], n_sites: int = 5,
         raise ExperimentError(f"need at least one site: {n_sites!r}")
     if n_observers < 0:
         raise ExperimentError(f"n_observers must be >= 0: {n_observers!r}")
+    if topology is None:
+        names = [f"n{i}" for i in range(n_sites)]
+    elif n_observers:
+        raise ExperimentError("observers need a flat cluster (no topology)")
+    else:
+        names = list(topology.nodes)
     timing = timing if timing is not None else TimingConfig()
     cluster = Cluster(timing, seed=seed, latency=latency, loss=loss,
                       trace_enabled=trace_enabled, bandwidth=bandwidth)
-    names = [f"{name_prefix}{i}" for i in range(n_sites)]
-    watchers = [f"{name_prefix}{n_sites + i}" for i in range(n_observers)]
+    watchers = [f"n{n_sites + i}" for i in range(n_observers)]
     config = Configuration(tuple(names), tuple(watchers))
     for name in names + watchers:
         server = server_cls(
             name=name, loop=cluster.loop, network=cluster.network,
             store=cluster.fabric.store_for(name), bootstrap_config=config,
-            timing=timing, rng=cluster.rng, trace=cluster.trace,
-            state_machine_factory=state_machine_factory,
-            compaction=compaction, transfer=transfer,
-            propose_batch=propose_batch)
-        cluster.add_server(server)
-    return cluster
-
-
-def build_topology_cluster(server_cls: type[ConsensusServer],
-                           topology: Topology,
-                           latency: LatencyModel | None = None,
-                           loss: LossModel | None = None,
-                           seed: int = 0,
-                           timing: TimingConfig | None = None,
-                           trace_enabled: bool = True,
-                           state_machine_factory: Callable[[], Any] | None = None,
-                           compaction: CompactionPolicy | None = None,
-                           transfer: TransferConfig | None = None,
-                           propose_batch: BatchPolicy | None = None
-                           ) -> Cluster:
-    """One flat consensus group spanning every node of ``topology``.
-
-    The geo-distributed classic-Raft baseline of Fig. 5: a single voting
-    configuration whose members sit in different regions (the latency
-    model decides what that costs). Nodes are created in
-    ``topology.nodes`` order.
-    """
-    timing = timing if timing is not None else TimingConfig()
-    cluster = Cluster(timing, seed=seed, latency=latency, loss=loss,
-                      trace_enabled=trace_enabled)
-    members = Configuration(tuple(topology.nodes))
-    for name in topology.nodes:
-        server = server_cls(
-            name=name, loop=cluster.loop, network=cluster.network,
-            store=cluster.fabric.store_for(name), bootstrap_config=members,
             timing=timing, rng=cluster.rng, trace=cluster.trace,
             state_machine_factory=state_machine_factory,
             compaction=compaction, transfer=transfer,
@@ -287,19 +263,9 @@ def build_from_spec(spec, seed: int):
             local_compaction=spec.compaction,
             global_compaction=spec.global_compaction,
             transfer=spec.transfer)
-    server_cls = server_class_for(spec.engine)
-    if topology is None:
-        return build_cluster(
-            server_cls, n_sites=spec.topology.n_sites, seed=seed,
-            timing=spec.timing, latency=latency, loss=loss,
-            trace_enabled=spec.trace,
-            state_machine_factory=spec.state_machine,
-            compaction=spec.compaction, transfer=spec.transfer,
-            name_prefix=spec.topology.name_prefix,
-            propose_batch=spec.propose_batch)
-    return build_topology_cluster(
-        server_cls, topology, latency=latency, loss=loss, seed=seed,
-        timing=spec.timing, trace_enabled=spec.trace,
-        state_machine_factory=spec.state_machine,
+    return build_cluster(
+        server_class_for(spec.engine), n_sites=spec.topology.n_sites,
+        seed=seed, timing=spec.timing, latency=latency, loss=loss,
+        trace_enabled=spec.trace, state_machine_factory=spec.state_machine,
         compaction=spec.compaction, transfer=spec.transfer,
-        propose_batch=spec.propose_batch)
+        topology=topology)

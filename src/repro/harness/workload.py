@@ -22,12 +22,10 @@ class ClosedLoopWorkload:
 
     def __init__(self, client: Client,
                  command_factory: Callable[[int], Any] | None = None,
-                 max_requests: int | None = None,
-                 stop_at: float | None = None) -> None:
+                 max_requests: int | None = None) -> None:
         self._client = client
         self._factory = command_factory or _default_command_factory
         self._max_requests = max_requests
-        self._stop_at = stop_at
         self._sequence = itertools.count()
         self._submitted = 0
         self.records: list[RequestRecord] = []
@@ -51,9 +49,6 @@ class ClosedLoopWorkload:
             return
         if (self._max_requests is not None
                 and self._submitted >= self._max_requests):
-            return
-        if (self._stop_at is not None
-                and self._client.now() >= self._stop_at):
             return
         command = self._factory(next(self._sequence))
         self._submitted += 1

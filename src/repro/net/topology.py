@@ -24,11 +24,12 @@ class Topology:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def even_clusters(cls, total_sites: int, regions: list[str],
-                      name_prefix: str = "n") -> "Topology":
-        """Split ``total_sites`` evenly across ``regions``, one cluster per
-        region (the Fig. 5 layout). Site count must divide evenly so every
-        cluster has the same quorum structure, as in the paper."""
+    def even_clusters(cls, total_sites: int,
+                      regions: list[str]) -> "Topology":
+        """Split ``total_sites`` (``n0``, ``n1``, ...) evenly across
+        ``regions``, one cluster per region (the Fig. 5 layout). Site
+        count must divide evenly so every cluster has the same quorum
+        structure, as in the paper."""
         if not regions:
             raise NetworkError("need at least one region")
         if total_sites % len(regions) != 0:
@@ -40,8 +41,7 @@ class Topology:
         index = 0
         for region in regions:
             for _ in range(per_region):
-                name = f"{name_prefix}{index}"
-                topo.add_node(name, region=region, cluster=region)
+                topo.add_node(f"n{index}", region=region, cluster=region)
                 index += 1
         return topo
 

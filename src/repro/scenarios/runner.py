@@ -136,16 +136,19 @@ def elect_flat_leader(cluster, spec: ScenarioSpec) -> str:
     return cluster.leader()
 
 
+#: The RNG stream a ``random`` workload placement draws its site from.
+#: The name seeds the draw, so fig3's goldens pin it byte for byte.
+PROPOSER_STREAM = "fig3.proposer"
+
+
 def proposer_sites(system, spec: ScenarioSpec, leader: str | None
                    ) -> list[str]:
     wl = spec.workload
     if wl.placement == "leader":
         return [leader]
     if wl.placement == "random":
-        stream = system.rng.stream(wl.rng_stream)
+        stream = system.rng.stream(PROPOSER_STREAM)
         return [stream.choice(sorted(system.servers))]
-    if wl.placement == "first_nonleader":
-        return [next(n for n in system.servers if n != leader)]
     if wl.placement == "round_robin":
         ordered = sorted(system.servers)
         return [ordered[i % len(ordered)] for i in range(wl.proposers)]

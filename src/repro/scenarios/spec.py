@@ -28,7 +28,6 @@ from repro.net.latency import (
     ConstantLatency,
     LatencyModel,
     RegionLatencyModel,
-    UniformLatency,
 )
 from repro.net.loss import BernoulliLoss, LossModel
 from repro.net.topology import Topology
@@ -52,7 +51,6 @@ class TopologySpec:
     n_sites: int = 5
     regions: tuple[str, ...] = ()
     region_sizes: tuple[int, ...] = ()
-    name_prefix: str = "n"
 
     def __post_init__(self) -> None:
         if self.n_sites < 1:
@@ -71,14 +69,12 @@ class TopologySpec:
         if not self.regions:
             return None
         if not self.region_sizes:
-            return Topology.even_clusters(self.n_sites, list(self.regions),
-                                          name_prefix=self.name_prefix)
+            return Topology.even_clusters(self.n_sites, list(self.regions))
         topo = Topology()
         index = 0
         for region, size in zip(self.regions, self.region_sizes):
             for _ in range(size):
-                topo.add_node(f"{self.name_prefix}{index}", region=region,
-                              cluster=region)
+                topo.add_node(f"n{index}", region=region, cluster=region)
                 index += 1
         return topo
 
@@ -91,21 +87,18 @@ class LatencySpec:
     """Declarative latency model.
 
     Kinds: ``default`` (the builder's intra-region default),
-    ``constant`` (``delay`` one-way seconds), ``uniform`` (``[low,
-    high)``), ``regions`` (the AWS-like matrix from
-    :mod:`repro.experiments.regions` over the scenario topology), and
-    ``rtt_matrix`` (an explicit ``(region_a, region_b, rtt)`` table).
-    ``bandwidth`` (simulated bytes/second) wraps the base model so
-    message delays charge payload size.
+    ``constant`` (``delay`` one-way seconds), ``regions`` (the AWS-like
+    matrix from :mod:`repro.experiments.regions` over the scenario
+    topology), and ``rtt_matrix`` (an explicit ``(region_a, region_b,
+    rtt)`` table); both take the intra-region RTT and the jitter of
+    :mod:`repro.experiments.regions`. ``bandwidth`` (simulated
+    bytes/second) wraps the base model so message delays charge payload
+    size.
     """
 
     kind: str = "default"
     delay: float = 0.0
-    low: float = 0.0
-    high: float = 0.0
     rtts: tuple[tuple[str, str, float], ...] = ()
-    intra_rtt: float = 0.001
-    jitter: float = 0.10
     bandwidth: float | None = None
 
     @classmethod
@@ -113,8 +106,8 @@ class LatencySpec:
         return cls(kind="constant", delay=delay, **kwargs)
 
     @classmethod
-    def aws_regions(cls, jitter: float = 0.10, **kwargs) -> "LatencySpec":
-        return cls(kind="regions", jitter=jitter, **kwargs)
+    def aws_regions(cls, **kwargs) -> "LatencySpec":
+        return cls(kind="regions", **kwargs)
 
     def build(self, topology: Topology | None) -> LatencyModel | None:
         """Instantiate the model (None means "builder default")."""
@@ -123,22 +116,20 @@ class LatencySpec:
             base = None
         elif self.kind == "constant":
             base = ConstantLatency(self.delay)
-        elif self.kind == "uniform":
-            base = UniformLatency(self.low, self.high)
-        elif self.kind == "regions":
+        elif self.kind in ("regions", "rtt_matrix"):
             if topology is None:
                 raise ExperimentError(
-                    "latency kind 'regions' needs a region topology")
-            from repro.experiments.regions import latency_model_for
-            base = latency_model_for(topology, jitter=self.jitter)
-        elif self.kind == "rtt_matrix":
-            if topology is None:
-                raise ExperimentError(
-                    "latency kind 'rtt_matrix' needs a region topology")
-            base = RegionLatencyModel(
-                dict(topology.node_regions),
-                {(a, b): rtt for a, b, rtt in self.rtts},
-                intra_rtt=self.intra_rtt, jitter=self.jitter)
+                    f"latency kind {self.kind!r} needs a region topology")
+            from repro.experiments.regions import (INTRA_REGION_RTT,
+                                                   REGION_JITTER,
+                                                   latency_model_for)
+            if self.kind == "regions":
+                base = latency_model_for(topology)
+            else:
+                base = RegionLatencyModel(
+                    dict(topology.node_regions),
+                    {(a, b): rtt for a, b, rtt in self.rtts},
+                    intra_rtt=INTRA_REGION_RTT, jitter=REGION_JITTER)
         else:
             raise ExperimentError(f"unknown latency kind: {self.kind!r}")
         if self.bandwidth is None:
@@ -253,7 +244,7 @@ class WorkloadSpec:
     """Proposers: where they sit, what they submit, and how they pace.
 
     ``placement`` decides the proposer sites: ``leader``, ``random``
-    (one site drawn from ``rng_stream``), ``first_nonleader``,
+    (one site drawn from the runner's ``PROPOSER_STREAM``),
     ``round_robin`` (``proposers`` clients over the sorted site list),
     or ``sites`` (the explicit ``sites`` tuple, in order). ``command``
     picks the submitted payloads: ``default`` (``k<seq>``), ``keyed``
@@ -271,11 +262,10 @@ class WorkloadSpec:
     command: str = "default"
     prefixes: tuple[str, ...] = ()
     value_bytes: int = 0
-    rng_stream: str = "scenario.proposer"
 
     def __post_init__(self) -> None:
-        if self.placement not in ("leader", "random", "first_nonleader",
-                                  "round_robin", "sites"):
+        if self.placement not in ("leader", "random", "round_robin",
+                                  "sites"):
             raise ExperimentError(
                 f"unknown workload placement: {self.placement!r}")
         if self.placement == "sites" and not self.sites:
@@ -311,7 +301,6 @@ class SLOSpec:
     p50: float | None = None
     p99: float | None = None
     p999: float | None = None
-    max_latency: float | None = None
     max_abandoned_fraction: float | None = None
     min_throughput: float | None = None
 
@@ -320,7 +309,7 @@ class SLOSpec:
         """Raise :class:`ExperimentError` naming every violated bound.
 
         ``latency`` is a :class:`~repro.metrics.summary.SummaryStats`
-        (or anything with median/p99/p999/maximum attributes).
+        (or anything with median/p99/p999 attributes).
         """
         failures: list[str] = []
 
@@ -337,7 +326,6 @@ class SLOSpec:
             bound("p50", latency.median, self.p50)
             bound("p99", latency.p99, self.p99)
             bound("p999", latency.p999, self.p999)
-            bound("max", latency.maximum, self.max_latency)
         bound("throughput", throughput, self.min_throughput, at_least=True)
         bound("abandoned_fraction", abandoned_fraction,
               self.max_abandoned_fraction)
@@ -355,9 +343,6 @@ class ScenarioSpec:
     timing: TimingConfig | None = None
     global_timing: TimingConfig | None = None
     batch: BatchPolicy | None = None
-    #: Leader-side ClientRequest coalescing for the flat engines (craft
-    #: batches at the global level via ``batch`` instead).
-    propose_batch: BatchPolicy | None = None
     #: Serving objectives the drive asserts before reporting (optional).
     slo: SLOSpec | None = None
     compaction: CompactionPolicy | None = None

@@ -10,7 +10,6 @@ Two patterns cover everything Raft-family protocols need:
 
 from __future__ import annotations
 
-import random
 from typing import Callable
 
 from repro.sim.loop import Handle, SimLoop
@@ -19,22 +18,16 @@ from repro.sim.loop import Handle, SimLoop
 class PeriodicTimer:
     """Calls ``callback()`` every ``interval`` seconds once started.
 
-    The first firing happens one full interval after :meth:`start` (plus
-    optional phase jitter, which desynchronizes identical nodes the same
-    way real clock skew would).
+    The first firing happens one full interval after :meth:`start`.
     """
 
     def __init__(self, loop: SimLoop, interval: float,
-                 callback: Callable[[], None],
-                 jitter_rng: random.Random | None = None,
-                 jitter: float = 0.0) -> None:
+                 callback: Callable[[], None]) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive: {interval!r}")
         self._loop = loop
         self._interval = interval
         self._callback = callback
-        self._jitter_rng = jitter_rng
-        self._jitter = jitter
         self._handle: Handle | None = None
 
     @property
@@ -47,7 +40,7 @@ class PeriodicTimer:
         """Arm the timer. No-op if already running."""
         if self.running:
             return
-        self._schedule_next(first=True)
+        self._handle = self._loop.call_later(self._interval, self._fire)
 
     def stop(self) -> None:
         """Disarm the timer. Idempotent."""
@@ -55,15 +48,9 @@ class PeriodicTimer:
             self._handle.cancel()
             self._handle = None
 
-    def _schedule_next(self, first: bool = False) -> None:
-        delay = self._interval
-        if first and self._jitter > 0 and self._jitter_rng is not None:
-            delay += self._jitter_rng.uniform(0.0, self._jitter)
-        self._handle = self._loop.call_later(delay, self._fire)
-
     def _fire(self) -> None:
         # Re-arm before invoking so the callback can stop() the timer.
-        self._schedule_next()
+        self._handle = self._loop.call_later(self._interval, self._fire)
         self._callback()
 
 

@@ -123,11 +123,6 @@ class ServingFrontend:
     # ------------------------------------------------------------------
     # Replies out
     # ------------------------------------------------------------------
-    def awaits_reply(self, request_id: str) -> bool:
-        """Whether a commit of ``request_id`` would be answered here."""
-        return (request_id in self._clients
-                and request_id not in self._replied)
-
     def reply_committed(self, request_id: str, index: int) -> bool:
         """Answer the client that asked for ``request_id``, once; False
         when nobody here is waiting for it."""

@@ -1,11 +1,9 @@
 """When to snapshot, and how much log tail to keep.
 
-The two classic triggers: a *threshold* on committed-but-uncompacted
-entries (bounds log growth) and a *minimum interval* between captures
-(bounds snapshot overhead under heavy traffic). ``retain`` keeps a short
-committed tail in the log below the capture point so slightly-lagging
-followers are still served by ordinary AppendEntries instead of a full
-snapshot transfer.
+One trigger: a *threshold* on committed-but-uncompacted entries (bounds
+log growth). ``retain`` keeps a short committed tail in the log below the
+capture point so slightly-lagging followers are still served by ordinary
+AppendEntries instead of a full snapshot transfer.
 """
 
 from __future__ import annotations
@@ -22,8 +20,6 @@ class CompactionPolicy:
     #: Take a snapshot once this many committed entries sit above the
     #: current compaction point.
     threshold: int = 64
-    #: Minimum simulated seconds between two captures at one site.
-    min_interval: float = 0.0
     #: Committed entries kept in the log below the capture point.
     retain: int = 8
 
@@ -36,15 +32,9 @@ class CompactionPolicy:
             raise ConfigurationError(
                 f"retain ({self.retain}) must be below threshold "
                 f"({self.threshold}) or compaction never fires")
-        if self.min_interval < 0:
-            raise ConfigurationError("min_interval must be >= 0")
 
-    def should_compact(self, commit_index: int, snapshot_index: int,
-                       now: float, last_taken: float) -> bool:
-        """Is it time to snapshot, given the commit point, the current
-        compaction point, and the time of the last capture?"""
-        if commit_index - snapshot_index < self.threshold:
-            return False
-        if self.min_interval > 0 and now - last_taken < self.min_interval:
-            return False
-        return True
+    def should_compact(self, commit_index: int,
+                       snapshot_index: int) -> bool:
+        """Is it time to snapshot, given the commit point and the current
+        compaction point?"""
+        return commit_index - snapshot_index >= self.threshold

@@ -1,10 +1,14 @@
 """Tests for the C-Raft batcher (pure logic)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.consensus.entry import EntryKind, InsertedBy, LogEntry
-from repro.craft.batching import Batcher, BatchPolicy
+from repro.craft.batching import (BATCH_CEILING, BATCH_FLOOR, EWMA_ALPHA,
+                                  OUTSTANDING_CEILING, TARGET_COMMIT_LATENCY,
+                                  Batcher, BatchPolicy, ProposalCoalescer)
+from repro.errors import ConfigurationError
 
 
 def data_entry(entry_id):
@@ -129,92 +133,104 @@ class TestRebuild:
 
 class TestPolicyValidation:
     def test_bad_batch_size(self):
-        import pytest
-        from repro.errors import ConfigurationError
         with pytest.raises(ConfigurationError):
             BatchPolicy(batch_size=0)
 
     def test_bad_adaptive_bounds(self):
-        import pytest
-        from repro.errors import ConfigurationError
+        # The bounds are checked against the starting values: unchecked,
+        # a slow round shrank batch_size=100 to the ceiling and a fast
+        # one grew batch_size=2 to the floor.
+        for size in (2, BATCH_FLOOR - 1, BATCH_CEILING + 1, 100):
+            with pytest.raises(ConfigurationError):
+                BatchPolicy(adaptive=True, batch_size=size)
         with pytest.raises(ConfigurationError):
-            BatchPolicy(adaptive=True, batch_floor=10, batch_ceiling=5)
-        with pytest.raises(ConfigurationError):
-            BatchPolicy(adaptive=True, age_floor=2.0, age_ceiling=1.0)
-        with pytest.raises(ConfigurationError):
-            BatchPolicy(adaptive=True, max_outstanding=4,
-                        outstanding_ceiling=2)
-        with pytest.raises(ConfigurationError):
-            BatchPolicy(adaptive=True, ewma_alpha=0.0)
-        with pytest.raises(ConfigurationError):
-            BatchPolicy(adaptive=True, target_commit_latency=0.0)
+            BatchPolicy(adaptive=True, batch_size=8,
+                        max_outstanding=OUTSTANDING_CEILING + 1)
+        BatchPolicy(adaptive=True, batch_size=BATCH_FLOOR,
+                    max_outstanding=OUTSTANDING_CEILING)
+        BatchPolicy(adaptive=True, batch_size=BATCH_CEILING)
 
     def test_non_adaptive_skips_adaptive_validation(self):
-        # inert bounds are not validated when the controller is off
-        BatchPolicy(adaptive=False, batch_floor=10, batch_ceiling=5)
+        # the adaptive bounds do not apply when the controller is off
+        BatchPolicy(adaptive=False, batch_size=100,
+                    max_outstanding=OUTSTANDING_CEILING + 1)
 
 
-ADAPTIVE = BatchPolicy(batch_size=4, max_outstanding=1, adaptive=True,
-                       batch_floor=2, batch_ceiling=32,
-                       outstanding_ceiling=4, target_commit_latency=0.5)
+ADAPTIVE = BatchPolicy(batch_size=8, max_outstanding=1, adaptive=True)
+SLOW = 4 * TARGET_COMMIT_LATENCY
+FAST = TARGET_COMMIT_LATENCY / 100
 
 
 class TestAdaptiveController:
     def test_knobs_match_policy_until_fed(self):
         batcher = Batcher("c", ADAPTIVE)
-        assert batcher.effective_batch_size == 4
+        assert batcher.effective_batch_size == 8
         assert batcher.effective_max_outstanding == 1
 
     def test_slow_rounds_grow_batch_and_window(self):
         batcher = Batcher("c", ADAPTIVE)
         for _ in range(10):
-            batcher.observe_commit_latency(2.0)  # 4x the target
-        assert batcher.effective_batch_size > 4
+            batcher.observe_commit_latency(SLOW)
+        assert batcher.effective_batch_size > 8
         assert batcher.effective_max_outstanding > 1
 
     def test_fast_rounds_shrink_back(self):
         batcher = Batcher("c", ADAPTIVE)
         for _ in range(10):
-            batcher.observe_commit_latency(2.0)
+            batcher.observe_commit_latency(SLOW)
         grown = batcher.effective_batch_size
         for _ in range(40):
-            batcher.observe_commit_latency(0.01)
+            batcher.observe_commit_latency(FAST)
         assert batcher.effective_batch_size < grown
-        assert batcher.effective_batch_size >= ADAPTIVE.batch_floor
+        assert batcher.effective_batch_size == BATCH_FLOOR
         assert batcher.effective_max_outstanding == ADAPTIVE.max_outstanding
 
     def test_bounds_are_hard(self):
         batcher = Batcher("c", ADAPTIVE)
         for _ in range(100):
             batcher.observe_commit_latency(100.0)
-        assert batcher.effective_batch_size == ADAPTIVE.batch_ceiling
-        assert (batcher.effective_max_outstanding
-                == ADAPTIVE.outstanding_ceiling)
+        assert batcher.effective_batch_size == BATCH_CEILING
+        assert batcher.effective_max_outstanding == OUTSTANDING_CEILING
 
     def test_on_target_latency_holds_steady(self):
         batcher = Batcher("c", ADAPTIVE)
         for _ in range(10):
-            batcher.observe_commit_latency(0.5)  # exactly on target
-        assert batcher.effective_batch_size == 4
-
-    def test_byte_ceiling_caps_count(self):
-        policy = BatchPolicy(batch_size=8, adaptive=True, batch_floor=1,
-                             batch_ceiling=64, target_commit_latency=0.5,
-                             target_batch_bytes=64)
-        batcher = Batcher("c", policy)
-        feed(batcher, 1, 8)
-        batcher.take_batch(0.0)  # seeds the per-entry byte EWMA
-        batcher.batch_done()
-        batcher.observe_commit_latency(5.0)  # latency asks for growth...
-        # ...but the byte cap holds the effective size down
-        assert (batcher.effective_batch_size
-                <= max(1, 64 // 8))
+            batcher.observe_commit_latency(TARGET_COMMIT_LATENCY)
+        assert batcher.effective_batch_size == 8
 
     def test_non_adaptive_ignores_latency_feed(self):
         batcher = Batcher("c", BatchPolicy(batch_size=4))
         for _ in range(10):
             batcher.observe_commit_latency(100.0)
         assert batcher.effective_batch_size == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(BATCH_FLOOR, BATCH_CEILING),
+           outstanding=st.integers(1, OUTSTANDING_CEILING),
+           latencies=st.lists(st.floats(0.0, 10.0), max_size=40))
+    def test_size_follows_the_controller_oracle(self, size, outstanding,
+                                                latencies):
+        """The oracle writes the controller out (EWMA, then a
+        +-max(1, size // 4) step clamped to the bounds, the window moved
+        by one between the policy's start and the ceiling) in the same
+        float operation order."""
+        policy = BatchPolicy(batch_size=size, max_outstanding=outstanding,
+                             adaptive=True)
+        batcher = Batcher("c", policy)
+        ewma, want, window = None, size, outstanding
+        for latency in latencies:
+            batcher.observe_commit_latency(latency)
+            ewma = (latency if ewma is None
+                    else EWMA_ALPHA * latency + (1.0 - EWMA_ALPHA) * ewma)
+            ratio = ewma / TARGET_COMMIT_LATENCY
+            if ratio > 1.1:
+                want = min(want + max(1, want // 4), BATCH_CEILING)
+                window = min(window + 1, OUTSTANDING_CEILING)
+            elif ratio < 0.9:
+                want = max(want - max(1, want // 4), BATCH_FLOOR)
+                window = max(window - 1, outstanding)
+            assert batcher.effective_batch_size == want
+            assert batcher.effective_max_outstanding == window
 
 
 class TestFusedObserve:
@@ -247,7 +263,6 @@ class TestAgeDeadline:
 
 class TestProposalCoalescer:
     def make(self, **overrides):
-        from repro.craft.batching import ProposalCoalescer
         defaults = dict(batch_size=3, max_age=0.05)
         defaults.update(overrides)
         return ProposalCoalescer(BatchPolicy(**defaults))
@@ -285,45 +300,8 @@ class TestProposalCoalescer:
         coalescer.add("r1", "m1", "c1", 2.0)
         assert coalescer.age_deadline() == 2.0
 
-    def test_adaptive_flush_size(self):
-        coalescer = self.make(adaptive=True, batch_floor=1,
-                              batch_ceiling=16,
-                              target_commit_latency=0.5)
-        for _ in range(10):
-            coalescer.observe_commit_latency(5.0)
-        for i in range(3):
-            assert not coalescer.add(f"r{i}", "m", "c", 0.0)
-        for _ in range(40):
-            coalescer.observe_commit_latency(0.01)
-        coalescer.drain()
-        assert coalescer.add("r9", "m", "c", 0.0)  # back at the floor
-
-    @settings(max_examples=200, deadline=None)
-    @given(size=st.integers(1, 32), floor=st.integers(1, 32),
-           ceiling=st.integers(1, 64),
-           target=st.floats(0.01, 2.0), alpha=st.floats(0.01, 1.0),
-           latencies=st.lists(st.floats(0.0, 10.0), max_size=40))
-    def test_flush_size_follows_the_batcher_controller(
-            self, size, floor, ceiling, target, alpha, latencies):
-        """The flush size is the Batcher's adaptive size: the oracle
-        writes the controller out (EWMA, then a +-max(1, size // 4) step
-        clamped to the bounds) in the same float operation order."""
-        floor, ceiling = min(floor, ceiling), max(floor, ceiling)
-        size = min(max(size, floor), ceiling)
-        coalescer = self.make(batch_size=size, adaptive=True,
-                              batch_floor=floor, batch_ceiling=ceiling,
-                              target_commit_latency=target, ewma_alpha=alpha)
-        ewma, want = None, size
-        for latency in latencies:
-            coalescer.observe_commit_latency(latency)
-            ewma = (latency if ewma is None
-                    else alpha * latency + (1.0 - alpha) * ewma)
-            ratio = ewma / target
-            if ratio > 1.1:
-                want = min(want + max(1, want // 4), ceiling)
-            elif ratio < 0.9:
-                want = max(want - max(1, want // 4), floor)
-            for i in range(want - 1):
-                assert not coalescer.add(f"r{i}", "m", "c", 0.0)
-            assert coalescer.add("last", "m", "c", 0.0)
-            coalescer.drain()
+    def test_adaptive_policy_rejected(self):
+        # The coalescer flushes at a fixed size; an adaptive policy would
+        # otherwise be silently treated as a fixed one.
+        with pytest.raises(ConfigurationError):
+            self.make(batch_size=8, adaptive=True)

@@ -27,8 +27,8 @@ class TestEvenClusters:
             Topology.even_clusters(10, [])
 
     def test_node_naming(self):
-        topo = Topology.even_clusters(4, ["a", "b"], name_prefix="site")
-        assert topo.nodes == ["site0", "site1", "site2", "site3"]
+        topo = Topology.even_clusters(4, ["a", "b"])
+        assert topo.nodes == ["n0", "n1", "n2", "n3"]
 
 
 class TestMutation:

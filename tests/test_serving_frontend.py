@@ -188,5 +188,4 @@ def test_one_reply_per_request_id(system):
                                          index=inbox.replies[0].index)]
     assert inbox.replies[0].index > 0
     frontend = system.servers[site].frontend
-    assert not frontend.awaits_reply("inbox.1")
     assert not frontend.reply_committed("inbox.1", 1)

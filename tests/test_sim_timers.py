@@ -66,18 +66,6 @@ class TestPeriodicTimer:
         loop.run_until(0.65)
         assert times == pytest.approx([0.1, 0.6])
 
-    def test_jitter_shifts_first_firing_only(self):
-        loop = SimLoop()
-        times = []
-        timer = PeriodicTimer(loop, 0.1, lambda: times.append(loop.now()),
-                              jitter_rng=random.Random(1), jitter=0.05)
-        timer.start()
-        loop.run_until(0.5)
-        first = times[0]
-        assert 0.1 <= first <= 0.15
-        gaps = [b - a for a, b in zip(times, times[1:])]
-        assert all(gap == pytest.approx(0.1) for gap in gaps)
-
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(ValueError):
             PeriodicTimer(SimLoop(), 0.0, lambda: None)

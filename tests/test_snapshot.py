@@ -137,22 +137,15 @@ class TestRaftLogCompaction:
 class TestCompactionPolicy:
     def test_threshold_trigger(self):
         policy = CompactionPolicy(threshold=10, retain=2)
-        assert not policy.should_compact(9, 0, 1.0, float("-inf"))
-        assert policy.should_compact(10, 0, 1.0, float("-inf"))
-        assert not policy.should_compact(12, 5, 1.0, float("-inf"))
-
-    def test_interval_trigger(self):
-        policy = CompactionPolicy(threshold=5, min_interval=1.0, retain=0)
-        assert not policy.should_compact(10, 0, 1.5, 1.0)
-        assert policy.should_compact(10, 0, 2.5, 1.0)
+        assert not policy.should_compact(9, 0)
+        assert policy.should_compact(10, 0)
+        assert not policy.should_compact(12, 5)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             CompactionPolicy(threshold=0)
         with pytest.raises(ConfigurationError):
             CompactionPolicy(threshold=5, retain=5)
-        with pytest.raises(ConfigurationError):
-            CompactionPolicy(min_interval=-1.0)
 
 
 class TestSnapshotStore:

@@ -135,8 +135,6 @@ class TestTransferConfig:
             TransferConfig(chunk_size=0)
         with pytest.raises(ConfigurationError):
             TransferConfig(chunk_window=0)
-        with pytest.raises(ConfigurationError):
-            TransferConfig(retry_timeout=0.0)
 
 
 # ----------------------------------------------------------------------
