@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from repro.consensus.config import Configuration, TransferConfig
@@ -290,9 +291,9 @@ class BaseEngine:
         #: ``hook(sent_at, leader_commit, lease_until)``. Follower lease
         #: reads drain against it.
         self.on_lease_beat: Any = None
-        #: Server-installed hook: the global commitIndex a C-Raft local
-        #: leader piggybacks on its AppendEntries (Section V-B); unset,
-        #: the field carries 0.
+        #: The global commitIndex a C-Raft local leader piggybacks on
+        #: its AppendEntries (Section V-B; CRaftLocalEngine passes it to
+        #: its constructor); unset, the field carries 0.
         self.global_commit_provider: Callable[[], int] | None = None
 
     # ------------------------------------------------------------------
@@ -1245,7 +1246,7 @@ class BaseEngine:
             return
         self._install_pending = snapshot.last_included_index
         self._gate_snapshot_install(
-            snapshot, lambda: self._snapshot_install_done(sender, snapshot))
+            snapshot, partial(self._snapshot_install_done, sender, snapshot))
 
     # ------------------------------------------------------------------
     # Chunked snapshot transfer: follower side

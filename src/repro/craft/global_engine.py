@@ -15,6 +15,7 @@ the data under the old stamp, which is all safety needs.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.consensus.entry import LogEntry
@@ -48,8 +49,8 @@ class CRaftGlobalEngine(FastRaftEngine):
         if not pairs or self.insert_gate is None:
             super()._gate_insert(pairs, then)
             return
-        self.insert_gate(pairs, lambda: self._complete_gated_insert(pairs,
-                                                                    then))
+        self.insert_gate(pairs, partial(self._complete_gated_insert, pairs,
+                                        then))
 
     def _complete_gated_insert(self, pairs: list[tuple[int, LogEntry]],
                                then: Callable[[], None]) -> None:
@@ -66,7 +67,7 @@ class CRaftGlobalEngine(FastRaftEngine):
             super()._gate_snapshot_install(snapshot, then)
             return
         self.snapshot_gate(
-            snapshot, lambda: self._complete_gated_snapshot(snapshot, then))
+            snapshot, partial(self._complete_gated_snapshot, snapshot, then))
 
     def _complete_gated_snapshot(self, snapshot: Snapshot,
                                  then: Callable[[], None]) -> None:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.consensus.config import Configuration
+from repro.consensus.engine import EngineContext
 from repro.fastraft.engine import FastRaftEngine
 
 
@@ -18,11 +20,14 @@ class CRaftLocalEngine(FastRaftEngine):
 
     protocol_name = "craft.local"
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # Wired by CRaftServer after construction, beside the base
-        # engine's global_commit_provider (what a local leader sends).
-        self.global_commit_sink: Callable[[int], None] = lambda value: None
+    def __init__(self, ctx: EngineContext, bootstrap_config: Configuration,
+                 global_commit_provider: Callable[[], int],
+                 global_commit_sink: Callable[[int], None]) -> None:
+        super().__init__(ctx, bootstrap_config)
+        #: What a local leader piggybacks (read by the base engine) and
+        #: where a follower reports what its leader piggybacked.
+        self.global_commit_provider = global_commit_provider
+        self.global_commit_sink = global_commit_sink
 
     def _absorb_global_commit(self, global_commit: int) -> None:
         if global_commit > 0:

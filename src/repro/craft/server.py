@@ -41,6 +41,7 @@ machine, and the batch bookkeeping in one sweep.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Any, Callable
 
 from repro.consensus.config import Configuration, TransferConfig
@@ -149,7 +150,7 @@ class CRaftServer(Actor):
         #: Local applied (index, entry) pairs, in order.
         self.applied_log: list[tuple[int, LogEntry]] = []
         self.batcher = Batcher(self.cluster, self._batch_policy)
-        self._pending_gates: dict[str, Callable[[], None]] = {}
+        self._pending_gates: dict[str, Callable[[], None] | None] = {}
         self._gate_timers: dict[str, RestartableTimer] = {}
         self._outstanding_batches: dict[str, RestartableTimer] = {}
         self._batch_tick: PeriodicTimer | None = None
@@ -176,10 +177,9 @@ class CRaftServer(Actor):
             capture_snapshot=self._capture_local_snapshot,
             on_snapshot_restore=self._restore_local_snapshot,
             compaction=self._local_compaction, transfer=self._transfer)
-        engine = CRaftLocalEngine(ctx, self._local_bootstrap)
-        engine.global_commit_provider = lambda: self.global_commit
-        engine.global_commit_sink = self._note_global_commit_hint
-        return engine
+        return CRaftLocalEngine(ctx, self._local_bootstrap,
+                                self._global_commit_now,
+                                self._note_global_commit_hint)
 
     def _ensure_global_engine(self) -> None:
         if self.global_engine is not None:
@@ -370,9 +370,10 @@ class CRaftServer(Actor):
     # ------------------------------------------------------------------
     def _gate_through_local_consensus(
             self, pairs: list[tuple[int, LogEntry]],
-            then: Callable[[], None],
+            then: Callable[[], None] | None = None,
             snapshot: Snapshot | None = None) -> None:
-        """Commit a GLOBAL_STATE entry locally, then run ``then``."""
+        """Commit a GLOBAL_STATE entry locally, then run ``then`` (if
+        any: a bare commit marker has nothing to continue)."""
         entry_id = f"{self.name}:gstate.{next(self._seq)}.{self.now():.4f}"
         payload = GlobalStatePayload(inserts=tuple(pairs),
                                      global_commit=self.global_commit,
@@ -391,7 +392,7 @@ class CRaftServer(Actor):
                                          if snapshot is not None else None))
         self.local_engine.propose(entry)
         timer = RestartableTimer(
-            self.loop, lambda: self._retry_gate(entry_id, entry))
+            self.loop, partial(self._retry_gate, entry_id, entry))
         timer.reset(self._local_timing.proposal_timeout)
         self._gate_timers[entry_id] = timer
 
@@ -402,14 +403,16 @@ class CRaftServer(Actor):
         self._gate_timers[entry_id].reset(self._local_timing.proposal_timeout)
 
     def _complete_gate(self, entry_id: str) -> None:
-        then = self._pending_gates.pop(entry_id, None)
         timer = self._gate_timers.pop(entry_id, None)
         if timer is not None:
             timer.cancel()
+        if entry_id not in self._pending_gates:
+            return
+        then = self._pending_gates.pop(entry_id)
+        if self._tracing:
+            self._trace.record(self.now(), self.name,
+                               "craft.gate.closed", entry_id=entry_id)
         if then is not None:
-            if self._tracing:
-                self._trace.record(self.now(), self.name,
-                                   "craft.gate.closed", entry_id=entry_id)
             then()
 
     # ------------------------------------------------------------------
@@ -528,6 +531,9 @@ class CRaftServer(Actor):
     # ------------------------------------------------------------------
     # Global-level callbacks
     # ------------------------------------------------------------------
+    def _global_commit_now(self) -> int:
+        return self.global_commit
+
     def _note_global_commit_hint(self, global_commit: int) -> None:
         if global_commit > self.global_commit_hint:
             self.global_commit_hint = global_commit
@@ -551,7 +557,7 @@ class CRaftServer(Actor):
             return
         if self.global_commit <= self._last_replicated_commit:
             return
-        self._gate_through_local_consensus([], lambda: None)
+        self._gate_through_local_consensus([])
 
     def _on_global_origin_commit(self, entry: LogEntry, gindex: int) -> None:
         if entry.kind is EntryKind.BATCH:
@@ -763,7 +769,7 @@ class CRaftServer(Actor):
                                sequence=payload.sequence, size=len(payload),
                                local_range=payload.local_range)
         timer = RestartableTimer(
-            self.loop, lambda: self._retry_batch(entry))
+            self.loop, partial(self._retry_batch, entry))
         timer.reset(self._global_timing.proposal_timeout)
         self._outstanding_batches[entry.entry_id] = timer
         if self._batch_policy.adaptive:

@@ -25,6 +25,8 @@ Two liveness additions the paper leaves implicit:
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.consensus.engine import Role
 from repro.consensus.entry import EntryKind, InsertedBy, LogEntry, make_noop
 from repro.consensus.messages import ProposeEntry
@@ -78,7 +80,7 @@ class DecisionMixin:
                         votes=len(voters))
         self._gating_indices.add(k)
         self._gate_insert([(k, stamped)],
-                          lambda: self._decision_insert_done(k))
+                          partial(self._decision_insert_done, k))
         if k in self._gating_indices:
             return "pending"
         return self._last_decision_outcome

@@ -9,6 +9,8 @@ commit index.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.consensus.engine import Role, handles
 from repro.consensus.entry import EntryKind, InsertedBy, LogEntry
 from repro.consensus.messages import (
@@ -78,10 +80,11 @@ class ProposalMixin:
         slot if it is empty, then vote for whatever the slot holds.
 
         Engines whose ``_gate_insert`` runs inline (``_SYNC_GATE``) take
-        the insert fused in: no pair-list, no completion closure, no
+        the insert fused in: no pair-list, no completion continuation, no
         post-gate slot re-read -- an empty winnable slot always ends up
         holding exactly the entry just stamped. The asynchronous C-Raft
-        global gate keeps the closure path."""
+        global gate takes the continuation, a partial of
+        ``_send_slot_vote`` bound to the slot index."""
         proposed, index = msg.entry, msg.index
         log = self.log
         committed_at = log.committed_index_of(proposed.entry_id,
@@ -109,7 +112,7 @@ class ProposalMixin:
             self._send_slot_vote(index, stamped)
             return
         self._gate_insert([(index, stamped)],
-                          lambda: self._send_slot_vote(index))
+                          partial(self._send_slot_vote, index))
 
     def _send_slot_vote(self, index: int, entry: LogEntry | None = None
                         ) -> None:

@@ -17,6 +17,8 @@ is proposed out of the configuration.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.consensus.entry import InsertedBy
 from repro.consensus.messages import AppendEntries
 
@@ -123,12 +125,12 @@ class ReplicationMixin:
         last_new = msg.prev_log_index + len(msg.entries)
         if self._SYNC_GATE:
             # The gate completes inline for these engines: skip the
-            # completion closure (and its allocation) entirely.
+            # completion partial (and its allocation) entirely.
             self._insert_batch(to_insert)
             self._append_entries_absorbed(sender, msg, last_new)
             return
-        self._gate_insert(to_insert, lambda: self._append_entries_absorbed(
-            sender, msg, last_new))
+        self._gate_insert(to_insert, partial(
+            self._append_entries_absorbed, sender, msg, last_new))
 
     def _absorb_global_commit(self, global_commit: int) -> None:
         """C-Raft local level overrides; plain Fast Raft ignores."""

@@ -1,25 +1,24 @@
 """World snapshots for the model checker: fork, capture, fingerprint.
 
 The explorer treats one prepared simulation (loop + network + servers +
-clients) as a *world* and backtracks by forking it: a deep copy whose
-every internal reference -- timer callbacks, closures scheduled on the
-loop, the stores inside the fabric -- lands on the copied objects, so
-firing an event in the fork never perturbs the parent.
-
-``copy.deepcopy`` treats plain functions as atomic, which would be wrong
-here: the engines schedule closures (``lambda e=entry: ...`` reproposal
-callbacks, fault-injector thunks) whose cells and default arguments point
-straight at live servers and entries. :func:`fork_world` temporarily
-installs a function copier that rebuilds closures cell by cell through
-the same memo, so a forked closure mutates the forked server.
+clients) as a *world* and backtracks by forking it with a plain
+``copy.deepcopy``. That is enough because scheduled work is data: every
+callback on the loop, in a timer or behind a C-Raft gate is a bound
+method, or a ``functools.partial`` of one, whose arguments are ordinary
+objects. ``deepcopy`` rebinds a method to the copied instance and copies
+a partial's arguments through the same memo, so firing an event in the
+fork never perturbs the parent (``tests/test_mc.py`` asserts that no
+closure is reachable from a world).
 
 A *fingerprint* is a short digest of the consensus-relevant projection of
-a world: per-server engine state (term, role, log, configuration), the
-in-flight message multiset, the pending timer multiset, and the fault
-state -- with wall-clock times abstracted away, so two states that differ
-only in when their identical futures fire collapse into one graph node.
-The projection is what makes exploration tractable; anything it omits
-(latency-model internals, metrics counters) is invisible to
+a world: per-server engine state (term, role, log, configuration -- the
+flat engine, or C-Raft's local and global engines plus its pending gates
+and outstanding batches), every pending event with the arguments it
+carries (a delivery's message, a timer's or task's bound arguments), and
+the fault state -- with wall-clock times abstracted away, so two states
+that differ only in when their identical futures fire collapse into one
+graph node. The projection is what makes exploration tractable; anything
+it omits (latency-model internals, metrics counters) is invisible to
 deduplication, a deliberate abstraction documented in the README.
 """
 
@@ -30,8 +29,8 @@ import dataclasses
 import enum
 import hashlib
 import json
-import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 from repro.net.network import Network
@@ -74,50 +73,10 @@ class World:
 # ----------------------------------------------------------------------
 # Forking
 # ----------------------------------------------------------------------
-def _copy_function(fn: types.FunctionType, memo: dict):
-    """Deep-copy a function's closure cells and default arguments.
-
-    Closure-free, default-free functions are shared (they carry no world
-    state); anything else is rebuilt so its cells and defaults follow the
-    memo into the forked world.
-    """
-    if (fn.__closure__ is None and fn.__defaults__ is None
-            and fn.__kwdefaults__ is None):
-        return fn
-    cells = None
-    if fn.__closure__ is not None:
-        cells = []
-        for cell in fn.__closure__:
-            try:
-                contents = cell.cell_contents
-            except ValueError:            # empty cell
-                cells.append(types.CellType())
-                continue
-            cells.append(types.CellType(copy.deepcopy(contents, memo)))
-        cells = tuple(cells)
-    clone = types.FunctionType(
-        fn.__code__, fn.__globals__, fn.__name__,
-        copy.deepcopy(fn.__defaults__, memo), cells)
-    clone.__kwdefaults__ = copy.deepcopy(fn.__kwdefaults__, memo)
-    clone.__qualname__ = fn.__qualname__
-    clone.__dict__.update(fn.__dict__)
-    return clone
-
-
 def fork_world(world: World) -> World:
-    """Deep-copy a world so events can fire in it without side effects
-    on the original. The simulation is single-threaded, so temporarily
-    swapping the global function copier is safe."""
-    dispatch = copy._deepcopy_dispatch
-    previous = dispatch.get(types.FunctionType)
-    dispatch[types.FunctionType] = _copy_function
-    try:
-        return copy.deepcopy(world)
-    finally:
-        if previous is None:
-            del dispatch[types.FunctionType]
-        else:
-            dispatch[types.FunctionType] = previous
+    """Copy a world so events can fire in it without side effects on the
+    original (see the module doc for why a plain deep copy suffices)."""
+    return copy.deepcopy(world)
 
 
 # ----------------------------------------------------------------------
@@ -165,9 +124,8 @@ def describe_handle(handle: Handle) -> EventInfo:
                          f"Envelope {src}->{dst}",
                          src=src, message_type="Envelope")
     if isinstance(owner, (PeriodicTimer, RestartableTimer)):
-        target = owner._callback
-        target_self = getattr(target, "__self__", None)
-        site = getattr(target_self, "name", "") or ""
+        target = _unbind(owner._callback)[0]
+        site = getattr(getattr(target, "__self__", None), "name", "") or ""
         what = getattr(target, "__name__", type(owner).__name__)
         return EventInfo(handle.when, handle.seq, "timer", str(site),
                          f"{type(owner).__name__}.{what}@{site or '?'}")
@@ -175,6 +133,14 @@ def describe_handle(handle: Handle) -> EventInfo:
     label = getattr(callback, "__qualname__", None) or repr(callback)
     return EventInfo(handle.when, handle.seq, "task", str(site),
                      f"{label}@{site or '?'}")
+
+
+def _unbind(callback: Any) -> tuple[Any, tuple]:
+    """A scheduled callback as (function, bound arguments): a bound method
+    carries none, a ``functools.partial`` of one carries its ``args``."""
+    if isinstance(callback, partial):
+        return callback.func, callback.args
+    return callback, ()
 
 
 def branch_set(world: World) -> list[EventInfo]:
@@ -218,6 +184,12 @@ def _canon(obj: Any) -> Any:
                 {f.name: _canon(getattr(obj, f.name))
                  for f in dataclasses.fields(obj)
                  if f.name not in _CACHE_FIELDS}]
+    if callable(obj):
+        # Scheduled work: which method, on which site, with what.
+        func, args = _unbind(obj)
+        owner = getattr(func, "__self__", None)
+        return [getattr(func, "__qualname__", repr(func)),
+                getattr(owner, "name", None), _canon(args)]
     return repr(obj)
 
 
@@ -272,30 +244,31 @@ def capture_state(world: World) -> dict:
             # projection plus the recovery event already pin down.
             servers[name] = {"alive": False}
             continue
+        # A flat server runs one engine; a C-Raft server a local and a
+        # global one, plus global inserts waiting behind the gate.
         record = {"alive": True}
-        record.update(_capture_engine(server.engine))
-        global_engine = getattr(server, "global_engine", None)
-        if global_engine is not None:
-            record["global"] = _capture_engine(global_engine)
+        for level in ("engine", "local_engine", "global_engine"):
+            engine = getattr(server, level, None)
+            if engine is not None:
+                record[level] = _capture_engine(engine)
+        if hasattr(server, "_pending_gates"):
+            record["gates"] = _canon(server._pending_gates)
+            record["batches"] = sorted(server._outstanding_batches)
         servers[name] = record
 
-    messages, timers, tasks = [], [], []
+    pending = []
     for handle in world.loop.pending_handles():
         info = describe_handle(handle)
-        if info.kind in ("message", "local"):
-            src, dst, message = handle._args
-            messages.append([info.kind, src, dst, _canon(message)])
-        elif info.kind == "timer":
-            timers.append(info.label)
-        else:
-            tasks.append(info.label)
+        # A delivery carries (src, dst, message) or the enveloped fields;
+        # a timer's handle runs the timer, whose callback carries the data.
+        args = (_unbind(handle._callback.__self__._callback)[1]
+                if info.kind == "timer" else handle._args)
+        pending.append([info.kind, info.label, _canon(args)])
 
     network = world.network
     projection = {
         "servers": servers,
-        "inflight": sorted(messages, key=repr),
-        "timers": sorted(timers),
-        "tasks": sorted(tasks),
+        "pending": sorted(pending, key=repr),
         "disconnected": sorted(network._disconnected),
         "partition": _canon(network._partition_groups),
     }

@@ -162,10 +162,10 @@ def frozen_dataclass(cls: type) -> type:
     ``object``) keeps the stdlib constructor.
 
     The function's constants ride in its ``exec`` namespace, not in
-    default arguments (they would show in the signature, and
-    ``mc.state._copy_function`` rebuilds any function that has
-    defaults); its pseudo-filename ``<init ClassName>`` gives every
-    class its own ``cProfile``/``pstats`` row.
+    default arguments (they would show in the signature, and a default
+    is shared by every instance and every forked mc world); its
+    pseudo-filename ``<init ClassName>`` gives every class its own
+    ``cProfile``/``pstats`` row.
     """
     cls = dataclasses.dataclass(frozen=True, slots=True)(cls)
     fields = dataclasses.fields(cls)

@@ -114,8 +114,8 @@ def test_signature_is_the_stdlib_signature(cls):
     assert cls.__init__.__qualname__ == twin.__init__.__qualname__
     assert cls.__init__.__module__ == twin.__init__.__module__
     # Constants ride in the exec namespace: nothing but the declared
-    # defaults sits in __defaults__ (mc.state._copy_function rebuilds
-    # any function it meets that has defaults).
+    # defaults sits in __defaults__ (a default is shared by every
+    # instance and every forked mc world, so it must hold no state).
     assert cls.__init__.__defaults__ == twin.__init__.__defaults__
     assert cls.__init__.__kwdefaults__ is None
 

@@ -6,7 +6,10 @@ Four guarantees are pinned here:
    scheduler's branch set and fire one chosen event without disturbing
    the rest of the queue.
 2. **Fork isolation** -- driving a forked world never mutates its
-   parent (the scheduled-closure deep copy actually severs the worlds).
+   parent: scheduled work is bound methods and partials, never
+   closures, so a plain ``copy.deepcopy`` severs the worlds (the guard
+   walks every registered target and a gated C-Raft world). The
+   fingerprint sees what each pending event and gate carries.
 3. **Determinism** -- the same target and depth produce
    identical visited-state fingerprints and byte-identical exported
    traces, and an exported schedule replays to the recorded state.
@@ -28,10 +31,12 @@ import types
 
 import pytest
 
+from repro.consensus.entry import EntryKind, InsertedBy, LogEntry
 from repro.errors import ModelCheckError, SimulationError
 from repro.mc import (
     Explorer,
     branch_set,
+    capture_state,
     export_report,
     fingerprint,
     fire_event,
@@ -44,7 +49,13 @@ from repro.mc.probes import (
     RecoveredRejoinProbe,
     make_probe,
 )
-from repro.scenarios.mc import get_mc_target, mc_target_names, prepare_world
+from repro.scenarios.mc import (
+    McTarget,
+    get_mc_target,
+    mc_target_names,
+    prepare_world,
+)
+from repro.scenarios.spec import ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.sim.loop import SimLoop
 
 
@@ -112,6 +123,32 @@ def evicted_target():
     return get_mc_target("mc_evicted_while_down")
 
 
+#: Two C-Raft clusters of three, a proposer in each: enough commits that
+#: the first batch goes global and its inserts wait behind the gate.
+CRAFT_2X3 = McTarget(name="craft_2x3", spec=ScenarioSpec(
+    name="craft_2x3", engine="craft",
+    topology=TopologySpec(n_sites=6, regions=("east", "west")),
+    workload=WorkloadSpec(placement="sites", sites=("n0", "n3"),
+                          requests=12)))
+
+
+def gated_craft_world():
+    """The 2x3 C-Raft world, run in schedule order until a global
+    insert waits behind the gate (deterministic: a few hundred events)."""
+    world = prepare_world(CRAFT_2X3)
+    for _ in range(2000):
+        if any(s._pending_gates for s in world.servers.values()):
+            return world
+        fire_event(world, branch_set(world)[0])
+    raise AssertionError("no C-Raft gate opened")
+
+
+def _engines(server):
+    return [engine for engine in (getattr(server, level, None) for level in
+                                  ("engine", "local_engine", "global_engine"))
+            if engine is not None]
+
+
 def test_branch_set_is_nonempty_and_sorted(healthy_target):
     world = prepare_world(healthy_target)
     events = branch_set(world)
@@ -130,6 +167,44 @@ def test_fork_is_isolated(healthy_target):
     assert fork.loop.now() > world.loop.now()
     assert fingerprint(world) == base
     assert [h.seq for h in world.loop.pending_handles()] == base_seqs
+
+
+def test_craft_fork_is_isolated_while_gates_pend():
+    world = gated_craft_world()
+    base = fingerprint(world)
+    gates = {name: list(s._pending_gates) for name, s in world.servers.items()}
+    assert any(record.get("gates")
+               for record in capture_state(world)["servers"].values())
+    fork = fork_world(world)
+    for _ in range(5):
+        fire_event(fork, branch_set(fork)[0])
+    assert fingerprint(fork) != base
+    assert fingerprint(world) == base
+    assert {name: list(s._pending_gates)
+            for name, s in world.servers.items()} == gates
+
+
+def test_fingerprint_sees_what_a_pending_repropose_carries():
+    """Two forks whose only difference is which entry a scheduled
+    re-proposal carries: the event reads the same in both branch sets,
+    so only its arguments can tell the states apart."""
+    world = prepare_world(get_mc_target("mc_small_healthy"))
+    forks = []
+    for key in ("a", "b"):
+        fork = fork_world(world)
+        engine = fork.servers["n0"].engine
+        engine.timing = dataclasses.replace(engine.timing,
+                                            repropose_jitter=0.3)
+        entry = LogEntry(entry_id=f"lost.{key}", kind=EntryKind.NOOP,
+                         payload=None, origin="n0", term=1,
+                         inserted_by=InsertedBy.SELF)
+        engine._outstanding_proposals[entry.entry_id] = entry
+        engine._reclaim_lost_proposals()
+        forks.append(fork)
+    labels = [[event.label for event in branch_set(fork)] for fork in forks]
+    assert labels[0] == labels[1]
+    assert len(labels[0]) == len(branch_set(world)) + 1
+    assert fingerprint(forks[0]) != fingerprint(forks[1])
 
 
 def _reachable(root):
@@ -160,28 +235,40 @@ def _reachable(root):
     return seen
 
 
-@pytest.mark.parametrize("name", ["mc_small_healthy", "mc_small_classic"])
+@pytest.mark.parametrize("name", mc_target_names() + ["craft_2x3"])
 def test_fork_holds_no_bound_builtin_of_its_parent(name):
     """``copy.deepcopy`` rebinds a bound *Python* method to the copied
-    instance but copies a bound *builtin* atomically: an instance that
-    cached, say, ``self._slots.get`` would read its parent's dict from
-    inside the fork. (Actors and engines do cache ``loop.now`` -- a
-    Python method, checked here to land on the fork's loop.)"""
-    world = prepare_world(get_mc_target(name))
+    instance but copies a bound *builtin* -- and a closure -- atomically:
+    an instance that cached, say, ``self._slots.get``, or a lambda over
+    ``self`` on the loop, would reach its parent from inside the fork.
+    So no closure may be reachable from a world at all, after a short
+    forked walk (the C-Raft world with a global insert gated). (Actors
+    and engines do cache ``loop.now`` -- a Python method, checked here
+    to land on the fork's loop.)"""
+    world = (gated_craft_world() if name == "craft_2x3"
+             else prepare_world(get_mc_target(name)))
     fork = fork_world(world)
+    for _ in range(5):
+        fire_event(fork, branch_set(fork)[0])
     parent_ids = _reachable(world)  # keeps the parent's objects alive
     mutable_parent_ids = {
         key for key, obj in parent_ids.items()
         if not isinstance(obj, (tuple, frozenset, types.BuiltinFunctionType))}
-    leaked = [obj for obj in _reachable(fork).values()
+    fork_ids = _reachable(fork)
+    leaked = [obj for obj in fork_ids.values()
               if isinstance(obj, types.BuiltinFunctionType)
               and id(getattr(obj, "__self__", None)) in mutable_parent_ids]
     assert leaked == []
+    closures = [obj for obj in [*parent_ids.values(), *fork_ids.values()]
+                if isinstance(obj, types.FunctionType) and obj.__closure__]
+    assert closures == []
     assert fork.loop is not world.loop
     for server in fork.servers.values():
         assert server.now.__self__ is fork.loop
-        assert server.engine.now.__self__ is fork.loop
-        assert server.engine.log is not world.servers[server.name].engine.log
+        parent = world.servers[server.name]
+        for engine, original in zip(_engines(server), _engines(parent)):
+            assert engine.now.__self__ is fork.loop
+            assert engine.log is not original.log
 
 
 def test_fire_event_rejects_divergence(healthy_target):
