@@ -234,11 +234,19 @@ def test_heap_compacts_when_cancellations_dominate():
     assert loop.events_processed == 10
 
 
-def test_compaction_during_run_keeps_heap_alias_valid():
+@pytest.mark.parametrize("first_doomed, spacing", [(50.0, 1.0), (1.01, 0.01)],
+                         ids=["heap", "wheel"])
+def test_compaction_during_run_keeps_heap_alias_valid(first_doomed, spacing):
     """Compaction triggered from inside a callback must not strand the
-    running loop on a stale heap list."""
+    running loop on a stale heap list.
+
+    The case ids keep the names of the scheduler's former far-future
+    overflow heap and near-term timer wheel: in ``heap`` the cancelled
+    events lie long after the survivor, in ``wheel`` they are packed
+    between the cancelling callback and the survivor."""
     loop = SimLoop()
-    doomed = [loop.call_later(50.0 + i, lambda: None) for i in range(80)]
+    doomed = [loop.call_later(first_doomed + i * spacing, lambda: None)
+              for i in range(80)]
     seen = []
 
     def cancel_all():
