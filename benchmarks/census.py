@@ -13,8 +13,9 @@ of
 
 ``gap``        a named ROADMAP item (the owner, ``item-N``) gives the
                function a production caller;
-``hook``       a default that every concrete class or host replaces (the
-               owner names the base), e.g. ``BaseEngine``'s
+``hook``       a base default that concrete classes or hosts replace and
+               that no production driver reaches on a class keeping it
+               (the owner names the base), e.g. ``BaseEngine``'s
                ``NotImplementedError`` handlers;
 ``reference``  a test (the owner) compares production code against it.
 

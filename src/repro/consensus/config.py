@@ -205,25 +205,6 @@ class Configuration:
         """All replicas except ``name``."""
         return tuple(r for r in self.replicas if r != name)
 
-    def with_member(self, name: str) -> "Configuration":
-        """Configuration after ``name`` joins (single-site change). An
-        observer joining the voting set is *promoted* -- it leaves the
-        observer list as it enters the member list."""
-        if name in self.members:
-            raise ConfigurationError(f"{name!r} is already a member")
-        return Configuration(
-            self.members + (name,),
-            tuple(o for o in self.observers if o != name))
-
-    def without_member(self, name: str) -> "Configuration":
-        """Configuration after ``name`` leaves (single-site change)."""
-        if name not in self.members:
-            raise ConfigurationError(f"{name!r} is not a member")
-        if self.size == 1:
-            raise ConfigurationError("cannot remove the last member")
-        return Configuration(tuple(m for m in self.members if m != name),
-                             self.observers)
-
     def __repr__(self) -> str:
         if self.observers:
             return (f"Configuration({list(self.members)!r}, "

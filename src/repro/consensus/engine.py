@@ -16,7 +16,9 @@ beat, its nextIndex/matchIndex bookkeeping on acks, the follower's term
 check, consistency check and ack, and the serialized config-change
 queue. Fast Raft runs that same path as its classic track (Section
 IV-B); each engine supplies only its replication frontier, commit rule,
-consistency check, absorb step and membership protocol.
+consistency check and absorb step. Only Fast Raft changes membership
+(and drives the queue): classic Raft, the paper's fixed-membership
+baseline, keeps its bootstrap configuration for the whole run.
 """
 
 from __future__ import annotations
@@ -409,7 +411,9 @@ class BaseEngine:
             self.ctx.on_config_change(new_config)
 
     def _on_configuration_changed(self) -> None:
-        """Hook for subclasses (e.g. leader drops state for removed sites)."""
+        """Hook: Fast Raft's leader extends its per-replica state here. A
+        classic Raft configuration never changes, so the default is
+        empty."""
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -575,7 +579,8 @@ class BaseEngine:
     def _on_recovery_probe_rejected(self, msg: RecoveryProbeReply,
                                     sender: str) -> None:
         """Hook: Fast Raft funnels this into its NotInConfiguration
-        rejoin path; engines without a membership protocol only note it."""
+        rejoin path. A classic Raft configuration never changes, so no
+        reply is ever newer than its own; the default only notes it."""
         self._trace("recovery.stale_config", via=sender,
                     members=msg.members, leader_hint=msg.leader_hint)
 
@@ -711,7 +716,8 @@ class BaseEngine:
         self._become_candidate()
 
     def _on_election_timeout_as_nonmember(self) -> None:
-        """Hook: Fast Raft launches a (re)join request here."""
+        """Hook: Fast Raft launches a (re)join request here. A classic
+        Raft site started outside its (static) configuration idles."""
         self._arm_election_timer()
 
     # ------------------------------------------------------------------
@@ -784,8 +790,9 @@ class BaseEngine:
     # ``_replication_frontier`` (the last index a leader replicates),
     # ``_advance_leader_commit`` (its commit rule), ``_log_matches`` and
     # ``_absorb_append_entries`` (its follower's consistency check and
-    # absorb step), and ``_start_next_config_change`` /
-    # ``_propose_joiner_config`` (its membership protocol).
+    # absorb step). Fast Raft alone changes membership, through the
+    # config-change queue below and its ``_start_next_config_change`` /
+    # ``_propose_joiner_config``.
     # ------------------------------------------------------------------
     def _append_targets(self) -> list[str]:
         # Replicas = members + standing observers (which replicate but

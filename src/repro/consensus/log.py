@@ -22,14 +22,14 @@ the anchor AppendEntries consistency checks still need -- and refuses any
 access below it. Sparse-slot/hole semantics are untouched above the
 compaction point.
 
-``last_index``, ``snapshot_index``, ``snapshot_term`` and
-``config_epoch`` are plain instance attributes that **only the log's own
-methods write**: every engine handler reads them, several times per
-message, and a property costs an interpreter frame to return one field.
-Everyone else reads them and mutates the log through ``insert`` /
-``truncate_from`` / ``compact_to`` / ``install_snapshot``. The log is
-deep-copied by ``mc``'s world fork, so it caches no bound *builtin* on
-itself (``copy.deepcopy`` treats those as atomic; see :meth:`RaftLog.get`).
+``last_index``, ``snapshot_index`` and ``snapshot_term`` are plain
+instance attributes that **only the log's own methods write**: every
+engine handler reads them, several times per message, and a property
+costs an interpreter frame to return one field. Everyone else reads
+them and mutates the log through ``insert`` / ``truncate_from`` /
+``compact_to`` / ``install_snapshot``. The log is deep-copied by
+``mc``'s world fork, so it caches no bound *builtin* on itself
+(``copy.deepcopy`` treats those as atomic; see :meth:`RaftLog.get`).
 """
 
 from __future__ import annotations
@@ -52,21 +52,10 @@ class RaftLog:
         #: holds more than one slot (never a set of fewer than two).
         self._id_indices: dict[str, int | set[int]] = {}
         # Indices currently holding CONFIG entries, maintained on every
-        # insert/remove. The governing-config lookup runs on *every*
-        # AppendEntries absorb, and a full index-ordered log scan there
-        # was the single hottest line of the whole simulation (O(log
-        # length) per message, quadratic over a run); tracking the
-        # handful of CONFIG indices makes it O(#configs).
+        # insert/remove, so the governing-config lookup costs O(#configs)
+        # instead of an index-ordered scan of the whole log (which, run
+        # per message, was once the hottest line of the simulation).
         self._config_indices: set[int] = set()
-        #: Moves whenever the set of CONFIG slots or the content of one
-        #: changes: a CONFIG entry written (a restamp included),
-        #: overwritten, truncated, compacted or dropped by
-        #: :meth:`install_snapshot`. The governing configuration is a
-        #: function of those slots (plus the snapshot and the commit
-        #: index, which their owners track), so an engine whose epoch
-        #: did not move across a batch of inserts has nothing to
-        #: re-derive.
-        self.config_epoch = 0
         #: Compaction point: every index at or below it has been dropped
         #: and is covered by a snapshot -- ``snapshot_index`` the highest
         #: such index, ``snapshot_term`` the term of the entry that sat
@@ -137,7 +126,6 @@ class RaftLog:
         old = self._slots.get(index)
         if old is not None and old.kind is EntryKind.CONFIG:
             self._config_indices.discard(index)
-            self.config_epoch += 1
         self._slots[index] = entry
         # A restamped copy of the occupant (leader approval) leaves the
         # reverse map as it is.
@@ -154,7 +142,6 @@ class RaftLog:
                 held.add(index)
         if entry.kind is EntryKind.CONFIG:
             self._config_indices.add(index)
-            self.config_epoch += 1
         if index > self.last_index:
             self.last_index = index
 
@@ -314,9 +301,7 @@ class RaftLog:
         config_indices = self._config_indices
         for i in doomed:
             self._unindex(self._slots[i].entry_id, i)
-            if i in config_indices:
-                config_indices.discard(i)
-                self.config_epoch += 1
+            config_indices.discard(i)
             del self._slots[i]
 
     def _unindex(self, entry_id: str, index: int) -> None:

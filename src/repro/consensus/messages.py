@@ -111,7 +111,7 @@ class ProposeEntry:
 @frozen_dataclass
 class VoteEntry:
     """Fast Raft: a site reports its slot content for ``index`` to the
-    leader ("Send log[i] and commitIndex to leaderId")."""
+    leader (its vote; see ``ProposalMixin._send_slot_vote``)."""
 
     term: int
     index: int

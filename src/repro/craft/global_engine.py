@@ -2,10 +2,10 @@
 
 Every insert into the global log -- from a proposal, from the leader's
 decision procedure, or from absorbing a global AppendEntries -- first runs
-intra-cluster consensus on a global state entry (Section V-B). The gate
-itself lives in :class:`repro.craft.server.CRaftServer`, which owns the
-local engine; this class only redirects the insert funnel through the
-injected gate.
+intra-cluster consensus on a global state entry (Section V-B). The gates
+themselves live in :class:`repro.craft.server.CRaftServer`, which owns
+the local engine and hands them to the constructor; this class only
+redirects the insert funnel through them.
 
 Restamping during election recovery (term/provenance only, data unchanged)
 bypasses the gate: the restamped entries are re-replicated to every global
@@ -18,6 +18,8 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
+from repro.consensus.config import Configuration
+from repro.consensus.engine import EngineContext
 from repro.consensus.entry import LogEntry
 from repro.fastraft.engine import FastRaftEngine
 from repro.snapshot import Snapshot
@@ -37,16 +39,15 @@ class CRaftGlobalEngine(FastRaftEngine):
     #: so the fused synchronous proposal path must not be taken.
     _SYNC_GATE = False
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # Wired by CRaftServer after construction; default passes through
-        # (used by unit tests that exercise the engine standalone).
-        self.insert_gate: GateFn | None = None
-        self.snapshot_gate: SnapshotGateFn | None = None
+    def __init__(self, ctx: EngineContext, bootstrap_config: Configuration,
+                 insert_gate: GateFn, snapshot_gate: SnapshotGateFn) -> None:
+        super().__init__(ctx, bootstrap_config)
+        self.insert_gate = insert_gate
+        self.snapshot_gate = snapshot_gate
 
     def _gate_insert(self, pairs: list[tuple[int, LogEntry]],
                      then: Callable[[], None]) -> None:
-        if not pairs or self.insert_gate is None:
+        if not pairs:
             super()._gate_insert(pairs, then)
             return
         self.insert_gate(pairs, partial(self._complete_gated_insert, pairs,
@@ -63,9 +64,6 @@ class CRaftGlobalEngine(FastRaftEngine):
         """A shipped global snapshot replaces log state, so like every
         other global log write it first runs intra-cluster consensus --
         the whole cluster inherits the image, not just this leader."""
-        if self.snapshot_gate is None:
-            super()._gate_snapshot_install(snapshot, then)
-            return
         self.snapshot_gate(
             snapshot, partial(self._complete_gated_snapshot, snapshot, then))
 

@@ -216,9 +216,9 @@ class CRaftServer(Actor):
             on_snapshot_restore=self._restore_global_snapshot,
             compaction=self._global_compaction, transfer=self._transfer)
         engine = CRaftGlobalEngine(
-            ctx, Configuration((self.global_seed,)))
-        engine.insert_gate = self._gate_through_local_consensus
-        engine.snapshot_gate = self._gate_global_snapshot
+            ctx, Configuration((self.global_seed,)),
+            insert_gate=self._gate_through_local_consensus,
+            snapshot_gate=self._gate_global_snapshot)
         self.global_engine = engine
         if self.alive:
             engine.start()

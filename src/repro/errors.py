@@ -35,16 +35,6 @@ class ConfigurationError(ConsensusError):
     """Raised for invalid membership configurations."""
 
 
-class NotLeaderError(ConsensusError):
-    """Raised when a leader-only operation is invoked on a non-leader."""
-
-    def __init__(self, message: str = "node is not the leader",
-                 leader_hint: str | None = None) -> None:
-        super().__init__(message)
-        #: Best-known current leader, if any, so callers can redirect.
-        self.leader_hint = leader_hint
-
-
 class InvariantViolation(ReproError):
     """Raised by safety checkers when a protocol invariant is broken."""
 

@@ -34,10 +34,11 @@ class ProposalMixin:
         self.propose(entry)
 
     def propose(self, entry: LogEntry) -> None:
-        """Broadcast ``entry`` to all members (steps 1-2 of "To propose an
-        entry"). Re-invocation (a client retry) re-broadcasts at the same
-        index while the slot is still winnable, regenerating lost votes;
-        once a different entry committed the slot, a fresh index is used.
+        """Broadcast ``entry`` to all members (steps 1-2 of the proposal
+        rule; :meth:`_handle_propose_entry` quotes it). Re-invocation (a
+        client retry) re-broadcasts at the same index while the slot is
+        still winnable, regenerating lost votes; once a different entry
+        committed the slot, a fresh index is used.
         """
         committed_at = self.log.committed_index_of(entry.entry_id,
                                                    self.commit_index)
@@ -116,6 +117,8 @@ class ProposalMixin:
 
     def _send_slot_vote(self, index: int, entry: LogEntry | None = None
                         ) -> None:
+        """Step 4 of the proposal rule, "Send log[i] and commitIndex to
+        leaderId": whatever the slot holds is this site's vote for it."""
         if entry is None:
             entry = self.log.get(index)
         if entry is None or self._leader_id is None:

@@ -4,8 +4,11 @@ Faithful to the paper's Section III-A description (which follows Ongaro's
 dissertation): proposers send entries to the term's leader, the leader
 appends and replicates them through periodic AppendEntries, and commits
 once a classic quorum acknowledges. Conflicting follower suffixes are
-truncated. Membership changes are administrator-driven, one site at a
-time, with joiners caught up as non-voting members first.
+truncated. The membership is static: the bootstrap configuration governs
+the whole run, because the paper uses classic Raft only as the
+fixed-membership baseline for Fast Raft (its dynamic-network claims are
+Fast Raft's alone). A classic log therefore never holds a CONFIG entry,
+and a site started outside the configuration idles.
 
 The replication path itself (beat, ack, follow) is :class:`BaseEngine`'s;
 this engine supplies its frontier (the log end), the classic commit rule
@@ -14,26 +17,15 @@ and the truncating absorb step.
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.consensus.config import Configuration
 from repro.consensus.engine import BaseEngine, Role, handles
-from repro.consensus.entry import (
-    ConfigPayload,
-    EntryKind,
-    InsertedBy,
-    LogEntry,
-)
+from repro.consensus.entry import EntryKind, InsertedBy, LogEntry
 from repro.consensus.messages import (
     AppendEntries,
     ClientRequest,
     CommitNotice,
-    JoinAccepted,
-    LeaveAccepted,
     ProposeToLeader,
     RequestVote,
 )
-from repro.errors import ConsensusError, NotLeaderError
 from repro.net.sizes import estimate_size
 
 
@@ -65,16 +57,9 @@ class ClassicRaftEngine(BaseEngine):
         self.match_index = {m: 0 for m in self._configuration.members}
         # A term-opening no-op lets entries from earlier terms commit
         # transitively (Raft never counts replicas of old-term entries).
-        self._append_as_leader(self._make_internal_entry(EntryKind.NOOP, None))
+        self._append_as_leader(self._make_noop())
         self._broadcast_append_entries()
         self._heartbeat.start()
-
-    def _on_configuration_changed(self) -> None:
-        if self.role is not Role.LEADER:
-            return
-        for site in self._configuration.replicas:
-            self.next_index.setdefault(site, self.log.last_index + 1)
-            self.match_index.setdefault(site, 0)
 
     # ------------------------------------------------------------------
     # Proposals
@@ -110,28 +95,25 @@ class ClassicRaftEngine(BaseEngine):
             return  # already in flight; commit will notify
         self._append_as_leader(entry)
 
-    def _append_as_leader(self, entry: LogEntry) -> int:
+    def _append_as_leader(self, entry: LogEntry) -> None:
         stamped = entry.with_mark(self.current_term, InsertedBy.LEADER)
-        index = self.log.append(stamped)
+        self.log.append(stamped)
         size = stamped._est_size
         self.ctx.store.touch(
             "log", size=size if size is not None else estimate_size(stamped))
-        if stamped.kind is EntryKind.CONFIG:
-            self._refresh_configuration()
         if self.timing.eager_append:
             self._broadcast_append_entries()
         self._maybe_commit_single_member()
-        return index
 
     def _maybe_commit_single_member(self) -> None:
         """A single-member configuration commits its own appends."""
         if self._configuration.size == 1 and self.role is Role.LEADER:
             self._advance_leader_commit()
 
-    def _make_internal_entry(self, kind: EntryKind, payload: Any) -> LogEntry:
+    def _make_noop(self) -> LogEntry:
         self._internal_seq += 1
-        entry_id = f"{self.name}:{kind.value}{self._internal_seq}.t{self.current_term}"
-        return LogEntry(entry_id=entry_id, kind=kind, payload=payload,
+        entry_id = f"{self.name}:noop{self._internal_seq}.t{self.current_term}"
+        return LogEntry(entry_id=entry_id, kind=EntryKind.NOOP, payload=None,
                         origin=self.name, term=self.current_term,
                         inserted_by=InsertedBy.LEADER)
 
@@ -180,7 +162,6 @@ class ClassicRaftEngine(BaseEngine):
     def _absorb_append_entries(self, msg: AppendEntries, sender: str) -> None:
         """Classic absorb: truncate the log at the first conflicting
         entry, then append."""
-        config_epoch = self.log.config_epoch
         truncated = False
         inserted_bytes = 0
         for index, entry in msg.entries:
@@ -198,10 +179,6 @@ class ClassicRaftEngine(BaseEngine):
                                else estimate_size(entry))
         if inserted_bytes or truncated:
             self.ctx.store.touch("log", size=max(1, inserted_bytes))
-        if self.log.config_epoch != config_epoch:
-            # A CONFIG slot was written or truncated away: only then can
-            # the governing configuration differ from the one we hold.
-            self._refresh_configuration()
         self._append_entries_absorbed(
             sender, msg, msg.prev_log_index + len(msg.entries))
 
@@ -212,96 +189,9 @@ class ClassicRaftEngine(BaseEngine):
         if self.role is not Role.LEADER:
             return
         self._notify_origin(entry, index)
-        if entry.kind is EntryKind.CONFIG:
-            self._finish_config_change(entry)
 
     def _notify_origin(self, entry: LogEntry, index: int) -> None:
         if entry.origin != self.name:
             self._send(entry.origin, CommitNotice(
                 entry_id=entry.entry_id, index=index, term=entry.term))
         # origin == self is handled by the base engine's on_origin_commit.
-
-    # ------------------------------------------------------------------
-    # Membership (administrator API, Section III-A)
-    # ------------------------------------------------------------------
-    def admin_add_site(self, site: str) -> None:
-        """Administrator asks the leader to add ``site`` (catch up first,
-        then commit the new configuration)."""
-        self._require_leader()
-        if site in self._configuration:
-            raise ConsensusError(f"{site!r} is already a member")
-        self._enqueue_config_change({"action": "add", "site": site})
-
-    def admin_remove_site(self, site: str) -> None:
-        """Administrator asks the leader to remove ``site``."""
-        self._require_leader()
-        if site not in self._configuration:
-            raise ConsensusError(f"{site!r} is not a member")
-        self._enqueue_config_change({"action": "remove", "site": site})
-
-    def _require_leader(self) -> None:
-        if self.role is not Role.LEADER:
-            raise NotLeaderError(leader_hint=self._leader_id)
-
-    def _start_next_config_change(self) -> None:
-        if self._pending_config is not None:
-            return
-        # A change queued while an earlier one was in flight may be moot
-        # by now (the same site added, or removed, twice): skip it.
-        while self._config_queue:
-            change = self._config_queue.pop(0)
-            if (change["site"] in self._configuration) != (
-                    change["action"] == "add"):
-                break
-        else:
-            return
-        self._pending_config = change
-        site = change["site"]
-        if change["action"] == "add":
-            # Catch the joiner up as a non-voting member before the
-            # configuration entry is appended.
-            self._catchup_targets.add(site)
-            self._extra_allowed.add(site)
-            self.next_index[site] = max(1, self.commit_index + 1)
-            self.match_index[site] = 0
-            self._send_append_entries(site)
-        else:
-            new_config = self._configuration.without_member(site)
-            self._append_config_entry(new_config, change)
-
-    def _propose_joiner_config(self, change: dict[str, Any]) -> None:
-        self._append_config_entry(
-            self._configuration.with_member(change["site"]), change)
-
-    def _append_config_entry(self, new_config: Configuration,
-                             change: dict[str, Any]) -> None:
-        version = self._max_known_config_version() + 1
-        entry = self._make_internal_entry(
-            EntryKind.CONFIG, ConfigPayload(members=new_config.members,
-                                            observers=new_config.observers,
-                                            version=version))
-        change["entry_id"] = entry.entry_id
-        self._append_as_leader(entry)
-        self._trace("config.proposed", action=change["action"],
-                    site=change["site"], members=new_config.members)
-
-    def _finish_config_change(self, entry: LogEntry) -> None:
-        pending = self._pending_config
-        if pending is None or pending.get("entry_id") != entry.entry_id:
-            return
-        site = pending["site"]
-        self._pending_config = None
-        if pending["action"] == "add":
-            self._catchup_targets.discard(site)
-            self._extra_allowed.discard(site)
-            self._send(site, JoinAccepted(
-                members=self._configuration.members, leader_id=self.name))
-        else:
-            self._send(site, LeaveAccepted(site=site))
-            self.next_index.pop(site, None)
-            self.match_index.pop(site, None)
-            if site == self.name:
-                # A leader that removed itself steps down after commit.
-                self._become_follower()
-                return
-        self._start_next_config_change()

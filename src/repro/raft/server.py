@@ -10,11 +10,3 @@ class RaftServer(ConsensusServer):
     """A classic-Raft site (the paper's baseline)."""
 
     engine_cls = ClassicRaftEngine
-
-    # Administrator passthroughs (classic Raft's membership is
-    # administrator-driven; Section III-A).
-    def admin_add_site(self, site: str) -> None:
-        self.engine.admin_add_site(site)
-
-    def admin_remove_site(self, site: str) -> None:
-        self.engine.admin_remove_site(site)

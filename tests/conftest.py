@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from repro.consensus.config import Configuration
 from repro.fastraft.server import FastRaftServer
 from repro.harness.builder import Cluster, build_cluster
 from repro.harness.checkers import run_safety_checks
@@ -83,6 +84,21 @@ def started_cluster(server_cls, n_sites=5, seed=0, **kwargs) -> Cluster:
     cluster.start_all()
     cluster.run_until_leader()
     return cluster
+
+
+def add_joining_server(cluster, name):
+    """A fresh site that knows the current members as contacts; it joins
+    by itself through the join-request protocol."""
+    members = tuple(n for n in cluster.servers)
+    server = FastRaftServer(
+        name=name, loop=cluster.loop, network=cluster.network,
+        store=cluster.fabric.store_for(name),
+        bootstrap_config=Configuration(members), timing=cluster.timing,
+        rng=cluster.rng, trace=cluster.trace,
+        state_machine_factory=KVStateMachine)
+    cluster.add_server(server)
+    server.start()
+    return server
 
 
 def commit_n(cluster: Cluster, client, n: int, timeout=30.0):

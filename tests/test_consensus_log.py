@@ -185,10 +185,6 @@ class TestIndexedLookupsMatchFullScans:
         return best
 
     @staticmethod
-    def config_slots(log):
-        return {i: e for i, e in log if e.kind is EntryKind.CONFIG}
-
-    @staticmethod
     def apply(log, op):
         """One mutation, its raw index resolved against the log's current
         shape so that every drawn sequence is legal."""
@@ -230,14 +226,7 @@ class TestIndexedLookupsMatchFullScans:
     def test_after_every_mutation(self, ops):
         log = RaftLog()
         for op in ops:
-            epoch, configs = log.config_epoch, self.config_slots(log)
             self.apply(log, op)
-            # An unmoved epoch promises unchanged CONFIG slots (index,
-            # content and stamp): that is what lets an engine skip
-            # re-deriving its configuration.
-            assert (log.config_epoch > epoch
-                    or self.config_slots(log) == configs)
-            assert log.config_epoch >= epoch
             assert log._config_indices == {
                 i for i, e in log if e.kind is EntryKind.CONFIG}
             assert log.max_config_version() == max(
@@ -331,69 +320,6 @@ def test_single_slot_ids_retain_no_container_each():
     assert grown / len(entries) < 150
 
 
-class TestConfigEpoch:
-    """``config_epoch`` moves exactly when a CONFIG slot is written,
-    overwritten or dropped; DATA traffic around one leaves it alone."""
-
-    @staticmethod
-    def config(entry_id, version, **kwargs):
-        return entry(entry_id, kind=EntryKind.CONFIG,
-                     payload=ConfigPayload(("a", "b"), version=version),
-                     **kwargs)
-
-    @pytest.fixture
-    def log(self):
-        """DATA at 1, 2, 4, 5; a CONFIG at 3."""
-        log = RaftLog()
-        assert log.config_epoch == 0
-        for index in (1, 2):
-            log.insert(index, entry(f"d{index}"))
-        assert log.config_epoch == 0
-        log.insert(3, self.config("c3", 1))
-        assert log.config_epoch == 1
-        for index in (4, 5):
-            log.insert(index, entry(f"d{index}"))
-        assert log.config_epoch == 1
-        return log
-
-    @pytest.mark.parametrize("mutate, moves", [
-        # writes
-        (lambda log: log.insert(3, log.get(3).with_mark(
-            2, InsertedBy.LEADER)), True),                  # restamp in place
-        (lambda log: log.insert(3, entry("d3")), True),     # DATA over it
-        (lambda log: log.insert(4, TestConfigEpoch.config("c4", 2)), True),
-        (lambda log: log.append(TestConfigEpoch.config("c6", 2)), True),
-        (lambda log: log.insert(4, entry("d4", term=2)), False),
-        (lambda log: log.append(entry("d6")), False),
-        # truncation across / beside the CONFIG index
-        (lambda log: log.truncate_from(3), True),
-        (lambda log: log.truncate_from(1), True),
-        (lambda log: log.truncate_from(4), False),
-        # compaction
-        (lambda log: log.compact_to(3), True),
-        (lambda log: log.compact_to(5), True),
-        (lambda log: log.compact_to(2), False),
-        # an external snapshot anchor
-        (lambda log: log.install_snapshot(3, 1), True),
-        (lambda log: log.install_snapshot(9, 1), True),
-        (lambda log: log.install_snapshot(2, 1), False),
-    ], ids=["restamp", "overwrite-by-data", "overwrite-by-config",
-            "append-config", "overwrite-data", "append-data",
-            "truncate-at", "truncate-below", "truncate-above",
-            "compact-at", "compact-past", "compact-before",
-            "install-at", "install-beyond", "install-before"])
-    def test_moves_iff_a_config_slot_changed(self, log, mutate, moves):
-        before = log.config_epoch
-        mutate(log)
-        assert (log.config_epoch > before) is moves
-
-    def test_a_no_op_compaction_moves_nothing(self, log):
-        log.compact_to(3)
-        epoch = log.config_epoch
-        assert log.compact_to(3) == 0 and log.install_snapshot(2, 1) == 0
-        assert log.config_epoch == epoch
-
-
 def test_a_deep_copied_log_reads_its_own_slots():
     """``mc.fork_world`` deep-copies logs: every query of the copy must
     answer from the copy's state (an instance-cached bound builtin such
@@ -408,7 +334,7 @@ def test_a_deep_copied_log_reads_its_own_slots():
     assert clone.get(4).entry_id == "only-in-clone" and log.get(4) is None
     assert (clone.last_index, log.last_index) == (4, 3)
     assert (clone.snapshot_index, log.snapshot_index) == (2, 1)
-    assert (clone.config_epoch, log.config_epoch) == (1, 0)
+    assert (clone._config_indices, log._config_indices) == ({4}, set())
     assert clone.get(2) is None and log.get(2).entry_id == "e2"
     assert clone.highest_index_of("only-in-clone") == 4
     assert log.highest_index_of("only-in-clone") == 0

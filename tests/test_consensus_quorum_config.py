@@ -124,21 +124,3 @@ class TestConfiguration:
         config = Configuration(("a", "b", "c"))
         assert config.others("b") == ("a", "c")
 
-    def test_with_member(self):
-        config = Configuration(("a", "b"))
-        bigger = config.with_member("c")
-        assert bigger.members == ("a", "b", "c")
-        assert config.members == ("a", "b")  # immutable
-        with pytest.raises(ConfigurationError):
-            config.with_member("a")
-
-    def test_without_member(self):
-        config = Configuration(("a", "b", "c"))
-        smaller = config.without_member("b")
-        assert smaller.members == ("a", "c")
-        with pytest.raises(ConfigurationError):
-            config.without_member("z")
-
-    def test_cannot_remove_last_member(self):
-        with pytest.raises(ConfigurationError):
-            Configuration(("a",)).without_member("a")

@@ -1,28 +1,16 @@
 """Fast Raft self-announced membership: joins, leaves, silent leaves."""
 
-from repro.consensus.config import Configuration
 from repro.consensus.engine import Role
 from repro.fastraft.server import FastRaftServer
 from repro.harness.faults import FaultInjector
 from repro.harness.workload import ClosedLoopWorkload
 from repro.net.loss import BernoulliLoss
-from repro.smr.kv import KVStateMachine
-from tests.conftest import assert_safe, commit_n, started_cluster
-
-
-def add_joining_server(cluster, name):
-    """A fresh site that knows the current members as contacts; it joins
-    by itself through the join-request protocol."""
-    members = tuple(n for n in cluster.servers)
-    server = FastRaftServer(
-        name=name, loop=cluster.loop, network=cluster.network,
-        store=cluster.fabric.store_for(name),
-        bootstrap_config=Configuration(members), timing=cluster.timing,
-        rng=cluster.rng, trace=cluster.trace,
-        state_machine_factory=KVStateMachine)
-    cluster.add_server(server)
-    server.start()
-    return server
+from tests.conftest import (
+    add_joining_server,
+    assert_safe,
+    commit_n,
+    started_cluster,
+)
 
 
 class TestJoin:

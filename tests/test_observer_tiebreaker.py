@@ -261,9 +261,10 @@ class TestObserverRole:
 
 class TestClassicRaftObservers:
     """The observer role is engine-agnostic: classic Raft replicates to
-    observers and its membership changes preserve the observer list."""
+    observers. Its membership is static, so a site started outside the
+    bootstrap configuration idles instead of electing or joining."""
 
-    def test_observer_replicated_and_preserved_across_config_change(self):
+    def test_observer_replicated_and_outsider_idles(self):
         from repro.raft.server import RaftServer
         cluster = build_cluster(RaftServer, n_sites=3, n_observers=1,
                                 seed=2, state_machine_factory=KVStateMachine)
@@ -275,22 +276,27 @@ class TestClassicRaftObservers:
         observer = cluster.servers["n3"]
         assert observer.engine.commit_index >= 4  # replicated, non-voting
         assert not observer.engine.is_member
-        # a membership change must not erase the observer list
-        joiner = RaftServer(
+        # a site outside the static configuration sits out its election
+        # timeouts: no term bump, no vote request, no configuration change
+        outsider = RaftServer(
             name="n8", loop=cluster.loop, network=cluster.network,
             store=cluster.fabric.store_for("n8"),
             bootstrap_config=Configuration(("n0", "n1", "n2"), ("n3",)),
             timing=cluster.timing, rng=cluster.rng, trace=cluster.trace,
             state_machine_factory=KVStateMachine)
-        cluster.add_server(joiner)
-        joiner.start()
+        cluster.add_server(outsider)
+        outsider.start()
+        commit_n(cluster, client, 4)
+        cluster.run_for(3.0)  # several election timeouts
+        assert outsider.alive and not outsider.engine.is_member
+        assert outsider.engine.role is Role.FOLLOWER
+        assert outsider.engine.current_term == 0
+        assert outsider.engine.commit_index == 0
         leader = cluster.servers[leader_name]
-        leader.engine.admin_add_site("n8")  # classic Raft: admin API
-        assert cluster.run_until(
-            lambda: "n8" in leader.engine.configuration.members,
-            timeout=30.0)
-        assert leader.engine.configuration.observers == ("n3",)
-        assert observer.engine.configuration.observers == ("n3",)
+        assert leader.engine.role is Role.LEADER
+        for server in (leader, observer):
+            assert server.engine.configuration == Configuration(
+                ("n0", "n1", "n2"), ("n3",))
         assert_safe(cluster)
 
 

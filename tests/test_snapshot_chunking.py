@@ -32,6 +32,7 @@ from repro.consensus.timing import TimingConfig
 from repro.craft.batching import BatchPolicy
 from repro.craft.deployment import build_craft_deployment
 from repro.errors import ConfigurationError, ConsensusError, NetworkError
+from repro.fastraft.engine import FastRaftEngine
 from repro.fastraft.server import FastRaftServer
 from repro.harness.builder import build_cluster
 from repro.harness.checkers import (
@@ -276,9 +277,11 @@ def _chunks_for(snapshot, term, leader, chunk_size=16):
 
 
 class DrivenFollower:
-    """A ClassicRaftEngine fed messages by hand; sends are collected."""
+    """An engine (classic Raft unless ``engine_cls`` says otherwise) fed
+    messages by hand; sends are collected."""
 
-    def __init__(self, config: Configuration | None = None):
+    def __init__(self, config: Configuration | None = None,
+                 engine_cls=ClassicRaftEngine):
         self.loop = SimLoop()
         self.sent = []
         ctx = EngineContext(
@@ -287,7 +290,7 @@ class DrivenFollower:
             rng=random.Random(0), trace=TraceRecorder(enabled=True),
             store=StableStore("f1"), timing=TimingConfig(),
             transfer=TransferConfig(chunk_size=16))
-        self.engine = ClassicRaftEngine(
+        self.engine = engine_cls(
             ctx, config or Configuration(("f1", "n1", "n2")))
 
     def deliver(self, message, sender):
@@ -379,9 +382,11 @@ class TestFollowerDiscardRules:
         """Mid-transfer observer-to-voter promotion: the governing
         config changes under the partial buffer, so it is discarded
         (same family as the term-bump / newer-snapshot rules) and the
-        transfer restarts cleanly from the leader's next chunks."""
+        transfer restarts cleanly from the leader's next chunks. (Fast
+        Raft: classic Raft's configuration never changes.)"""
         follower = DrivenFollower(
-            config=Configuration(("n1", "n2"), observers=("f1",)))
+            config=Configuration(("n1", "n2"), observers=("f1",)),
+            engine_cls=FastRaftEngine)
         assert not follower.engine.is_member
         chunks = _chunks_for(_snapshot(10), term=1, leader="n1")
         for chunk in chunks[:2]:
@@ -407,7 +412,7 @@ class TestFollowerDiscardRules:
         """Only the observer-to-voter direction voids the buffer: an
         unrelated config change mid-transfer (here: some other site
         joining) leaves the reassembly untouched."""
-        follower = DrivenFollower()
+        follower = DrivenFollower(engine_cls=FastRaftEngine)
         chunks = _chunks_for(_snapshot(10), term=1, leader="n1")
         for chunk in chunks[:2]:
             follower.deliver(chunk, "n1")
@@ -419,6 +424,7 @@ class TestFollowerDiscardRules:
         follower.deliver(AppendEntries(
             term=1, leader_id="n1", prev_log_index=0, prev_log_term=0,
             entries=((1, join),), leader_commit=0), "n1")
+        assert "n3" in follower.engine.configuration.members
         assert follower.engine._chunk_assembler is not None
 
     def test_chunks_for_covered_prefix_full_confirmed(self):
