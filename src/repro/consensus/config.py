@@ -1,23 +1,18 @@
 """Membership configurations and bulk-transfer tuning.
 
 A :class:`Configuration` is the set of voting members plus derived quorum
-sizes. Per the paper, each site obeys the configuration from the **last
-inserted** CONFIG entry in its log (insertion, not commit, is what
-activates it), and only one site may join or leave per configuration
-change.
+sizes. Each site obeys the configuration of its governing CONFIG entry
+(``RaftLog.best_config_entry``): the one with the highest version, then
+the highest index. A leader-approved entry governs from the moment it
+is inserted, before it commits; a self-approved entry above the commit
+index is a tentative proposal and governs only once it is decided or
+committed. Only one site may join or leave per configuration change.
 
-Beyond the paper, a configuration may carry **non-voting observers**:
-standing replicas that receive AppendEntries (and proposals) like any
-member but never count toward commit quorums. Observers exist to fix the
-two-member liveness hole: with exactly two voters, losing one makes every
-classic quorum (2-of-2) unreachable, so the dead voter's exclusion can
-never commit and the configuration wedges. When the voting set is that
-small (``<= 2``), an observer is *promoted to a tiebreaker voter* -- but
-only for deciding CONFIG entries and for leader elections, never for
-ordinary log commits. Every promoted quorum is a strict majority of
-``members + observers``, and any two quorums drawn under any mix of the
-normal and promoted rules intersect (see the quorum property tests), so
-two conflicting configurations can never both commit.
+A configuration may also carry **non-voting observers**: standing
+replicas that receive AppendEntries (and proposals) like any member but
+never count toward commit quorums. When and how one is promoted to a
+tiebreaker voter is a quorum rule, stated and implemented in
+:mod:`repro.consensus.quorum` with every other vote count.
 
 :class:`TransferConfig` tunes how engines ship bulk state (snapshots):
 monolithic single-message InstallSnapshot, or Raft's chunked
@@ -68,13 +63,13 @@ class TransferConfig:
 class Configuration:
     """Immutable voting-member set (plus non-voting observers) with
     quorum sizes. Only ``members`` vote; ``observers`` replicate the log
-    and are promoted to tiebreaker voters for CONFIG entries and
-    elections while the voting set is degenerate (``size <= 2``).
+    (:func:`repro.consensus.quorum.tiebreaker` says when one votes).
 
-    ``size``, ``classic_quorum`` and ``fast_quorum`` are plain
-    attributes derived once in ``__post_init__`` (every commit decision
-    reads them); they are not dataclass fields, so equality, hashing,
-    ``repr`` and ``replace`` see ``members`` and ``observers`` only."""
+    ``size``, ``classic_quorum``, ``fast_quorum`` and ``_member_set`` are
+    plain attributes derived once in ``__post_init__`` (every vote count
+    in :mod:`repro.consensus.quorum` reads them); they are not dataclass
+    fields, so equality, hashing, ``repr`` and ``replace`` see
+    ``members`` and ``observers`` only."""
 
     members: tuple[str, ...] = field(default=())
     observers: tuple[str, ...] = field(default=())
@@ -101,80 +96,6 @@ class Configuration:
         object.__setattr__(self, "classic_quorum", classic_quorum_size(size))
         object.__setattr__(self, "fast_quorum", fast_quorum_size(size))
         object.__setattr__(self, "_member_set", frozenset(ordered))
-
-    # ------------------------------------------------------------------
-    # Quorums
-    # ------------------------------------------------------------------
-    def is_classic_quorum(self, voters: set[str] | int) -> bool:
-        count = voters if isinstance(voters, int) else len(
-            self._member_set.intersection(voters))
-        return count >= self.classic_quorum
-
-    def is_fast_quorum(self, voters: set[str] | int) -> bool:
-        count = voters if isinstance(voters, int) else len(
-            self._member_set.intersection(voters))
-        return count >= self.fast_quorum
-
-    # ------------------------------------------------------------------
-    # Tiebreaker promotion (observers, degenerate voting sets)
-    # ------------------------------------------------------------------
-    @property
-    def tiebreaker_active(self) -> bool:
-        """An observer acts as tiebreaker voter only while the voting
-        set is too small to survive a single failure (``size <= 2``)."""
-        return bool(self.observers) and self.size <= 2
-
-    @property
-    def tiebreaker(self) -> str | None:
-        """The single promoted observer, if the promotion is active.
-
-        Exactly one observer is ever promoted (the first by site id):
-        the pairwise-intersection argument below needs the electorate to
-        exceed the member set by at most one observer and one joiner, or
-        member-free majorities of a large expanded electorate could miss
-        a classic quorum entirely.
-        """
-        return self.observers[0] if self.tiebreaker_active else None
-
-    def is_election_quorum(self, voters: set[str]) -> bool:
-        """Vote-count rule for winning an election: the normal classic
-        quorum, or -- with the tiebreaker active -- a strict majority of
-        ``members + the tiebreaker``. For degenerate voting sets every
-        classic quorum is the full member set, so any two quorums drawn
-        under any mix of these rules intersect; with one vote per site
-        per term that still yields at most one leader per term."""
-        if self.is_classic_quorum(voters):
-            return True
-        if not self.tiebreaker_active:
-            return False
-        electorate = set(self.members) | {self.tiebreaker}
-        count = len(set(voters) & electorate)
-        return count >= classic_quorum_size(len(electorate))
-
-    def config_entry_quorum(self, voters: set[str],
-                            extra: set[str] | frozenset = frozenset()) -> bool:
-        """Vote-count rule for *deciding a CONFIG entry*: the normal
-        classic quorum, or a strict majority of the expanded electorate
-        -- members, plus the tiebreaker (when active), plus at most one
-        ``extra`` eligible joiner (a caught-up joining site replacing
-        the member being excluded; one seat, one replacement, matching
-        the single-site-change discipline). An expanded quorum must
-        contain at least one member -- observers and joiners alone never
-        decide a configuration. Ordinary entries never use this."""
-        voter_set = set(voters)
-        if self.is_classic_quorum(voter_set):
-            return True
-        if not voter_set & set(self.members):
-            return False
-        electorate = set(self.members)
-        if self.tiebreaker_active:
-            electorate.add(self.tiebreaker)
-        joiner = sorted(set(extra) - electorate)[:1]
-        electorate.update(joiner)
-        if electorate == set(self.members):
-            return False  # nothing to promote; the normal rule stands
-        count = len(voter_set & electorate)
-        return count >= classic_quorum_size(len(electorate))
 
     # ------------------------------------------------------------------
     # Membership

@@ -13,12 +13,12 @@ advancement with ordered apply callbacks, the configuration-membership
 gate ("Messages from sites not listed in the configuration are ignored"),
 snapshot shipping, and Raft's AppendEntries replication -- the leader's
 beat, its nextIndex/matchIndex bookkeeping on acks, the follower's term
-check, consistency check and ack, and the serialized config-change
-queue. Fast Raft runs that same path as its classic track (Section
-IV-B); each engine supplies only its replication frontier, commit rule,
-consistency check and absorb step. Only Fast Raft changes membership
-(and drives the queue): classic Raft, the paper's fixed-membership
-baseline, keeps its bootstrap configuration for the whole run.
+check, consistency check and ack, the commit point, and the serialized
+config-change queue. Fast Raft runs that same path as its classic track
+(Section IV-B); each engine supplies only its replication frontier,
+commit step, consistency check and absorb step. Only Fast Raft changes
+membership (and drives the queue): classic Raft, the paper's
+fixed-membership baseline, keeps its bootstrap configuration.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from repro.consensus.messages import (
     RequestVoteResponse,
     VoteEntry,
 )
+from repro.consensus.quorum import classic_reached, wins_election
 from repro.consensus.timing import TimingConfig
 from repro.errors import ConsensusError
 from repro.net.sizes import estimate_size
@@ -580,9 +581,7 @@ class BaseEngine:
                                     sender: str) -> None:
         """Hook: Fast Raft funnels this into its NotInConfiguration
         rejoin path. A classic Raft configuration never changes, so no
-        reply is ever newer than its own; the default only notes it."""
-        self._trace("recovery.stale_config", via=sender,
-                    members=msg.members, leader_hint=msg.leader_hint)
+        reply is ever newer than its own, and the default is empty."""
 
     # ------------------------------------------------------------------
     # Leader leases (linearizable local reads)
@@ -599,13 +598,9 @@ class BaseEngine:
         config = self._configuration
         name = self.name
         acks_get = self._lease_acks.get
-        times = [now if member == name else acks_get(member, 0.0)
-                 for member in config.members]
-        quorum = config.classic_quorum
-        if quorum > len(times):
-            return 0.0
-        times.sort(reverse=True)
-        base = times[quorum - 1]
+        base = classic_reached(config, [
+            now if member == name else acks_get(member, 0.0)
+            for member in config.members])
         if base <= 0.0:
             return 0.0
         return base + self.timing.lease_duration - self.timing.lease_skew
@@ -777,9 +772,7 @@ class BaseEngine:
     def _maybe_win_election(self) -> None:
         if self.role is not Role.CANDIDATE:
             return
-        # is_election_quorum == classic quorum unless the voting set is
-        # degenerate (<= 2 members) and an observer tiebreaker exists.
-        if self._configuration.is_election_quorum(self._votes_received):
+        if wins_election(self._configuration, self._votes_received):
             self._trace("election.won", term=self.current_term,
                         votes=sorted(self._votes_received))
             self._become_leader()
@@ -788,7 +781,7 @@ class BaseEngine:
     # Replication: leader side (Raft's AppendEntries track, which Fast
     # Raft runs as its classic track). Each engine supplies the rest:
     # ``_replication_frontier`` (the last index a leader replicates),
-    # ``_advance_leader_commit`` (its commit rule), ``_log_matches`` and
+    # ``_advance_leader_commit`` (its commit step), ``_log_matches`` and
     # ``_absorb_append_entries`` (its follower's consistency check and
     # absorb step). Fast Raft alone changes membership, through the
     # config-change queue below and its ``_start_next_config_change`` /
@@ -958,6 +951,32 @@ class BaseEngine:
     # ------------------------------------------------------------------
     # Commit advancement
     # ------------------------------------------------------------------
+    def _classic_commit_point(self) -> int:
+        """Commit the highest index replicated on a classic quorum whose
+        entry is from the current term: the classic track's commit point
+        (``commit_index`` if none is higher). The leader's log counts as
+        its ``_replication_frontier``; a leader outside the configuration
+        (lingering after its own exclusion committed) casts no vote, or
+        it could commit entries its successors never saw. Fast Raft's
+        terms are not monotonic along the log, hence the downward scan."""
+        commit = self.commit_index
+        frontier = self._replication_frontier()
+        if frontier <= commit:
+            return commit
+        config = self._configuration
+        name = self.name
+        match_get = self.match_index.get
+        frontier = min(frontier, classic_reached(config, [
+            frontier if member == name else match_get(member, 0)
+            for member in config.members]))
+        log_get = self.log.get
+        term = self.current_term
+        for k in range(frontier, commit, -1):
+            entry = log_get(k)
+            if entry is not None and entry.term == term:
+                return k
+        return commit
+
     def _advance_commit_index(self, new_commit: int) -> None:
         """Move ``commit_index`` to ``new_commit``, applying in order.
 

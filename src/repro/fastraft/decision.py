@@ -30,6 +30,8 @@ from functools import partial
 from repro.consensus.engine import Role
 from repro.consensus.entry import EntryKind, InsertedBy, LogEntry, make_noop
 from repro.consensus.messages import ProposeEntry
+from repro.consensus.quorum import (decides_config_entry,
+                                    has_classic_quorum, has_fast_quorum)
 from repro.fastraft.votes import VoteRecord
 
 
@@ -97,7 +99,7 @@ class DecisionMixin:
         vote -- decides. This is what un-wedges a 2-voter configuration
         after one voter dies (see ROADMAP "Global-membership deadlock").
         """
-        if self._configuration.is_classic_quorum(voters):
+        if has_classic_quorum(self._configuration, voters):
             return True
         for record in self.possible_entries.candidates(k):
             # Only the plurality winner matters: it is what _choose_entry
@@ -107,7 +109,7 @@ class DecisionMixin:
             if self.name not in voters:
                 break  # an expanded electorate never decides leaderless
             extra = self._replacement_joiners_for(record.entry)
-            if self._configuration.config_entry_quorum(voters, extra):
+            if decides_config_entry(self._configuration, voters, extra):
                 self._trace("decision.tiebreak", index=k,
                             entry_id=record.entry.entry_id,
                             votes=sorted(voters), extra=sorted(extra))
@@ -155,7 +157,7 @@ class DecisionMixin:
         for member in config.members:
             if fast_match_get(member, 0) >= k:
                 matches += 1
-        if config.is_fast_quorum(matches):
+        if has_fast_quorum(config, matches):
             # "The fast track can only be taken here if the last index was
             # committed" -- otherwise commitIndex would cover earlier,
             # undecided indices.

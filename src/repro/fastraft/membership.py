@@ -36,6 +36,7 @@ from repro.consensus.messages import (
     LeaveRequest,
     NotInConfiguration,
 )
+from repro.consensus.quorum import decides_config_entry, has_classic_quorum
 
 
 class MembershipMixin:
@@ -180,7 +181,7 @@ class MembershipMixin:
         for member in self._configuration.others(self.name):
             if self._beats_missed.get(member, 0) <= threshold:
                 live += 1
-        return live >= self._configuration.classic_quorum
+        return has_classic_quorum(self._configuration, live)
 
     def _degraded_config_insert(self, new_config: Configuration,
                                 change: dict[str, Any]) -> None:
@@ -272,10 +273,10 @@ class MembershipMixin:
         supporters = set(record.voters) if record is not None else set()
         if self.name not in supporters:
             return
-        if self._configuration.is_classic_quorum(supporters):
+        if has_classic_quorum(self._configuration, supporters):
             return  # a live classic quorum decides in order eventually
         extra = self._replacement_joiners_for(entry)
-        if not self._configuration.config_entry_quorum(supporters, extra):
+        if not decides_config_entry(self._configuration, supporters, extra):
             return
         target = self._target_config("remove", pending["site"])
         if target is None:

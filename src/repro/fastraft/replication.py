@@ -4,7 +4,8 @@ detection.
 The classic track is Raft's AppendEntries path, written once in
 :class:`BaseEngine`; this mixin supplies what Fast Raft changes in it.
 The leader replicates its leader-approved region (``nextIndex[i] ..
-lastLeaderIndex``) and commits by its own classic-track rule. Followers
+lastLeaderIndex``), and commits the classic commit point computed over
+that region, settling the decided indexes it covers. Followers
 *overwrite* conflicting slots instead of truncating: self-approved
 entries are tentative, and only the leader has made safe decisions about
 them (Section IV-B, "When a follower receives AppendEntries message",
@@ -36,49 +37,16 @@ class ReplicationMixin:
         self._beats_missed[follower] = 0
 
     def _advance_leader_commit(self) -> None:
-        """Commit rule over matchIndex (identical to classic Raft but
-        bounded by the leader-approved region). A leader that is no
-        longer a configuration member (lingering step-down after its own
-        exclusion committed) holds no vote of its own -- counting itself
-        would let it commit entries its successors never saw.
+        """Commit the classic track's commit point (bounded by the
+        leader-approved region, ``_replication_frontier``), then settle
+        the decided indexes it covers and wake the decision loop.
 
         The paper's rule -- walk k upward from commitIndex + 1 while a
         classic quorum of matchIndex covers k, keep the highest
         current-term k -- is stated naively in
         tests/test_fastraft_basic.py and held equal to this form."""
-        # Quorum coverage is monotone in the index (match counts only
-        # shrink as k grows), so the per-index member recount collapses
-        # to one order statistic -- the quorum-th largest match --
-        # giving the replication frontier directly.
-        # Unlike classic Raft, Fast Raft's overwrite semantics leave
-        # terms non-monotonic along the log, so the highest
-        # current-term entry at or below the frontier is found by a
-        # short downward scan rather than a single term check.
-        commit = self.commit_index
-        frontier = self.last_leader_index
-        if frontier <= commit:
-            return
-        config = self._configuration
-        name = self.name
-        match_get = self.match_index.get
-        counts = [match_get(member, 0) for member in config.members
-                  if member != name]
-        quorum_needed = (config.classic_quorum - 1
-                         if name in config else config.classic_quorum)
-        if quorum_needed > 0:
-            if quorum_needed > len(counts):
-                return
-            counts.sort(reverse=True)
-            frontier = min(frontier, counts[quorum_needed - 1])
-        best = commit
-        log_get = self.log.get
-        term = self.current_term
-        for k in range(frontier, commit, -1):
-            entry = log_get(k)
-            if entry is not None and entry.term == term:
-                best = k
-                break
-        if best > commit:
+        best = self._classic_commit_point()
+        if best > self.commit_index:
             self._trace("classic_commit", index=best)
             self._advance_commit_index(best)
             self.possible_entries.drop_through(self.commit_index)

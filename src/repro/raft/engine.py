@@ -11,8 +11,8 @@ Fast Raft's alone). A classic log therefore never holds a CONFIG entry,
 and a site started outside the configuration idles.
 
 The replication path itself (beat, ack, follow) is :class:`BaseEngine`'s;
-this engine supplies its frontier (the log end), the classic commit rule
-and the truncating absorb step.
+this engine supplies its frontier (the log end), commits the classic
+commit point it computes, and supplies the truncating absorb step.
 """
 
 from __future__ import annotations
@@ -124,31 +124,10 @@ class ClassicRaftEngine(BaseEngine):
         return self.log.last_index
 
     def _advance_leader_commit(self) -> None:
-        """Commit the highest index replicated on a classic quorum whose
-        entry is from the current term.
-
-        The quorum frontier is read straight off the sorted match
-        indexes (the leader's own log counts as ``last_index``) instead
-        of re-scanning ``commit_index+1 .. last_index`` one index at a
-        time per response: replication counts only fall as the index
-        grows, so index ``k`` has a quorum iff the ``classic_quorum``-th
-        largest match is at least ``k`` -- the frontier IS that order
-        statistic. Classic Raft log terms are non-decreasing, so the
-        current-term gate holds somewhere at or below the frontier iff
-        it holds *at* the frontier.
-        """
-        config = self._configuration
-        counts = [self.log.last_index]  # the leader holds its own log
-        counts.extend(self.match_index.get(member, 0)
-                      for member in config.members if member != self.name)
-        quorum = config.classic_quorum
-        if quorum > len(counts):
-            return
-        counts.sort(reverse=True)
-        frontier = min(counts[quorum - 1], self.log.last_index)
-        if (frontier > self.commit_index
-                and self.log.term_at(frontier) == self.current_term):
-            self._advance_commit_index(frontier)
+        """Classic Raft commits the classic track's commit point."""
+        point = self._classic_commit_point()
+        if point > self.commit_index:
+            self._advance_commit_index(point)
 
     def _log_matches(self, prev_index: int, prev_term: int) -> bool:
         if prev_index == 0:

@@ -10,6 +10,8 @@ from repro.consensus.config import Configuration
 from repro.consensus.quorum import (
     classic_quorum_size,
     fast_quorum_size,
+    has_classic_quorum,
+    has_fast_quorum,
     quorum_intersection_ok,
 )
 from repro.errors import ConfigurationError
@@ -68,29 +70,29 @@ class TestConfiguration:
 
     def test_is_classic_quorum_with_set(self):
         config = Configuration(("a", "b", "c", "d", "e"))
-        assert config.is_classic_quorum({"a", "b", "c"})
-        assert not config.is_classic_quorum({"a", "b"})
+        assert has_classic_quorum(config, {"a", "b", "c"})
+        assert not has_classic_quorum(config, {"a", "b"})
         # non-members do not count
-        assert not config.is_classic_quorum({"a", "b", "zz"})
+        assert not has_classic_quorum(config, {"a", "b", "zz"})
 
     def test_is_quorum_with_int(self):
         config = Configuration(("a", "b", "c", "d", "e"))
-        assert config.is_classic_quorum(3)
-        assert config.is_fast_quorum(4)
-        assert not config.is_fast_quorum(3)
+        assert has_classic_quorum(config, 3)
+        assert has_fast_quorum(config, 4)
+        assert not has_fast_quorum(config, 3)
 
     def test_quorum_checks_count_distinct_members_of_any_iterable(self):
         """Sets, frozensets, lists with duplicates, tuples, dict views:
         a voter counts once, a non-member never."""
         config = Configuration(("a", "b", "c", "d", "e"), observers=("o",))
         for make in (set, frozenset, list, tuple, dict.fromkeys):
-            assert config.is_classic_quorum(make(["a", "b", "c", "o"]))
-            assert not config.is_classic_quorum(make(["a", "b", "o", "zz"]))
-            assert config.is_fast_quorum(make(["a", "b", "c", "d"]))
-            assert not config.is_fast_quorum(make(["a", "b", "c", "o"]))
-        assert not config.is_classic_quorum(["a", "a", "a", "b"])
-        assert not config.is_fast_quorum(["a", "b", "c", "c", "c"])
-        assert not config.is_classic_quorum(set())
+            assert has_classic_quorum(config, make(["a", "b", "c", "o"]))
+            assert not has_classic_quorum(config, make(["a", "b", "o", "zz"]))
+            assert has_fast_quorum(config, make(["a", "b", "c", "d"]))
+            assert not has_fast_quorum(config, make(["a", "b", "c", "o"]))
+        assert not has_classic_quorum(config, ["a", "a", "a", "b"])
+        assert not has_fast_quorum(config, ["a", "b", "c", "c", "c"])
+        assert not has_classic_quorum(config, set())
 
     def test_derived_sizes_are_not_fields(self):
         """``size`` / ``classic_quorum`` / ``fast_quorum`` are computed
@@ -107,11 +109,11 @@ class TestConfiguration:
             "Configuration(['a', 'b', 'c'], observers=['o'])")
         grown = dataclasses.replace(config, members=("a", "b", "c", "d"))
         assert (grown.size, grown.classic_quorum) == (4, 3)
-        assert grown.is_classic_quorum({"a", "b", "d"})
+        assert has_classic_quorum(grown, {"a", "b", "d"})
         for clone in (pickle.loads(pickle.dumps(config)),
                       copy.deepcopy(config)):
             assert clone == config and clone.size == 3
-            assert clone.is_classic_quorum(["a", "c"])
+            assert has_classic_quorum(clone, ["a", "c"])
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.size = 7
 

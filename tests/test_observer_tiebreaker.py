@@ -29,7 +29,14 @@ from repro.consensus.config import Configuration
 from repro.consensus.engine import Role
 from repro.consensus.entry import EntryKind
 from repro.consensus.messages import JoinRequest
-from repro.consensus.quorum import classic_quorum_size
+from repro.consensus.quorum import (
+    classic_quorum_size,
+    decides_config_entry,
+    has_classic_quorum,
+    has_fast_quorum,
+    tiebreaker,
+    wins_election,
+)
 from repro.fastraft.server import FastRaftServer
 from repro.harness.builder import build_cluster
 from repro.harness.checkers import (
@@ -84,11 +91,11 @@ class TestQuorumIntersection:
         for r in range(len(universe) + 1):
             for combo in itertools.combinations(universe, r):
                 voters = set(combo)
-                if config.is_classic_quorum(voters):
+                if has_classic_quorum(config, voters):
                     classic.append(voters)
-                if config.is_election_quorum(voters):
+                if wins_election(config, voters):
                     election.append(voters)
-                if config.config_entry_quorum(voters, set(joiners)):
+                if decides_config_entry(config, voters, set(joiners)):
                     config_rule.append(voters)
         return classic, election, config_rule
 
@@ -118,24 +125,25 @@ class TestQuorumIntersection:
         """With three or more voters the tiebreaker never activates: the
         election and CONFIG rules collapse to the classic quorum."""
         config = Configuration(("a", "b", "c"), ("o",))
-        assert not config.tiebreaker_active
-        assert not config.is_election_quorum({"a", "o"})
-        assert not config.config_entry_quorum({"a", "o"})
-        assert config.is_election_quorum({"a", "b"})
+        assert tiebreaker(config) is None
+        assert not wins_election(config, {"a", "o"})
+        assert not decides_config_entry(config, {"a", "o"})
+        assert wins_election(config, {"a", "b"})
 
     def test_observers_never_count_toward_ordinary_commits(self):
         config = Configuration(("a", "b"), ("o",))
-        assert not config.is_classic_quorum({"a", "o"})
-        assert not config.is_fast_quorum({"a", "o"})
-        assert config.config_entry_quorum({"a", "o"})
-        assert config.is_election_quorum({"b", "o"})
+        assert tiebreaker(config) == "o"
+        assert not has_classic_quorum(config, {"a", "o"})
+        assert not has_fast_quorum(config, {"a", "o"})
+        assert decides_config_entry(config, {"a", "o"})
+        assert wins_election(config, {"b", "o"})
 
     def test_expanded_quorum_is_majority_of_electorate(self):
         config = Configuration(("a", "b"), ("o",))
         electorate = 3
         assert classic_quorum_size(electorate) == 2
-        assert not config.config_entry_quorum({"o"})
-        assert not config.is_election_quorum({"o"})
+        assert not decides_config_entry(config, {"o"})
+        assert not wins_election(config, {"o"})
 
 
 # ----------------------------------------------------------------------
@@ -154,8 +162,8 @@ class TestObserverRole:
         assert not observer.engine.is_member
         assert observer.engine.role is Role.FOLLOWER
         # a full cluster (3 voters) never needs the observer's ballot
-        assert not cluster.servers[
-            cluster.leader()].engine.configuration.tiebreaker_active
+        assert tiebreaker(cluster.servers[
+            cluster.leader()].engine.configuration) is None
         assert_safe(cluster)
 
     def test_observer_does_not_ask_to_join(self):

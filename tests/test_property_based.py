@@ -8,7 +8,10 @@ from repro.consensus.entry import EntryKind, InsertedBy, LogEntry
 from repro.consensus.log import RaftLog
 from repro.consensus.quorum import (
     classic_quorum_size,
+    classic_reached,
     fast_quorum_size,
+    has_classic_quorum,
+    has_fast_quorum,
     quorum_intersection_ok,
 )
 from repro.fastraft.votes import PossibleEntries
@@ -49,10 +52,21 @@ class TestQuorumProperties:
                    max_size=12))
     def test_configuration_quorum_checks_consistent(self, names):
         config = Configuration(tuple(names))
-        assert config.is_classic_quorum(set(config.members))
-        assert config.is_fast_quorum(set(config.members))
+        assert has_classic_quorum(config, set(config.members))
+        assert has_fast_quorum(config, set(config.members))
         below = set(list(config.members)[:config.classic_quorum - 1])
-        assert not config.is_classic_quorum(below)
+        assert not has_classic_quorum(config, below)
+
+    @given(st.lists(st.integers(min_value=0, max_value=20), min_size=1,
+                    max_size=12))
+    def test_classic_reached_is_what_a_classic_quorum_covers(self, values):
+        """The order statistic, stated naively: the highest value that
+        at least a classic quorum of the members' values reach."""
+        config = Configuration(tuple(f"m{i}" for i in range(len(values))))
+        naive = max(v for v in values
+                    if sum(1 for w in values if w >= v)
+                    >= config.classic_quorum)
+        assert classic_reached(config, values) == naive
 
 
 class TestLogProperties:

@@ -8,8 +8,14 @@ crash recovery, and snapshot restore. Lease reads must observe a
 linearizable history.
 """
 
-import pytest
+import dataclasses
+import functools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.consensus.config import Configuration
 from repro.consensus.messages import ClientReply, ClientRequest
 from repro.consensus.timing import TimingConfig
 from repro.craft.batching import BatchPolicy
@@ -351,6 +357,59 @@ class TestLeaseReads:
             assert read.result in (i - 1, i)
             seen.append(read.result)
         assert seen == sorted(seen)  # monotonic through one session
+
+
+@functools.lru_cache(maxsize=None)
+def _lease_leader_engine():
+    """One elected lease-enabled leader, shared by every oracle example:
+    each example overwrites all the state the lease rule reads."""
+    cluster = started_cluster(RaftServer, seed=1, timing=LEASE_TIMING)
+    return cluster.servers[cluster.leader()].engine
+
+
+class TestLeaseExpiryOracle:
+    """``_lease_expiry`` reads the lease base off one order statistic of
+    the acked beat send times. The rule, stated naively here, is the
+    only other statement of it."""
+
+    @staticmethod
+    def lease_rule(members, leader, acks, now, duration, skew):
+        """The latest t such that a classic quorum of members acked a
+        beat sent at or after t (the leader counts as ``now``), plus the
+        duration, minus the skew; 0.0 when no such t exists."""
+        sent = [now if m == leader else acks.get(m, 0.0) for m in members]
+        quorum = len(members) // 2 + 1
+        held = [t for t in sent
+                if t > 0.0 and sum(1 for s in sent if s >= t) >= quorum]
+        return max(held) + duration - skew if held else 0.0
+
+    @given(
+        n_others=st.integers(min_value=0, max_value=5),
+        leader_in_config=st.booleans(),
+        # beat send time each other member acked last; None never acked.
+        acks=st.lists(st.one_of(st.none(),
+                                st.floats(min_value=0.0, max_value=10.0)),
+                      min_size=5, max_size=5),
+        now=st.floats(min_value=0.0, max_value=10.0),
+        duration=st.sampled_from([0.5, 1.0, 2.5]),
+        skew=st.sampled_from([0.0, 0.01, 0.1]),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_expiry_is_what_the_naive_rule_says(
+            self, n_others, leader_in_config, acks, now, duration, skew):
+        engine = _lease_leader_engine()
+        leader = engine.name
+        if not leader_in_config:
+            n_others = max(n_others, 1)  # a configuration needs a member
+        others = [f"m{i}" for i in range(n_others)]
+        members = others + [leader] if leader_in_config else others
+        acked = {m: t for m, t in zip(others, acks) if t is not None}
+        engine._configuration = Configuration(tuple(members))
+        engine._lease_acks = acked
+        engine.timing = dataclasses.replace(
+            LEASE_TIMING, lease_duration=duration, lease_skew=skew)
+        assert engine._lease_expiry(now) == self.lease_rule(
+            members, leader, acked, now, duration, skew)
 
 
 class TestProposalCoalescing:
