@@ -35,10 +35,6 @@ class CRaftGlobalEngine(FastRaftEngine):
 
     protocol_name = "craft.global"
 
-    #: Inserts defer behind a round of local consensus (Section V-B),
-    #: so the fused synchronous proposal path must not be taken.
-    _SYNC_GATE = False
-
     def __init__(self, ctx: EngineContext, bootstrap_config: Configuration,
                  insert_gate: GateFn, snapshot_gate: SnapshotGateFn) -> None:
         super().__init__(ctx, bootstrap_config)

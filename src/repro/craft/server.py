@@ -244,20 +244,10 @@ class CRaftServer(Actor):
     # Transport adapters
     # ------------------------------------------------------------------
     def _send_local_level(self, dst: str, message: Any) -> None:
-        # env_fast is checked per call, not at construction: set_latency
-        # can swap in a size-aware model mid-run.
-        if self._network.env_fast:
-            self._network.send_enveloped(self.name, dst, "local",
-                                         self.cluster, message)
-            return
         self._network.send(self.name, dst,
                            Envelope("local", self.cluster, message))
 
     def _send_global_level(self, dst: str, message: Any) -> None:
-        if self._network.env_fast:
-            self._network.send_enveloped(self.name, dst, "global",
-                                         "global", message)
-            return
         self._network.send(self.name, dst,
                            Envelope("global", "global", message))
 
@@ -315,8 +305,16 @@ class CRaftServer(Actor):
         # Envelope first because steady-state traffic is all envelopes.
         message_type = type(message)
         if message_type is Envelope:
-            self.on_enveloped(message.level, message.scope, message.inner,
-                              sender)
+            # Level/scope routing of consensus traffic.
+            level, inner = message.level, message.inner
+            if level == "local":
+                if message.scope == self.cluster:
+                    self.local_engine.handle(inner, sender)
+            elif level == "global":
+                if self.global_engine is not None:
+                    self.global_engine.handle(inner, sender)
+                else:
+                    self._relay_global_without_engine(inner, sender)
             return
         if message_type is ClientRequest:
             if self.frontend.admit(message, sender):
@@ -327,21 +325,6 @@ class CRaftServer(Actor):
     def session_duplicates(self) -> int:
         """Retried requests answered from the session table (metrics)."""
         return self.frontend.session_duplicates
-
-    def on_enveloped(self, level: str, scope: str, inner: Any,
-                     sender: str) -> None:
-        """Level/scope routing of consensus traffic. Reached directly
-        from :meth:`Network.send_enveloped` (wrapper fields passed loose,
-        the Envelope never allocated) and from :meth:`on_message` for a
-        materialized Envelope."""
-        if level == "local":
-            if scope == self.cluster:
-                self.local_engine.handle(inner, sender)
-        elif level == "global":
-            if self.global_engine is not None:
-                self.global_engine.handle(inner, sender)
-            else:
-                self._relay_global_without_engine(inner, sender)
 
     def _relay_global_without_engine(self, inner: Any, sender: str) -> None:
         """This site no longer runs a global engine (e.g. the retired

@@ -34,12 +34,6 @@ class FastRaftEngine(ProposalMixin, DecisionMixin, ReplicationMixin,
 
     protocol_name = "fastraft"
 
-    #: True when ``_gate_insert`` completes synchronously (plain Fast
-    #: Raft and the C-Raft local engine). The fused proposal handler
-    #: relies on it to insert inline; the C-Raft global engine defers
-    #: inserts behind a round of local consensus and sets it False.
-    _SYNC_GATE = True
-
     def __init__(self, ctx: EngineContext,
                  bootstrap_config: Configuration) -> None:
         super().__init__(ctx, bootstrap_config)

@@ -78,14 +78,10 @@ class ProposalMixin:
     @handles(ProposeEntry)
     def _handle_propose_entry(self, msg: ProposeEntry, sender: str) -> None:
         """Steps 3-4 of "To propose an entry": insert into the targeted
-        slot if it is empty, then vote for whatever the slot holds.
-
-        Engines whose ``_gate_insert`` runs inline (``_SYNC_GATE``) take
-        the insert fused in: no pair-list, no completion continuation, no
-        post-gate slot re-read -- an empty winnable slot always ends up
-        holding exactly the entry just stamped. The asynchronous C-Raft
-        global gate takes the continuation, a partial of
-        ``_send_slot_vote`` bound to the slot index."""
+        slot if it is empty, then vote for whatever the slot holds. The
+        vote is the insert gate's continuation: the C-Raft global gate
+        completes it after a round of local consensus, by which time the
+        slot may hold something else, so it re-reads the slot."""
         proposed, index = msg.entry, msg.index
         log = self.log
         committed_at = log.committed_index_of(proposed.entry_id,
@@ -104,14 +100,6 @@ class ProposalMixin:
             self._send_slot_vote(index, occupant)
             return
         stamped = proposed.with_mark(self.current_term, InsertedBy.SELF)
-        if self._SYNC_GATE:
-            # Guards in _insert_into_log cannot fire: the slot is empty
-            # and above the commit index, so the insert always lands.
-            size = self._insert_into_log(index, stamped)
-            if size:
-                self.ctx.store.touch("log", size=size)
-            self._send_slot_vote(index, stamped)
-            return
         self._gate_insert([(index, stamped)],
                           partial(self._send_slot_vote, index))
 

@@ -91,12 +91,6 @@ class ReplicationMixin:
                 continue  # already absorbed
             to_insert.append((index, entry))
         last_new = msg.prev_log_index + len(msg.entries)
-        if self._SYNC_GATE:
-            # The gate completes inline for these engines: skip the
-            # completion partial (and its allocation) entirely.
-            self._insert_batch(to_insert)
-            self._append_entries_absorbed(sender, msg, last_new)
-            return
         self._gate_insert(to_insert, partial(
             self._append_entries_absorbed, sender, msg, last_new))
 

@@ -18,7 +18,8 @@ carries (a delivery's message, a timer's or task's bound arguments), and
 the fault state -- with wall-clock times abstracted away, so two states
 that differ only in when their identical futures fire collapse into one
 graph node. The projection is what makes exploration tractable; anything
-it omits (latency-model internals, metrics counters) is invisible to
+it omits (latency-model internals, metrics counters, the
+:func:`~repro.net.sizes.size_memo` caches of wire objects) is invisible to
 deduplication, a deliberate abstraction documented in the README.
 """
 
@@ -34,11 +35,9 @@ from functools import partial
 from typing import Any
 
 from repro.net.network import Network
+from repro.net.sizes import is_size_memo
 from repro.sim.loop import Handle
 from repro.sim.timers import PeriodicTimer, RestartableTimer
-
-#: Memo-cache slots excluded from canonical projections (see net.sizes).
-_CACHE_FIELDS = ("_est_size", "_wire_size")
 
 
 # ----------------------------------------------------------------------
@@ -114,15 +113,6 @@ def describe_handle(handle: Handle) -> EventInfo:
         return EventInfo(handle.when, handle.seq, kind, dst,
                          f"{type(message).__name__} {src}->{dst}",
                          src=src, message_type=type(message).__name__)
-    if isinstance(owner, Network) and method in (
-            "_deliver_enveloped", "_deliver_enveloped_colocated"):
-        # The enveloped fast path carries the wrapper fields loose; it
-        # classifies exactly as the equivalent Envelope delivery would.
-        src, dst = handle._args[0], handle._args[1]
-        kind = "message" if method == "_deliver_enveloped" else "local"
-        return EventInfo(handle.when, handle.seq, kind, dst,
-                         f"Envelope {src}->{dst}",
-                         src=src, message_type="Envelope")
     if isinstance(owner, (PeriodicTimer, RestartableTimer)):
         target = _unbind(owner._callback)[0]
         site = getattr(getattr(target, "__self__", None), "name", "") or ""
@@ -183,7 +173,7 @@ def _canon(obj: Any) -> Any:
         return [type(obj).__name__,
                 {f.name: _canon(getattr(obj, f.name))
                  for f in dataclasses.fields(obj)
-                 if f.name not in _CACHE_FIELDS}]
+                 if not is_size_memo(f)}]
     if callable(obj):
         # Scheduled work: which method, on which site, with what.
         func, args = _unbind(obj)
@@ -259,8 +249,8 @@ def capture_state(world: World) -> dict:
     pending = []
     for handle in world.loop.pending_handles():
         info = describe_handle(handle)
-        # A delivery carries (src, dst, message) or the enveloped fields;
-        # a timer's handle runs the timer, whose callback carries the data.
+        # A delivery carries (src, dst, message); a timer's handle runs
+        # the timer, whose callback carries the data.
         args = (_unbind(handle._callback.__self__._callback)[1]
                 if info.kind == "timer" else handle._args)
         pending.append([info.kind, info.label, _canon(args)])

@@ -86,8 +86,7 @@ class BandwidthLatencyModel(LatencyModel):
     and the simulation deterministic per-message.
 
     Being :attr:`size_aware`, it answers only :meth:`transfer_delay`:
-    the network never asks it for a size-blind :meth:`sample` (and the
-    C-Raft envelope fast path is off under it, see ``Network.env_fast``).
+    the network never asks it for a size-blind :meth:`sample`.
     """
 
     size_aware = True
@@ -140,20 +139,15 @@ class RegionLatencyModel(LatencyModel):
         # lookup per message is pure rework; the jitter draw stays in
         # sample() so the RNG stream is untouched.
         self._pair_one_way: dict[tuple[str, str], float] = {}
-        # Flat-sampler constants: ``rng.uniform(a, b)`` evaluates
-        # ``a + (b - a) * rng.random()``, so with ``a = 1 - jitter`` and
-        # ``b = 1 + jitter`` precomputed exactly as uniform() would
-        # combine them, ``base * (lo + span * rng.random())`` is
-        # bit-identical to the ``rng.uniform`` draw of the class-level
-        # :meth:`sample` -- same single RNG call, same float operations
-        # in the same order (tests/test_net_latency.py holds the two
-        # together). ``_sample_flat`` is installed per instance so the
-        # per-message hot path skips the jitter branch and the uniform()
-        # frame; the zero-jitter model keeps the draw-free ``sample``.
+        # ``rng.uniform(a, b)`` evaluates ``a + (b - a) * rng.random()``,
+        # so with ``a = 1 - jitter`` and ``b = 1 + jitter`` precomputed
+        # exactly as uniform() would combine them, ``lo + span *
+        # rng.random()`` is bit-identical to ``rng.uniform(a, b)`` -- the
+        # same single RNG call, the same float operations in the same
+        # order, without the uniform() frame (tests/test_net_latency.py
+        # holds the two together).
         self._jitter_lo = 1.0 - jitter
         self._jitter_span = (1.0 + jitter) - self._jitter_lo
-        if jitter:
-            self.sample = self._sample_flat  # type: ignore[method-assign]
 
     @staticmethod
     def _key(a: str, b: str) -> tuple[str, str]:
@@ -181,18 +175,9 @@ class RegionLatencyModel(LatencyModel):
             one_way = rtt / 2.0
             self._pair_one_way[(src, dst)] = one_way
         if self._jitter:
-            one_way *= rng.uniform(1.0 - self._jitter, 1.0 + self._jitter)
+            return one_way * (self._jitter_lo
+                              + self._jitter_span * rng.random())
         return one_way
-
-    def _sample_flat(self, rng: random.Random, src: str, dst: str) -> float:
-        """Flat jittered sampler (see __init__); replaces ``sample``
-        whenever the model jitters."""
-        one_way = self._pair_one_way.get((src, dst))
-        if one_way is None:
-            rtt = self.rtt_between(self.region_of(src), self.region_of(dst))
-            one_way = rtt / 2.0
-            self._pair_one_way[(src, dst)] = one_way
-        return one_way * (self._jitter_lo + self._jitter_span * rng.random())
 
     def __repr__(self) -> str:
         regions = sorted({r for r in self._node_regions.values()})

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import NetworkError
-from repro.net.latency import ConstantLatency, LatencyModel
+from repro.net.latency import LatencyModel
 from repro.net.loss import LossModel, NoLoss
 from repro.net.sizes import payload_size
 from repro.net.stats import NetworkStats
@@ -32,15 +32,14 @@ class Network:
     """Delivers messages between registered actors through the sim loop.
 
     ``send`` is one of the hottest functions of the whole simulation
-    (every consensus message crosses it), so the trivial-model cases are
-    precomputed instead of re-discovered per message: a :class:`NoLoss`
-    model is never consulted (it draws no randomness, so skipping the
-    call is observably identical), an exact :class:`ConstantLatency`
-    model's delay is read from a cached float (its ``sample`` ignores
-    the RNG), and the partition/disconnect check collapses to one flag
-    test while no fault is installed. The flags are selected from what
-    the fabric can observe about its models and refresh whenever a model
-    is swapped or a fault installed.
+    (every consensus message crosses it, C-Raft's as an ``Envelope``),
+    so the trivial cases are precomputed instead of re-discovered per
+    message: a :class:`NoLoss` model is never consulted (it draws no
+    randomness, so skipping the call is observably identical), and the
+    partition/disconnect check collapses to one flag test while no fault
+    is installed. The flags are selected from what the fabric can
+    observe about its models and refresh whenever a model is swapped or
+    a fault installed.
 
     The send and deliver paths bump :class:`NetworkStats` counters
     inline, and deliveries check ``actor.alive`` and call
@@ -72,16 +71,9 @@ class Network:
         self._refresh_fault_flag()
 
     def _refresh_model_flags(self) -> None:
-        """Recompute the trivial-model fast-path flags (see class doc)."""
+        """Recompute the trivial-model flags (see class doc)."""
         self._size_aware = self._latency.size_aware
         self._no_loss = type(self._loss) is NoLoss
-        self._fixed_delay = (self._latency.delay
-                             if type(self._latency) is ConstantLatency
-                             else None)
-        # Size-blind models never inspect the payload, so the enveloped
-        # fast path (no wrapper allocation) is observably identical; a
-        # size-aware model must see the real Envelope to price it.
-        self.env_fast = not self._size_aware
 
     def _refresh_fault_flag(self) -> None:
         self._faults_installed = (bool(self._disconnected)
@@ -178,10 +170,6 @@ class Network:
         if size_aware:
             delay = self._latency.transfer_delay(self._latency_rng,
                                                  src, dst, size)
-        elif self._fixed_delay is not None:
-            # ConstantLatency.sample ignores the RNG; read the cached
-            # delay instead of dispatching through the model.
-            delay = self._fixed_delay
         else:
             delay = self._latency.sample(self._latency_rng, src, dst)
         self._loop.call_later(delay, self._deliver, src, dst, message)
@@ -196,77 +184,6 @@ class Network:
         stats.sent += 1
         stats.by_type[message.__class__.__name__] += 1
         self._loop.call_soon(self._deliver_colocated, src, dst, message)
-
-    def send_enveloped(self, src: str, dst: str, level: str, scope: str,
-                       inner: Any) -> None:
-        """Unicast ``inner`` as if wrapped in ``Envelope(level, scope,
-        inner)`` -- without allocating the wrapper.
-
-        Every C-Raft consensus message crosses the fabric enveloped, so
-        the wrapper dominates steady-state allocation: built per send,
-        unwrapped per delivery, and never consulted in between (the
-        fabric treats it as an opaque payload under a size-blind latency
-        model). This path carries the routing fields loose through the
-        scheduled delivery instead, and hands them straight to the
-        destination's :meth:`on_enveloped` hook. Callers must check
-        :attr:`env_fast` per send: it is False under a size-aware model
-        (which must price the real wrapper).
-
-        Parity with :meth:`send` for an Envelope: stats record under the
-        literal ``"Envelope"`` type name, the loss and latency models see
-        identical draws in identical order, and the loopback (``src ==
-        dst``) case skips fault checks exactly as the colocated path does
-        -- a disconnected site still talks to itself.
-        """
-        stats = self.stats
-        stats.sent += 1
-        stats.by_type["Envelope"] += 1
-        if src == dst:
-            self._loop.call_soon(self._deliver_enveloped_colocated,
-                                 src, dst, level, scope, inner)
-            return
-        if self._faults_installed and self._is_blocked(src, dst):
-            stats.blocked += 1
-            return
-        if not self._no_loss and self._loss.should_drop(
-                self._loss_rng, src, dst, self._loop.now()):
-            stats.dropped += 1
-            if self._trace is not None:
-                self._trace.record(self._loop.now(), src, "net.drop",
-                                   dst=dst, type="Envelope")
-            return
-        if self._fixed_delay is not None:
-            delay = self._fixed_delay
-        else:
-            delay = self._latency.sample(self._latency_rng, src, dst)
-        self._loop.call_later(delay, self._deliver_enveloped,
-                              src, dst, level, scope, inner)
-
-    def _deliver_enveloped(self, src: str, dst: str, level: str,
-                           scope: str, inner: Any) -> None:
-        # Same re-checks as _deliver.
-        stats = self.stats
-        if self._faults_installed and self._is_blocked(src, dst):
-            stats.blocked += 1
-            return
-        actor = self._actors.get(dst)
-        if actor is None or not actor.alive:
-            stats.dead_letter += 1
-            return
-        stats.delivered += 1
-        stats.delivered_by_type["Envelope"] += 1
-        actor.on_enveloped(level, scope, inner, src)
-
-    def _deliver_enveloped_colocated(self, src: str, dst: str, level: str,
-                                     scope: str, inner: Any) -> None:
-        stats = self.stats
-        actor = self._actors.get(dst)
-        if actor is None or not actor.alive:
-            stats.dead_letter += 1
-            return
-        stats.delivered += 1
-        stats.delivered_by_type["Envelope"] += 1
-        actor.on_enveloped(level, scope, inner, src)
 
     def _deliver_colocated(self, src: str, dst: str, message: Any) -> None:
         stats = self.stats

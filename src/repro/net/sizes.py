@@ -129,6 +129,11 @@ def size_memo() -> Any:
                              compare=False, metadata={_MEMO_KEY: True})
 
 
+def is_size_memo(field: dataclasses.Field) -> bool:
+    """True for a :func:`size_memo` slot: a cache, never state."""
+    return bool(field.metadata.get(_MEMO_KEY))
+
+
 def frozen_dataclass(cls: type) -> type:
     """``dataclass(frozen=True, slots=True)`` with a compiled constructor:
     the decorator of every immutable wire object (messages, log entries,
@@ -206,7 +211,7 @@ def _class_info(cls: type) -> tuple[tuple[str, ...], bool]:
     info = _CLASS_INFO.get(cls)
     if info is None:
         fields = dataclasses.fields(cls)
-        memos = [f.name for f in fields if f.metadata.get(_MEMO_KEY)]
+        memos = [f.name for f in fields if is_size_memo(f)]
         if memos and not cls.__dataclass_params__.frozen:
             raise TypeError(
                 f"{cls.__qualname__} declares memo slot(s) "

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.consensus.entry import EntryKind
-from repro.consensus.messages import JoinRequest
+from repro.consensus.messages import Envelope, JoinRequest
 from repro.craft import build_craft_deployment
 from repro.craft.batching import BatchPolicy
 from repro.net.latency import RegionLatencyModel
@@ -230,17 +230,18 @@ class TestLocalLeaderFailover:
             .configuration.members
         sender = members[0]
         forwarded = []
-        send_enveloped = dep.network.send_enveloped
+        send = dep.network.send
 
-        def record(src, dst, level, scope, inner):
-            if src == victim and level == "global":
-                forwarded.append((dst, inner))
-            send_enveloped(src, dst, level, scope, inner)
+        def record(src, dst, message):
+            if (src == victim and type(message) is Envelope
+                    and message.level == "global"):
+                forwarded.append((dst, message.inner))
+            send(src, dst, message)
 
-        dep.network.send_enveloped = record
+        dep.network.send = record
         request = JoinRequest(site=sender)
-        dep.network.send_enveloped(sender, victim, "global", "global",
-                                   request)
+        dep.network.send(sender, victim, Envelope("global", "global",
+                                                  request))
         dep.run_for(0.05)
         assert forwarded
         assert sorted(forwarded) == sorted(

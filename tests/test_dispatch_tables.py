@@ -74,10 +74,8 @@ def test_flat_tables_hold_only_known_messages():
 
 def test_exempt_messages_have_a_server_side_route():
     """The engine exemptions are justified: the server layer actually
-    handles Envelope (both the wrapped and the enveloped fast path),
-    and ClientReply is a client-side type."""
+    handles Envelope, and ClientReply is a client-side type."""
     assert callable(CRaftServer.on_message)
-    assert callable(CRaftServer.on_enveloped)
     assert "ClientReply" in message_types()
     # PendingClient never travels: nothing to route.
     assert "PendingClient" in NON_ENGINE_MESSAGES

@@ -22,11 +22,13 @@ Four guarantees are pinned here:
    (leader stability, commit progress) ride the same targets.
 """
 
+import ast
 import dataclasses
 import enum
 import gc
 import hashlib
 import json
+import pathlib
 import types
 
 import pytest
@@ -49,6 +51,7 @@ from repro.mc.probes import (
     RecoveredRejoinProbe,
     make_probe,
 )
+from repro.mc.state import _canon
 from repro.scenarios.mc import (
     McTarget,
     get_mc_target,
@@ -205,6 +208,50 @@ def test_fingerprint_sees_what_a_pending_repropose_carries():
     assert labels[0] == labels[1]
     assert len(labels[0]) == len(branch_set(world)) + 1
     assert fingerprint(forks[0]) != fingerprint(forks[1])
+
+
+def test_projection_skips_every_size_memo_slot():
+    """Memo slots are caches, not state: an entry that was measured and
+    restamped (its ``_est_size`` and ``_stamp_memo`` filled) projects
+    exactly as its fresh twin."""
+    def fresh():
+        return LogEntry(entry_id="n0:r1", kind=EntryKind.DATA,
+                        payload={"k": 1}, origin="n0", term=1,
+                        inserted_by=InsertedBy.SELF)
+    used = fresh()
+    used.with_mark(2, InsertedBy.LEADER)
+    assert used._est_size is not None and used._stamp_memo is not None
+    assert _canon(used) == _canon(fresh())
+
+
+#: Where scheduled work is handed over: the loop, the timers and the
+#: C-Raft gates.
+SCHEDULING_SINKS = {"call_later", "call_soon", "call_at", "RestartableTimer",
+                    "PeriodicTimer", "_gate_insert", "insert_gate",
+                    "snapshot_gate", "CRaftGlobalEngine"}
+
+
+def test_no_lambda_is_scheduled():
+    """Scheduled work is a bound method plus its arguments (or a
+    ``functools.partial`` of one), so ``fork_world`` is a plain deepcopy
+    and the fingerprint sees what each pending event carries. A lambda
+    handed to a scheduling sink anywhere under ``src/`` fails here, even
+    where no mc target reaches it."""
+    root = pathlib.Path(__file__).resolve().parents[1] / "src"
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            args = [*node.args, *(k.value for k in node.keywords)]
+            if name in SCHEDULING_SINKS and any(
+                    isinstance(arg, ast.Lambda) for arg in args):
+                found.append(f"{path.relative_to(root)}:{node.lineno}: "
+                             f"lambda passed to {name}")
+    assert not found, "\n".join(
+        [*found, "scheduled work must be a bound method (plus arguments "
+                 "or functools.partial)"])
 
 
 def _reachable(root):

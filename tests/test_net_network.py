@@ -282,11 +282,6 @@ FAULTS = {
 }
 
 
-class EnvelopeSink(Sink):
-    def on_enveloped(self, level, scope, inner, sender):
-        self.on_message(Envelope(level, scope, inner), sender)
-
-
 class ReferenceFabric:
     """The documented semantics, nothing skipped: every remote send
     that is not blocked asks the loss model, then the latency model."""
@@ -368,7 +363,7 @@ def test_fabric_parity_matrix(latency_name, loss_name):
     registry = RngRegistry(11)
     trace = TraceRecorder()
     net = Network(loop, registry, real["latency"], real["loss"], trace)
-    actors = {name: EnvelopeSink(loop, name) for name in NODES}
+    actors = {name: Sink(loop, name) for name in NODES}
     for actor in actors.values():
         net.register(actor)
     fabric = ReferenceFabric(11, ref["latency"], ref["loss"])
@@ -391,10 +386,7 @@ def test_fabric_parity_matrix(latency_name, loss_name):
                     fabric.send(now, src, dst, message)
         elif kind == "enveloped":
             src, dst, level, scope, inner = args
-            if net.env_fast:
-                net.send_enveloped(src, dst, level, scope, inner)
-            else:
-                net.send(src, dst, Envelope(level, scope, inner))
+            net.send(src, dst, Envelope(level, scope, inner))
             fabric.send(now, src, dst, Envelope(level, scope, inner))
         elif kind == "partition":
             net.partition(*args)
@@ -434,6 +426,7 @@ def test_fabric_parity_matrix(latency_name, loss_name):
             for e in trace.events if e.category == "net.drop"] == fabric.drops
     # Every counter, bytes charged for blocked and dropped sends included.
     assert net.stats == fabric.stats
+    assert net.stats.by_type["Envelope"]
     assert net.stats.sent == (net.stats.delivered + net.stats.dropped
                               + net.stats.blocked + net.stats.dead_letter)
     # Both RNG streams were drawn from in the same order, equally often.

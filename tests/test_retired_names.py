@@ -87,6 +87,30 @@ RETIRED = [
         "the classic-track commit point is computed once, in BaseEngine "
         "-- an engine's _advance_leader_commit only acts on it",
         exclude=("src/repro/consensus/engine.py",)),
+    Retired(
+        "Scheduled work is data",
+        r"_deepcopy_dispatch",
+        ("src",),
+        "copy's dispatch table patched under src -- schedule bound "
+        "methods instead of closures"),
+    Retired(
+        "One C-Raft transport",
+        r"send_enveloped|_deliver_enveloped|env_fast|on_enveloped",
+        ("src/repro",),
+        "the wrapper-free envelope path is back -- C-Raft traffic crosses "
+        "Network.send as a real Envelope"),
+    Retired(
+        "One insert path",
+        r"_SYNC_GATE",
+        ("src/repro",),
+        "a fused synchronous insert is back -- Fast Raft inserts through "
+        "_gate_insert"),
+    Retired(
+        "One latency path",
+        r"_fixed_delay|_sample_flat",
+        ("src/repro",),
+        "a second latency path is back -- the fabric asks the model's "
+        "one sample method"),
 ]
 
 RETIRED_FILES = [
