@@ -413,19 +413,15 @@ class Envelope:
     level: str
     scope: str
     inner: Any
-    _wire_size: int | None = size_memo()
 
     def payload_size(self) -> int:
         """Routing tag plus the wrapped message's own wire size (so a
-        global snapshot chunk costs the same enveloped or bare).
-        Memoized like the inner message: global broadcasts re-send one
-        envelope to every cluster leader."""
-        cached = self._wire_size
-        if cached is None:
-            cached = (len(self.level) + len(self.scope) + SCALAR_SIZE
-                      + _payload_size(self.inner))
-            object.__setattr__(self, "_wire_size", cached)
-        return cached
+        global snapshot chunk costs the same enveloped or bare). Not
+        memoized: C-Raft builds one envelope per destination and the
+        network sizes each message once, so a memo would never be read;
+        the inner message keeps its own."""
+        return (len(self.level) + len(self.scope) + SCALAR_SIZE
+                + _payload_size(self.inner))
 
 
 #: Message types a non-member may send without being ignored.

@@ -216,9 +216,9 @@ def drive_serving_window(system, spec: ScenarioSpec) -> dict:
             return
         if idle:
             submit_one()
-        loop.call_at(loop.now() + arrivals.expovariate(rate), on_arrival)
+        loop.schedule(arrivals.expovariate(rate), on_arrival)
 
-    loop.call_at(loop.now() + arrivals.expovariate(rate), on_arrival)
+    loop.schedule(arrivals.expovariate(rate), on_arrival)
     ctx = RunContext(system, spec)
     arm_timed_events(ctx)
     system.run_for(params["warmup"])

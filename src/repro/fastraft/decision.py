@@ -125,7 +125,7 @@ class DecisionMixin:
         # Re-enter the loop on a fresh stack: for synchronous gates the
         # caller is still inside _run_decision and continues by itself;
         # for asynchronous (C-Raft) gates this wakes the loop back up.
-        self.ctx.loop.call_soon(self._run_decision)
+        self.ctx.loop.schedule(0.0, self._run_decision)
 
     def _after_decision(self, k: int) -> str:
         """Steps (c)-(e): update fastMatchIndex, try the fast commit.

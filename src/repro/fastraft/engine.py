@@ -197,8 +197,8 @@ class FastRaftEngine(ProposalMixin, DecisionMixin, ReplicationMixin,
             elif entry_id not in self._reclaims_scheduled:
                 self._reclaims_scheduled.add(entry_id)
                 delay = self.ctx.rng.uniform(0.0, jitter)
-                self.ctx.loop.call_later(delay, self._delayed_repropose,
-                                         entry)
+                self.ctx.loop.schedule(delay, self._delayed_repropose,
+                                       entry)
 
     def _delayed_repropose(self, entry: LogEntry) -> None:
         self._reclaims_scheduled.discard(entry.entry_id)

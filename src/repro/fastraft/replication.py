@@ -50,7 +50,7 @@ class ReplicationMixin:
             self._trace("classic_commit", index=best)
             self._advance_commit_index(best)
             self.possible_entries.drop_through(self.commit_index)
-            self.ctx.loop.call_soon(self._run_decision)
+            self.ctx.loop.schedule(0.0, self._run_decision)
 
     # ------------------------------------------------------------------
     # Member timeout (silent leaves, Section IV-D)

@@ -113,7 +113,7 @@ class RecoveredRejoinProbe(PathProbe):
 
         joining = set()
         for handle in world.loop.pending_handles():
-            args = handle._args
+            args = handle.args
             if len(args) != 3:
                 continue
             kind = type(args[2]).__name__

@@ -103,12 +103,12 @@ class EventInfo:
 
 def describe_handle(handle: Handle) -> EventInfo:
     """Classify a pending loop handle by inspecting its callback."""
-    callback = handle._callback
+    callback = handle.callback
     owner = getattr(callback, "__self__", None)
     method = getattr(callback, "__name__", "")
     if isinstance(owner, Network) and method in ("_deliver",
                                                  "_deliver_colocated"):
-        src, dst, message = handle._args
+        src, dst, message = handle.args
         kind = "message" if method == "_deliver" else "local"
         return EventInfo(handle.when, handle.seq, kind, dst,
                          f"{type(message).__name__} {src}->{dst}",
@@ -251,8 +251,8 @@ def capture_state(world: World) -> dict:
         info = describe_handle(handle)
         # A delivery carries (src, dst, message); a timer's handle runs
         # the timer, whose callback carries the data.
-        args = (_unbind(handle._callback.__self__._callback)[1]
-                if info.kind == "timer" else handle._args)
+        args = (_unbind(handle.callback.__self__._callback)[1]
+                if info.kind == "timer" else handle.args)
         pending.append([info.kind, info.label, _canon(args)])
 
     network = world.network

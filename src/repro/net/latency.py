@@ -16,20 +16,13 @@ class LatencyModel:
     """Samples the one-way delay for a message from ``src`` to ``dst``."""
 
     #: When True the network computes each message's payload size and
-    #: calls :meth:`transfer_delay`; plain models skip that work.
+    #: calls the model's ``transfer_delay(rng, src, dst, size)`` (the
+    #: one-way delay of a message of ``size`` simulated bytes) instead
+    #: of :meth:`sample`; plain models skip that work.
     size_aware = False
 
     def sample(self, rng: random.Random, src: str, dst: str) -> float:
         raise NotImplementedError
-
-    def transfer_delay(self, rng: random.Random, src: str, dst: str,
-                       size: int) -> float:
-        """One-way delay for a message of ``size`` simulated bytes.
-
-        The default ignores size (pure propagation delay); decorators
-        like :class:`BandwidthLatencyModel` add serialization cost.
-        """
-        return self.sample(rng, src, dst)
 
 
 class ConstantLatency(LatencyModel):
@@ -97,14 +90,17 @@ class BandwidthLatencyModel(LatencyModel):
         self.base = base
         self.bandwidth = bandwidth
 
-    def serialization_delay(self, size: int) -> float:
-        """Wire time for ``size`` bytes (monotone non-decreasing)."""
-        return max(0, size) / self.bandwidth
-
     def transfer_delay(self, rng: random.Random, src: str, dst: str,
                        size: int) -> float:
-        return (self.base.transfer_delay(rng, src, dst, size)
-                + self.serialization_delay(size))
+        """The base's delay plus the wire time ``max(0, size) /
+        bandwidth`` (monotone non-decreasing in ``size``), in one frame
+        over a size-blind base."""
+        base = self.base
+        if base.size_aware:
+            delay = base.transfer_delay(rng, src, dst, size)
+        else:
+            delay = base.sample(rng, src, dst)
+        return delay + max(0, size) / self.bandwidth
 
     def __repr__(self) -> str:
         return (f"BandwidthLatencyModel({self.base!r}, "

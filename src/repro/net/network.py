@@ -37,7 +37,9 @@ class Network:
     message: a :class:`NoLoss` model is never consulted (it draws no
     randomness, so skipping the call is observably identical), and the
     partition/disconnect check collapses to one flag test while no fault
-    is installed. The flags are selected from what the fabric can
+    is installed. With one installed, the disconnected set is tested
+    inline and :meth:`_partitioned_apart` is called only while a
+    partition is up. The flags are selected from what the fabric can
     observe about its models and refresh whenever a model is swapped or
     a fault installed.
 
@@ -148,7 +150,8 @@ class Network:
         stats.sent += 1
         stats.by_type[type_name] += 1
         if src == dst:
-            self._loop.call_soon(self._deliver_colocated, src, dst, message)
+            self._loop.schedule(0.0, self._deliver_colocated, src, dst,
+                                message)
             return
         size_aware = self._size_aware
         if size_aware:
@@ -156,9 +159,13 @@ class Network:
             if size:
                 stats.bytes_sent += size
                 stats.bytes_by_type[type_name] += size
-        if self._faults_installed and self._is_blocked(src, dst):
-            stats.blocked += 1
-            return
+        if self._faults_installed:
+            disconnected = self._disconnected
+            if (src in disconnected or dst in disconnected
+                    or (self._partition_groups is not None
+                        and self._partitioned_apart(src, dst))):
+                stats.blocked += 1
+                return
         # NoLoss draws no randomness, so skipping its call is identical.
         if not self._no_loss and self._loss.should_drop(
                 self._loss_rng, src, dst, self._loop.now()):
@@ -172,7 +179,7 @@ class Network:
                                                  src, dst, size)
         else:
             delay = self._latency.sample(self._latency_rng, src, dst)
-        self._loop.call_later(delay, self._deliver, src, dst, message)
+        self._loop.schedule(delay, self._deliver, src, dst, message)
 
     def send_local(self, src: str, dst: str, message: Any) -> None:
         """Reliable same-instant delivery (co-located client <-> site).
@@ -183,7 +190,7 @@ class Network:
         stats = self.stats
         stats.sent += 1
         stats.by_type[message.__class__.__name__] += 1
-        self._loop.call_soon(self._deliver_colocated, src, dst, message)
+        self._loop.schedule(0.0, self._deliver_colocated, src, dst, message)
 
     def _deliver_colocated(self, src: str, dst: str, message: Any) -> None:
         stats = self.stats
@@ -198,26 +205,31 @@ class Network:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _is_blocked(self, src: str, dst: str) -> bool:
-        if src in self._disconnected or dst in self._disconnected:
-            return True
-        if self._partition_groups is not None:
-            src_group = self._partition_groups.get(src)
-            dst_group = self._partition_groups.get(dst)
-            if src_group is None or dst_group is None:
-                return True
-            if src_group != dst_group:
-                return True
-        return False
+    def _partitioned_apart(self, src: str, dst: str) -> bool:
+        """True when the installed partition separates the two sites
+        (a site in no group is cut off from everyone).
+
+        ``send`` and ``_deliver`` test the disconnected set inline, so
+        a run with a site silently away pays no call for it; this is
+        asked only while a partition is installed."""
+        groups = self._partition_groups
+        src_group = groups.get(src)
+        dst_group = groups.get(dst)
+        return (src_group is None or dst_group is None
+                or src_group != dst_group)
 
     def _deliver(self, src: str, dst: str, message: Any) -> None:
         # Re-check blockage at delivery time: a partition installed while
         # the message was in flight still cuts it off, matching how long
         # one-way WAN delays interact with sudden failures.
         stats = self.stats
-        if self._faults_installed and self._is_blocked(src, dst):
-            stats.blocked += 1
-            return
+        if self._faults_installed:
+            disconnected = self._disconnected
+            if (src in disconnected or dst in disconnected
+                    or (self._partition_groups is not None
+                        and self._partitioned_apart(src, dst))):
+                stats.blocked += 1
+                return
         actor = self._actors.get(dst)
         if actor is None or not actor.alive:
             stats.dead_letter += 1

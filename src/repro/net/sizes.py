@@ -4,8 +4,9 @@ The paper's latency model (and PR 1's) charged every message the same
 one-way delay, so a 10,000-entry snapshot "arrived" as fast as a
 heartbeat. Real links serialize bytes; to charge transfer cost the
 network needs a *size* for every message, in simulated bytes. A size
-feeds ``serialization_delay``, hence delivery order, hence everything
-downstream -- sizes are data the simulation depends on, not telemetry.
+feeds a size-aware latency model's wire time, hence delivery order,
+hence everything downstream -- sizes are data the simulation depends
+on, not telemetry.
 
 :func:`payload_size` looks the message's class up in a **sizer
 registry** and calls what it finds. The registry is filled lazily, the

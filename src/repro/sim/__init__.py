@@ -8,9 +8,11 @@ reproducible.
 Public surface:
 
 - :class:`~repro.sim.loop.SimLoop` -- the event loop (virtual clock +
-  scheduler).
-- :class:`~repro.sim.loop.Handle` -- cancellation handle for scheduled
-  callbacks.
+  scheduler). Every pending event is one bare heap entry;
+  ``schedule`` / ``cancel`` are the package's own way in.
+- :class:`~repro.sim.loop.Handle` -- the view of a scheduled entry that
+  the public ``call_later`` / ``call_at`` / ``call_soon`` return
+  (``cancel()``, ``when``, ``seq``, ``callback``, ``args``).
 - :class:`~repro.sim.rng.RngRegistry` -- named, independent random streams
   derived from one root seed.
 - :class:`~repro.sim.timers.PeriodicTimer`,

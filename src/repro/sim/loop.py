@@ -4,18 +4,32 @@ Time is a float in **seconds**. Events scheduled for the same instant run
 in scheduling order (a monotonically increasing sequence number breaks
 ties), which keeps runs deterministic regardless of scheduler internals.
 
-The scheduler is one binary heap of ``(when, seq, handle)`` tuples:
-``seq`` is unique, so comparisons stay in C and never reach the handle.
-Cancellation is O(1) cancel-and-forget -- the entry is skipped when
-popped -- and the heap is compacted in place once cancelled entries are
-more than half of it.
+The scheduler is one binary heap of pending events, each a plain list
+``[when, seq, callback, args]`` (an *entry*). ``seq`` is unique, so heap
+comparisons stay in C and never reach the callback. The callback slot
+is set to ``None`` when the entry fires or is cancelled: that one slot
+is the entry's whole state. Cancellation is O(1) cancel-and-forget --
+the entry is skipped when popped -- and the heap is compacted in place
+once cancelled entries are more than half of it.
+
+Two ways in:
+
+- :meth:`SimLoop.schedule` returns the bare entry and
+  :meth:`SimLoop.cancel` takes it back. Every hot scheduler inside the
+  package (network deliveries, timers, client retries, engine
+  continuations) uses this pair: one list per event, nothing else.
+- :meth:`SimLoop.call_later`, :meth:`~SimLoop.call_at` and
+  :meth:`~SimLoop.call_soon` are the public API. They return a
+  :class:`Handle`, a two-slot view of the entry with ``cancel()``,
+  ``when``, ``seq``, ``callback`` and ``args``; the model checker reads
+  pending events through the same view (:meth:`SimLoop.pending_handles`).
 """
 
 from __future__ import annotations
 
 import gc
-import heapq
 import itertools
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -25,40 +39,41 @@ MS = 1e-3
 
 
 class Handle:
-    """Cancellation handle returned by :meth:`SimLoop.call_later`.
-
-    Cancellation is lazy and O(1): the entry stays in the heap and is
-    skipped when popped; the loop counts such entries to compact the
-    heap when they dominate it.
+    """A view of one scheduled entry, returned by the public scheduling
+    calls (:meth:`SimLoop.call_later` and friends) and by
+    :meth:`SimLoop.pending_handles`: a new view per call, so compare
+    views by ``seq``. ``callback`` reads ``None`` once the event fired
+    or was cancelled.
     """
 
-    __slots__ = ("when", "_callback", "_args", "_cancelled", "seq",
-                 "_loop", "_in_heap")
+    __slots__ = ("_entry", "_loop")
 
-    def __init__(self, when: float, seq: int,
-                 callback: Callable[..., None], args: tuple,
-                 loop: "SimLoop") -> None:
-        self.when = when
-        self.seq = seq
-        self._callback = callback
-        self._args = args
-        self._cancelled = False
+    def __init__(self, entry: list, loop: "SimLoop") -> None:
+        self._entry = entry
         self._loop = loop
-        self._in_heap = True
+
+    @property
+    def when(self) -> float:
+        return self._entry[0]
+
+    @property
+    def seq(self) -> int:
+        return self._entry[1]
+
+    @property
+    def callback(self) -> Callable[..., None] | None:
+        return self._entry[2]
+
+    @property
+    def args(self) -> tuple:
+        return self._entry[3]
 
     def cancel(self) -> None:
         """Prevent the callback from running. Idempotent."""
-        if self._cancelled:
-            return
-        self._cancelled = True
-        # Drop references so cancelled work can be collected early.
-        self._callback = None
-        self._args = ()
-        if self._in_heap:
-            self._loop._note_cancelled()
+        self._loop.cancel(self._entry)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self._cancelled else "pending"
+        state = "done" if self._entry[2] is None else "pending"
         return f"<Handle when={self.when:.6f} seq={self.seq} {state}>"
 
 
@@ -81,8 +96,9 @@ class SimLoop:
         self._seq = itertools.count()
         self._events_processed = 0
         self._running = False
-        self._heap: list = []
-        self._cancelled_in_heap = 0
+        self._heap: list[list] = []
+        #: Cancelled entries still stored in the heap.
+        self._dead = 0
 
     # ------------------------------------------------------------------
     # Clock
@@ -99,39 +115,63 @@ class SimLoop:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    # Scheduling runs once per simulated event (often twice), so
-    # call_later and call_soon repeat call_at's body instead of calling
-    # it: no extra frame, no redundant past-check.
+    def schedule(self, delay: float, callback: Callable[..., None],
+                 *args: Any) -> list:
+        """Schedule ``callback(*args)`` ``delay`` seconds from now and
+        return its bare entry (for :meth:`cancel`). ``delay`` 0 queues
+        it behind everything already due at the current instant."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past: {delay!r}")
+        entry = [self._now + delay, next(self._seq), callback, args]
+        heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, entry: list) -> None:
+        """Cancel a scheduled entry. A no-op once it fired or was
+        cancelled.
+
+        Compaction rewrites the heap *in place* (slice assignment) so
+        the alias a running :meth:`_run` holds stays valid.
+        """
+        if entry[2] is None:
+            return
+        # Drop references so cancelled work can be collected early.
+        entry[2] = None
+        entry[3] = ()
+        self._dead += 1
+        heap = self._heap
+        if len(heap) >= self._COMPACT_MIN and self._dead * 2 > len(heap):
+            heap[:] = [item for item in heap if item[2] is not None]
+            heapify(heap)
+            self._dead = 0
+
+    # The public calls repeat schedule()'s body instead of calling it:
+    # no extra frame, no repacked arguments.
     def call_at(self, when: float, callback: Callable[..., None],
                 *args: Any) -> Handle:
         """Schedule ``callback(*args)`` to run at absolute time ``when``."""
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule at {when!r}, now is {self._now!r}")
-        seq = next(self._seq)
-        handle = Handle(when, seq, callback, args, self)
-        heapq.heappush(self._heap, (when, seq, handle))
-        return handle
+        entry = [when, next(self._seq), callback, args]
+        heappush(self._heap, entry)
+        return Handle(entry, self)
 
     def call_later(self, delay: float, callback: Callable[..., None],
                    *args: Any) -> Handle:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: {delay!r}")
-        when = self._now + delay
-        seq = next(self._seq)
-        handle = Handle(when, seq, callback, args, self)
-        heapq.heappush(self._heap, (when, seq, handle))
-        return handle
+        entry = [self._now + delay, next(self._seq), callback, args]
+        heappush(self._heap, entry)
+        return Handle(entry, self)
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> Handle:
         """Schedule ``callback(*args)`` at the current instant, behind
         everything already queued for it."""
-        when = self._now
-        seq = next(self._seq)
-        handle = Handle(when, seq, callback, args, self)
-        heapq.heappush(self._heap, (when, seq, handle))
-        return handle
+        entry = [self._now, next(self._seq), callback, args]
+        heappush(self._heap, entry)
+        return Handle(entry, self)
 
     # ------------------------------------------------------------------
     # Running
@@ -168,30 +208,30 @@ class SimLoop:
         if self._running:
             raise SimulationError("loop is already running (re-entrant run)")
         self._running = True
-        # Events allocate many short-lived objects (messages, tuples,
-        # handles) that reference counting reclaims promptly, so the
-        # cycle collector's scans during a run are pure overhead. Pause
-        # it; cycles made inside are found once it is back on.
+        # Events allocate many short-lived objects (messages, entries)
+        # that reference counting reclaims promptly, so the cycle
+        # collector's scans during a run are pure overhead. Pause it;
+        # cycles made inside are found once it is back on.
         paused = gc.isenabled()
         if paused:
             gc.disable()
         heap = self._heap
-        heappop = heapq.heappop
         fired = 0
         try:
             while heap and heap[0][0] <= deadline:
-                when, _seq, handle = heappop(heap)
-                handle._in_heap = False
-                if handle._cancelled:
-                    self._cancelled_in_heap -= 1
+                entry = heappop(heap)
+                callback = entry[2]
+                if callback is None:
+                    self._dead -= 1
                     continue
-                self._now = when
+                entry[2] = None  # fired: a later cancel() is a no-op
+                self._now = entry[0]
                 self._events_processed += 1
                 fired += 1
                 if max_events is not None and fired > max_events:
                     raise SimulationError(
                         f"run_until_idle exceeded {max_events} events")
-                handle._callback(*handle._args)
+                callback(*entry[3])
         finally:
             self._running = False
             if paused:
@@ -202,14 +242,14 @@ class SimLoop:
     # Model-checking hooks: enumerate and fire events out of order
     # ------------------------------------------------------------------
     def pending_handles(self) -> list[Handle]:
-        """Every scheduled, non-cancelled handle in ``(when, seq)`` order.
+        """A view of every pending entry, in ``(when, seq)`` order.
 
         O(pending log pending). This is the model checker's *branch set*:
         the explorer enumerates it, forks the world, and fires one handle
         per child via :meth:`fire_handle`.
         """
-        return [item[2] for item in sorted(self._heap)
-                if not item[2]._cancelled]
+        return [Handle(entry, self) for entry in sorted(self._heap)
+                if entry[2] is not None]
 
     def fire_handle(self, handle: Handle) -> None:
         """Run one pending handle now, possibly out of time order.
@@ -227,32 +267,16 @@ class SimLoop:
         """
         if self._running:
             raise SimulationError("cannot fire_handle while the loop runs")
-        if handle._cancelled or not handle._in_heap:
+        entry = handle._entry
+        callback, args = entry[2], entry[3]
+        if callback is None:
             raise SimulationError(f"handle is not pending: {handle!r}")
-        callback, args = handle._callback, handle._args
-        handle.cancel()  # retires the stored entry; drops its refs
-        if handle.when > self._now:
-            self._now = handle.when
+        self.cancel(entry)  # retires the stored entry; drops its refs
+        if entry[0] > self._now:
+            self._now = entry[0]
         self._events_processed += 1
         callback(*args)
 
-    # ------------------------------------------------------------------
-    # Cancellation bookkeeping
-    # ------------------------------------------------------------------
-    def _note_cancelled(self) -> None:
-        """A handle still stored was cancelled; maybe compact.
-
-        Compaction rewrites the heap *in place* (slice assignment) so
-        the alias a running :meth:`_run` holds stays valid.
-        """
-        self._cancelled_in_heap += 1
-        heap = self._heap
-        if (len(heap) >= self._COMPACT_MIN
-                and self._cancelled_in_heap * 2 > len(heap)):
-            heap[:] = [item for item in heap if not item[2]._cancelled]
-            heapq.heapify(heap)
-            self._cancelled_in_heap = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<SimLoop now={self._now:.6f} "
-                f"pending={len(self._heap) - self._cancelled_in_heap}>")
+                f"pending={len(self._heap) - self._dead}>")

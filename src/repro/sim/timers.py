@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.sim.loop import Handle, SimLoop
+from repro.sim.loop import SimLoop
 
 
 class PeriodicTimer:
@@ -28,29 +28,30 @@ class PeriodicTimer:
         self._loop = loop
         self._interval = interval
         self._callback = callback
-        self._handle: Handle | None = None
+        #: The pending firing's loop entry, or None while stopped.
+        self._entry: list | None = None
 
     @property
     def running(self) -> bool:
-        # stop() clears the handle and _fire() re-arms before calling
-        # back, so a held handle is always the pending firing.
-        return self._handle is not None
+        # stop() clears the entry and _fire() re-arms before calling
+        # back, so a held entry is always the pending firing.
+        return self._entry is not None
 
     def start(self) -> None:
         """Arm the timer. No-op if already running."""
         if self.running:
             return
-        self._handle = self._loop.call_later(self._interval, self._fire)
+        self._entry = self._loop.schedule(self._interval, self._fire)
 
     def stop(self) -> None:
         """Disarm the timer. Idempotent."""
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
+        if self._entry is not None:
+            self._loop.cancel(self._entry)
+            self._entry = None
 
     def _fire(self) -> None:
         # Re-arm before invoking so the callback can stop() the timer.
-        self._handle = self._loop.call_later(self._interval, self._fire)
+        self._entry = self._loop.schedule(self._interval, self._fire)
         self._callback()
 
 
@@ -64,21 +65,26 @@ class RestartableTimer:
     def __init__(self, loop: SimLoop, callback: Callable[[], None]) -> None:
         self._loop = loop
         self._callback = callback
-        self._handle: Handle | None = None
+        #: The pending firing's loop entry, or None while disarmed.
+        self._entry: list | None = None
 
     def reset(self, delay: float) -> None:
         """(Re-)arm the timer to fire ``delay`` seconds from now."""
-        self.cancel()
-        self._handle = self._loop.call_later(delay, self._fire)
+        # cancel()'s body inline: election timers re-arm about once per
+        # request, up to 16 times per request on C-Raft meshes.
+        loop = self._loop
+        if self._entry is not None:
+            loop.cancel(self._entry)
+        self._entry = loop.schedule(delay, self._fire)
 
     def cancel(self) -> None:
         """Disarm without firing. Idempotent."""
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
+        if self._entry is not None:
+            self._loop.cancel(self._entry)
+            self._entry = None
 
     def _fire(self) -> None:
-        self._handle = None
+        self._entry = None
         self._callback()
 
 
@@ -91,4 +97,7 @@ def randomized_timeout(rng: random.Random, low: float, high: float) -> float:
     """
     if not 0 < low <= high:
         raise ValueError(f"invalid timeout range [{low!r}, {high!r})")
-    return rng.uniform(low, high)
+    # random.Random.uniform's body, without its frame: the same one
+    # draw, the same float (tests/test_sim_timers.py holds the two
+    # together on twin generators).
+    return low + (high - low) * rng.random()

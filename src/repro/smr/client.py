@@ -19,7 +19,7 @@ from repro.consensus.messages import (ClientReply, ClientRequest, ReadReply,
                                       ReadRequest)
 from repro.net.network import Network
 from repro.sim.actor import Actor
-from repro.sim.loop import Handle, SimLoop
+from repro.sim.loop import SimLoop
 
 
 @dataclass
@@ -73,8 +73,8 @@ class Client(Actor):
         self._sequence = 0
         self._read_sequence = 0
         self._pending: dict[str, RequestRecord] = {}
-        #: request id -> the pending proposal-timeout event.
-        self._timers: dict[str, Handle] = {}
+        #: request id -> the pending proposal-timeout's loop entry.
+        self._timers: dict[str, list] = {}
         #: Completed requests in completion order.
         self.completed: list[RequestRecord] = []
         #: Requests abandoned after ``max_attempts`` retries.
@@ -119,7 +119,7 @@ class Client(Actor):
             record.callbacks.append(on_done)
         self._pending[request_id] = record
         self._send_request(record)
-        self._timers[request_id] = self.loop.call_later(
+        self._timers[request_id] = self.loop.schedule(
             self._proposal_timeout, self._on_timeout, request_id)
         return record
 
@@ -145,7 +145,7 @@ class Client(Actor):
             return
         record.attempts += 1
         self._send_request(record)
-        self._timers[request_id] = self.loop.call_later(
+        self._timers[request_id] = self.loop.schedule(
             self._proposal_timeout, self._on_timeout, request_id)
 
     # ------------------------------------------------------------------
@@ -166,7 +166,7 @@ class Client(Actor):
             return  # duplicate reply after completion
         timer = self._timers.pop(request_id, None)
         if timer is not None:
-            timer.cancel()
+            self.loop.cancel(timer)
         record.committed_at = self.now()
         record.commit_index = index
         record.result = result

@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.net.latency import (
+    BandwidthLatencyModel,
     ConstantLatency,
     RegionLatencyModel,
     UniformLatency,
@@ -173,4 +174,33 @@ class TestFlatSamplerEquivalence:
             assert (model.sample(rng_model, "a", "b")
                     == rng_reference.uniform(model.low, model.high))
         assert rng_model.draws == rng_reference.draws == n_messages
+        assert rng_model.getstate() == rng_reference.getstate()
+
+
+@given(low=st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
+       span=st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
+       bandwidth=st.floats(min_value=1e3, max_value=1e9, allow_nan=False),
+       sizes=st.lists(st.integers(min_value=-10, max_value=10**7),
+                      min_size=1, max_size=100),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(deadline=None, max_examples=60)
+def test_bandwidth_delay_is_base_delay_plus_wire_time(
+        low, span, bandwidth, sizes, seed):
+    """``transfer_delay`` is the base's delay plus ``max(0, size) /
+    bandwidth``, added in that order, from the base's own draws: over a
+    size-blind base (asked for ``sample``) and over a size-aware one
+    (asked for its ``transfer_delay``)."""
+    base = UniformLatency(low, low + span)
+    model = BandwidthLatencyModel(base, bandwidth)
+    nested = BandwidthLatencyModel(model, bandwidth * 2)
+    for wrapper in (model, nested):
+        rng_reference = _CountingRandom(seed)
+        rng_model = _CountingRandom(seed)
+        for size in sizes:
+            reference = (base.sample(rng_reference, "a", "b")
+                         + max(0, size) / bandwidth)
+            if wrapper is nested:
+                reference = reference + max(0, size) / (bandwidth * 2)
+            assert wrapper.transfer_delay(rng_model, "a", "b", size) \
+                == reference
         assert rng_model.getstate() == rng_reference.getstate()

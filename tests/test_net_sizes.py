@@ -1,7 +1,7 @@
 """Sizer and estimator equivalence battery.
 
-A message's size feeds ``serialization_delay``, hence delivery order,
-hence everything a size-aware run produces, and an entry's size is what
+A message's size feeds a size-aware model's wire time, hence delivery
+order, hence everything a size-aware run produces, and an entry's size is what
 a durable write is charged -- so every sizer and every estimator in the
 :mod:`repro.net.sizes` registries must agree, bit for bit, with the
 reference: the generic structural walk (``walk_estimate``) for

@@ -274,7 +274,7 @@ class TestDeclarativeJoinReplaces:
     def _pending_join_requests(self, cluster):
         requests = []
         for handle in cluster.loop.pending_handles():
-            args = handle._args
+            args = handle.args
             if len(args) == 3 and isinstance(args[2], JoinRequest):
                 requests.append(args[2])
         return requests

@@ -111,6 +111,13 @@ RETIRED = [
         ("src/repro",),
         "a second latency path is back -- the fabric asks the model's "
         "one sample method"),
+    Retired(
+        "One event shape",
+        r"_in_heap|_cancelled",
+        ("src/repro/sim",),
+        "per-event state beside the heap entry is back -- a pending event "
+        "is one list [when, seq, callback, args] whose callback slot reads "
+        "None once it fired or was cancelled"),
 ]
 
 RETIRED_FILES = [

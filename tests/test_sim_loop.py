@@ -5,12 +5,12 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.loop import MS, SimLoop
+from repro.sim.loop import MS, Handle, SimLoop
 
 
 def pending_count(loop: SimLoop) -> int:
     """Scheduled, non-cancelled callbacks left in the loop's heap."""
-    return len(loop._heap) - loop._cancelled_in_heap
+    return len(loop._heap) - loop._dead
 
 
 def test_time_starts_at_zero():
@@ -374,36 +374,71 @@ def test_same_instant_bursts_keep_scheduling_order(seed):
 # ----------------------------------------------------------------------
 # Random schedule/cancel/run traces against a list-scan oracle
 # ----------------------------------------------------------------------
+# An event is scheduled either through the primitive (``schedule``,
+# cancelled with ``loop.cancel(entry)``) or through the public API
+# (``call_later``, cancelled with ``Handle.cancel()``). A *sweep* event
+# cancels, when it fires, two in three events scheduled so far -- pending
+# ones (mid-run cancels, compaction inside a callback) and fired ones
+# (cancel-after-fire, a no-op) alike.
+
+
 class Recorder:
     """Drives one SimLoop through a scripted trace, logging every fire."""
 
     def __init__(self, loop: SimLoop) -> None:
         self.loop = loop
         self.history: list[tuple] = []
-        self.handles: list = []
+        self.events: list = []          # entries and handles, in order
+        self.by_token: dict[int, int] = {}
+        self.last_fired: int | None = None
+        self.mid_run_compactions = 0
 
-    def fire(self, token: int, rearm_delay: float | None) -> None:
+    def schedule(self, delay: float, token: int, rearm: float | None,
+                 primitive: bool, sweep: bool) -> None:
+        self.by_token[token] = len(self.events)
+        if primitive:
+            event = self.loop.schedule(delay, self.fire, token, rearm, sweep)
+        else:
+            event = self.loop.call_later(delay, self.fire, token, rearm,
+                                         sweep)
+        self.events.append(event)
+
+    def cancel(self, index: int) -> None:
+        event = self.events[index]
+        if isinstance(event, list):
+            self.loop.cancel(event)
+        else:
+            event.cancel()
+
+    def fire(self, token: int, rearm: float | None, sweep: bool) -> None:
         self.history.append(("fire", token, round(self.loop.now(), 9)))
-        if rearm_delay is not None:
+        self.last_fired = self.by_token[token]
+        if sweep:
+            before = len(self.loop._heap)
+            for index in range(len(self.events)):
+                if index % 3 != token % 3:
+                    self.cancel(index)
+            if len(self.loop._heap) < before:
+                self.mid_run_compactions += 1
+        if rearm is not None:
             # Mid-run scheduling: the rearmed event must order exactly
             # as the oracle orders it too.
-            self.handles.append(self.loop.call_later(
-                rearm_delay, self.fire, token + 1000, None))
+            self.schedule(rearm, token + 100_000, None, token % 2 == 0,
+                          False)
 
     def apply(self, op: tuple) -> None:
         kind = op[0]
         loop = self.loop
         if kind == "schedule":
-            _, delay, token, rearm = op
-            self.handles.append(loop.call_later(delay, self.fire,
-                                                token, rearm))
+            self.schedule(*op[1:])
         elif kind == "cancel":
-            _, index = op
-            if self.handles:
-                self.handles[index % len(self.handles)].cancel()
+            if self.events:
+                self.cancel(op[1] % len(self.events))
+        elif kind == "cancel_fired":
+            if self.last_fired is not None:
+                self.cancel(self.last_fired)
         elif kind == "run":
-            _, duration = op
-            loop.run_for(duration)
+            loop.run_for(op[1])
             self.history.append(("clock", round(loop.now(), 9),
                                  loop.events_processed))
         elif kind == "idle":
@@ -421,16 +456,23 @@ class Oracle:
         self.now = 0.0
         self.fired = 0
         self.seq = 0
-        self.live: list[list] = []      # [when, seq, token, rearm]
-        self.handles: list[list] = []   # every entry, in scheduling order
+        self.live: list[list] = []      # [when, seq, token, rearm, sweep]
+        self.events: list[list] = []    # every entry, in scheduling order
+        self.by_token: dict[int, int] = {}
+        self.last_fired: int | None = None
         self.history: list[tuple] = []
 
-    def schedule(self, delay: float, token: int,
-                 rearm: float | None) -> None:
-        entry = [self.now + delay, self.seq, token, rearm]
+    def schedule(self, delay: float, token: int, rearm: float | None,
+                 primitive: bool, sweep: bool) -> None:
+        entry = [self.now + delay, self.seq, token, rearm, sweep]
         self.seq += 1
+        self.by_token[token] = len(self.events)
         self.live.append(entry)
-        self.handles.append(entry)
+        self.events.append(entry)
+
+    def cancel(self, index: int) -> None:
+        victim = self.events[index]
+        self.live = [e for e in self.live if e is not victim]
 
     def run(self, deadline: float) -> int:
         fired = 0
@@ -442,9 +484,16 @@ class Oracle:
             self.now = entry[0]
             self.fired += 1
             fired += 1
-            self.history.append(("fire", entry[2], round(self.now, 9)))
-            if entry[3] is not None:
-                self.schedule(entry[3], entry[2] + 1000, None)
+            when, _seq, token, rearm, sweep = entry
+            self.history.append(("fire", token, round(self.now, 9)))
+            self.last_fired = self.by_token[token]
+            if sweep:
+                for index in range(len(self.events)):
+                    if index % 3 != token % 3:
+                        self.cancel(index)
+            if rearm is not None:
+                self.schedule(rearm, token + 100_000, None,
+                              token % 2 == 0, False)
         return fired
 
     def apply(self, op: tuple) -> None:
@@ -452,9 +501,11 @@ class Oracle:
         if kind == "schedule":
             self.schedule(*op[1:])
         elif kind == "cancel":
-            if self.handles:
-                victim = self.handles[op[1] % len(self.handles)]
-                self.live = [e for e in self.live if e is not victim]
+            if self.events:
+                self.cancel(op[1] % len(self.events))
+        elif kind == "cancel_fired":
+            if self.last_fired is not None:
+                self.cancel(self.last_fired)
         elif kind == "run":
             deadline = self.now + op[1]
             self.run(deadline)
@@ -469,9 +520,15 @@ class Oracle:
 def random_trace(rng: random.Random, length: int) -> list[tuple]:
     """A random op sequence biased toward the consensus-load shape:
     lots of short timers, frequent cancels, occasional far-future
-    events, and the odd full drain."""
+    events, and the odd full drain. It opens with a burst of far-future
+    events, so a sweep that fires early finds a heap large enough to
+    compact from inside the run."""
     ops: list[tuple] = []
     token = 0
+    for _ in range(80):
+        ops.append(("schedule", rng.uniform(5.0, 60.0), token, None,
+                    rng.random() < 0.5, False))
+        token += 1
     for _ in range(length):
         roll = rng.random()
         if roll < 0.55:
@@ -482,10 +539,13 @@ def random_trace(rng: random.Random, length: int) -> list[tuple]:
             if rng.random() < 0.1:
                 delay = round(delay, 2)             # exact 10 ms edges
             rearm = rng.uniform(0.0, 0.5) if rng.random() < 0.2 else None
-            ops.append(("schedule", delay, token, rearm))
+            ops.append(("schedule", delay, token, rearm,
+                        rng.random() < 0.5, rng.random() < 0.05))
             token += 1
-        elif roll < 0.80:
+        elif roll < 0.75:
             ops.append(("cancel", rng.randrange(0, 10_000)))
+        elif roll < 0.80:
+            ops.append(("cancel_fired",))
         elif roll < 0.97:
             ops.append(("run", rng.uniform(0.0, 2.5)))
         else:
@@ -494,14 +554,46 @@ def random_trace(rng: random.Random, length: int) -> list[tuple]:
     return ops
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_random_traces_fire_identically(seed):
+def replay(seed: int) -> tuple[Recorder, Oracle]:
     trace = random_trace(random.Random(seed), length=120)
-    loop = Recorder(SimLoop())
+    recorder = Recorder(SimLoop())
     oracle = Oracle()
     for op in trace:
-        loop.apply(op)
+        recorder.apply(op)
         oracle.apply(op)
-    assert loop.history == oracle.history
-    assert pending_count(loop.loop) == len(oracle.live)
-    assert loop.loop.events_processed == oracle.fired
+    return recorder, oracle
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_random_traces_fire_identically(seed):
+    recorder, oracle = replay(seed)
+    assert recorder.history == oracle.history
+    assert pending_count(recorder.loop) == len(oracle.live)
+    assert recorder.loop.events_processed == oracle.fired
+
+
+def test_random_traces_mix_every_case():
+    """The traces above reach each case they are meant to hold to the
+    oracle: both kinds of event and of cancel, cancels of fired events,
+    and compaction from inside a running callback."""
+    primitive = handles = fired_cancels = compactions = 0
+    for seed in range(25):
+        recorder, _ = replay(seed)
+        primitive += sum(isinstance(e, list) for e in recorder.events)
+        handles += sum(isinstance(e, Handle) for e in recorder.events)
+        fired_cancels += sum(op == ("cancel_fired",) for op in
+                             random_trace(random.Random(seed), length=120))
+        compactions += recorder.mid_run_compactions
+    assert primitive and handles and fired_cancels and compactions
+
+
+def test_handle_is_a_view_of_its_entry():
+    loop = SimLoop()
+    handle = loop.call_later(0.25, print, "x")
+    (pending,) = loop.pending_handles()
+    assert pending.seq == handle.seq and pending is not handle
+    assert (handle.when, handle.seq, handle.callback, handle.args) \
+        == (0.25, 0, print, ("x",))
+    handle.cancel()
+    assert handle.callback is None and handle.args == ()
+    assert loop.pending_handles() == []

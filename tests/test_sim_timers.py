@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.loop import SimLoop
 from repro.sim.timers import (
@@ -134,6 +136,22 @@ class TestRandomizedTimeout:
         values = {round(randomized_timeout(rng, 0.3, 0.6), 3)
                   for _ in range(50)}
         assert len(values) > 40  # genuinely randomized
+
+    @given(low=st.floats(min_value=1e-6, max_value=2.0, allow_nan=False),
+           span=st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           draws=st.integers(min_value=1, max_value=100))
+    @settings(deadline=None, max_examples=60)
+    def test_is_rng_uniform(self, low, span, seed, draws):
+        """``randomized_timeout`` spells out ``Random.uniform``'s body to
+        save its frame: the same float from the same single draw, and
+        the generator left in the same state."""
+        rng_reference = random.Random(seed)
+        rng_timer = random.Random(seed)
+        for _ in range(draws):
+            assert (randomized_timeout(rng_timer, low, low + span)
+                    == rng_reference.uniform(low, low + span))
+        assert rng_timer.getstate() == rng_reference.getstate()
 
     def test_invalid_range_rejected(self):
         rng = random.Random(0)
