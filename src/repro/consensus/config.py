@@ -1,12 +1,12 @@
 """Membership configurations and bulk-transfer tuning.
 
 A :class:`Configuration` is the set of voting members plus derived quorum
-sizes. Each site obeys the configuration of its governing CONFIG entry
-(``RaftLog.best_config_entry``): the one with the highest version, then
-the highest index. A leader-approved entry governs from the moment it
-is inserted, before it commits; a self-approved entry above the commit
-index is a tentative proposal and governs only once it is decided or
-committed. Only one site may join or leave per configuration change.
+sizes. ``RaftLog.config_at(k, ...)`` names the one governing index k:
+of the CONFIG entries below k, the highest version, then the highest
+index. A leader-approved entry governs from the moment it is inserted,
+before it commits; a self-approved entry above the commit index is a
+tentative proposal and governs only once it is decided or committed.
+Only one site may join or leave per configuration change.
 
 A configuration may also carry **non-voting observers**: standing
 replicas that receive AppendEntries (and proposals) like any member but

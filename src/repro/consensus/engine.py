@@ -31,7 +31,7 @@ from typing import Any, Callable
 
 from repro.consensus.config import Configuration, TransferConfig
 from repro.consensus.entry import EntryKind, LogEntry
-from repro.consensus.log import RaftLog
+from repro.consensus.log import ConfigTriple, RaftLog
 from repro.consensus.messages import (
     AppendEntries,
     AppendEntriesResponse,
@@ -68,7 +68,7 @@ from repro.snapshot.chunking import (
     deserialize_snapshot,
     serialize_snapshot,
 )
-from repro.snapshot.types import governing_config
+from repro.snapshot.types import carried_config
 from repro.storage.stable import StableStore
 
 
@@ -259,7 +259,9 @@ class BaseEngine:
             # the image to the host before replaying the retained tail.
             self.commit_index = persisted.last_included_index
             ctx.on_snapshot_restore(persisted)
-        self._configuration = self._derive_configuration()
+        __, members, observers = self.log.config_at(
+            self.log.last_index + 1, self.commit_index, self._config_base())
+        self._configuration = Configuration(members, observers)
         # Extra senders whose consensus messages are accepted although they
         # are not configuration members (the leader's catch-up targets).
         self._extra_allowed: set[str] = set()
@@ -368,22 +370,16 @@ class BaseEngine:
         self.ctx.store.set("current_term", self.current_term)
         self.ctx.store.set("voted_for", self.voted_for)
 
-    def _derive_configuration(self) -> Configuration:
-        """Highest-versioned CONFIG entry wins; else the configuration the
-        snapshot carried (its CONFIG entries are compacted away); else the
-        bootstrap config (see ConfigPayload.version for why not simply
-        "last inserted").
-
-        Tentative entries are excluded (``decided_upto``): a CONFIG entry
-        governs once it is leader-approved or committed, not from its own
-        proposal broadcast -- see ``RaftLog.best_config_entry`` for the
-        2-voter split-brain this prevents."""
-        __, members, observers = governing_config(
-            self.snapshot_store.latest,
-            self.log.best_config_entry(decided_upto=self.commit_index))
-        if members is None:
-            return self._bootstrap_config
-        return Configuration(members, observers)
+    def _config_base(self) -> ConfigTriple:
+        """The base :meth:`RaftLog.config_at` weighs this log against:
+        the configuration the latest snapshot carries, else the bootstrap
+        one at version 0 (which any CONFIG entry outranks: the log wins
+        ties)."""
+        base = carried_config(self.snapshot_store.latest)
+        if base[1] is None:
+            boot = self._bootstrap_config
+            return 0, boot.members, boot.observers
+        return base
 
     def _max_known_config_version(self) -> int:
         """Highest configuration version in the log *or* swallowed by the
@@ -393,7 +389,11 @@ class BaseEngine:
         return max(self.log.max_config_version(), base)
 
     def _refresh_configuration(self) -> None:
-        new_config = self._derive_configuration()
+        """Adopt the configuration in force for the next index to
+        decide, when it differs from the adopted one."""
+        __, members, observers = self.log.config_at(
+            self.log.last_index + 1, self.commit_index, self._config_base())
+        new_config = Configuration(members, observers)
         if new_config != self._configuration:
             previous = self._configuration
             self._configuration = new_config
@@ -503,8 +503,9 @@ class BaseEngine:
         if not contacts:
             return
         self._recovering = True
-        probe = RecoveryProbe(site=self.name,
-                              config_version=self._governing_config_version(),
+        version = self.log.config_at(self.log.last_index + 1,
+                                     self.commit_index, self._config_base())[0]
+        probe = RecoveryProbe(site=self.name, config_version=version,
                               term=self.current_term)
         for contact in sorted(contacts):
             self._send(contact, probe)
@@ -512,22 +513,14 @@ class BaseEngine:
         self._trace("recovery.probe", contacts=sorted(contacts),
                     config_version=probe.config_version)
 
-    def _governing_config_version(self) -> int:
-        """Version of the configuration that currently governs (snapshot
-        base vs best decided CONFIG entry -- the same resolution as
-        :meth:`_derive_configuration`)."""
-        version, _, __ = governing_config(
-            self.snapshot_store.latest,
-            self.log.best_config_entry(decided_upto=self.commit_index))
-        return version or 0
-
     @handles(RecoveryProbe)
     def _handle_recovery_probe(self, msg: RecoveryProbe, sender: str) -> None:
         self._trace("recovery.probed", site=msg.site,
                     config_version=msg.config_version)
+        version = self.log.config_at(self.log.last_index + 1,
+                                     self.commit_index, self._config_base())[0]
         self._send(sender, RecoveryProbeReply(
-            term=self.current_term,
-            config_version=self._governing_config_version(),
+            term=self.current_term, config_version=version,
             members=self._configuration.members,
             leader_hint=self._leader_id,
             is_member=msg.site in self._configuration))
@@ -535,7 +528,8 @@ class BaseEngine:
     @handles(RecoveryProbeReply)
     def _handle_recovery_probe_reply(self, msg: RecoveryProbeReply,
                                      sender: str) -> None:
-        ours = self._governing_config_version()
+        ours = self.log.config_at(self.log.last_index + 1,
+                                  self.commit_index, self._config_base())[0]
         if not msg.is_member and msg.config_version > ours:
             # A strictly newer configuration excludes us: the restored
             # membership was stale. Acted on even after the probe timed
@@ -1051,9 +1045,11 @@ class BaseEngine:
         # one, which may come from an uncommitted CONFIG entry that a new
         # leader could still truncate (the snapshot copy would survive
         # that truncation and immortalize a never-committed membership).
-        version, members, observers = governing_config(
-            self.snapshot_store.latest,
-            self.log.best_config_entry(upto=self.commit_index))
+        # Its base is the previous snapshot's alone: with nothing to carry
+        # it carries nothing, and an installer keeps its own bootstrap.
+        version, members, observers = self.log.config_at(
+            self.commit_index + 1, self.commit_index,
+            carried_config(self.snapshot_store.latest))
         snapshot = Snapshot(
             last_included_index=self.commit_index,
             last_included_term=self.log.term_at(self.commit_index),

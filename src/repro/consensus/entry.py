@@ -118,12 +118,14 @@ class ConfigPayload:
     standing non-voting observers (see ``Configuration.observers``).
 
     ``version`` increases with every configuration entry a leader
-    creates, and sites adopt the highest version present in their log
-    rather than the paper's "last appended". The rules agree while
-    changes serialize strictly (the paper's assumption); versioning stays
-    correct when the degraded reconfiguration path (Section IV-F
-    liveness) has to run ahead of a stalled earlier change that could
-    still be decided afterwards.
+    creates, and ``RaftLog.config_at`` picks the highest version present
+    in the log rather than the paper's "last appended". The rules agree
+    while changes serialize strictly (the paper's assumption). They
+    differ when the degraded reconfiguration path (Section IV-F liveness)
+    runs ahead of a stalled earlier change that is decided afterwards:
+    the stalled, lower-version entry lands leader-approved at a higher
+    index than the newer one, which still governs (an ``@example`` of
+    ``TestIndexedLookupsMatchFullScans`` in ``tests/test_consensus_log.py``).
     """
 
     members: tuple[str, ...]

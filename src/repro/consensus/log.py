@@ -39,6 +39,10 @@ from typing import Iterator
 from repro.consensus.entry import EntryKind, InsertedBy, LogEntry
 from repro.errors import LogError
 
+#: ``(version, members, observers)`` of a configuration; ``(0, None, ())``
+#: when nothing establishes one (see :meth:`RaftLog.config_at`).
+ConfigTriple = tuple[int, tuple[str, ...] | None, tuple[str, ...]]
+
 
 class RaftLog:
     """Sparse 1-indexed log with provenance-aware slots."""
@@ -215,42 +219,38 @@ class RaftLog:
         """All ``(index, entry)`` pairs with the given provenance, ordered."""
         return [(i, e) for i, e in self if e.inserted_by is inserted_by]
 
-    def best_config_entry(self, upto: int | None = None,
-                          decided_upto: int | None = None
-                          ) -> tuple[int, LogEntry] | None:
-        """The governing CONFIG entry: highest version, then highest
-        index (see ConfigPayload.version). ``upto`` restricts the scan to
-        indices at or below it (e.g. the committed prefix).
+    def config_at(self, k: int, committed: int, base: ConfigTriple
+                  ) -> ConfigTriple:
+        """``(version, members, observers)`` of the configuration that
+        governs index ``k``: the one rule engines, snapshots and C-Raft
+        views share.
 
-        ``decided_upto`` (the caller's commit index) excludes *tentative*
-        CONFIG entries: self-approved ones above it. A proposed-but-
-        undecided configuration must not govern -- otherwise a 2-voter
-        leader proposing its dead peer's exclusion would activate the
-        shrunk config from its own proposal insert and decide the entry
-        as a 1-of-1 quorum, bypassing the degraded-reconfiguration guard
-        (split-brain under partition once the other side can elect via
-        the observer tiebreaker). Leader-approved entries govern from
-        insert, which is what the paper's Section IV-F degraded chain
-        relies on; committed ones govern regardless of provenance.
-
-        This runs per absorbed AppendEntries, so the scan covers only
-        the tracked CONFIG indices, not the whole log."""
-        best: tuple[int, LogEntry] | None = None
+        Of the CONFIG entries below ``k``, those at or below
+        ``committed`` or leader-approved count (the paper's Section IV-F
+        degraded chain relies on the latter governing from insert). A
+        tentative one, self-approved above ``committed``, does not: a
+        2-voter leader proposing its dead peer's exclusion would decide
+        it 1-of-1 under the shrunk config, bypassing the degraded-
+        reconfiguration guard. The highest version wins, then the highest
+        index (see ``ConfigPayload``). ``base`` is what lies below the
+        log (a snapshot's configuration, or the bootstrap one at version
+        0; ``(0, None, ())`` for neither): the log wins ties, and
+        ``base`` is returned when no entry counts. Only the tracked
+        CONFIG indices are scanned."""
+        best = None
         for index in sorted(self._config_indices):
-            entry = self._slots[index]
-            if upto is not None and index > upto:
+            if index >= k:
                 break  # iteration is index-ordered
-            if (decided_upto is not None and index > decided_upto
+            entry = self._slots[index]
+            if (index > committed
                     and entry.inserted_by is not InsertedBy.LEADER):
                 continue  # tentative proposal: not yet governing
-            if best is None:
-                best = (index, entry)
-                continue
-            best_key = (getattr(best[1].payload, "version", 0), best[0])
-            this_key = (getattr(entry.payload, "version", 0), index)
-            if this_key > best_key:
-                best = (index, entry)
-        return best
+            # ``>=``: of equal versions the later index wins.
+            if best is None or entry.payload.version >= best.version:
+                best = entry.payload
+        if best is None or best.version < base[0]:
+            return base
+        return best.version, best.members, best.observers
 
     def max_config_version(self) -> int:
         """Highest configuration version anywhere in the log (0 if none)."""

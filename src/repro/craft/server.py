@@ -71,7 +71,7 @@ from repro.sim.timers import PeriodicTimer, RestartableTimer
 from repro.sim.trace import TraceRecorder
 from repro.smr.frontend import ServingFrontend
 from repro.snapshot import CompactionPolicy, Snapshot, SnapshotImage, SnapshotStore
-from repro.snapshot.types import governing_config, newest
+from repro.snapshot.types import carried_config, newest
 from repro.storage.stable import StorageFabric
 
 
@@ -339,9 +339,10 @@ class CRaftServer(Actor):
         # capture does. (Found by the migrated-region scenario: a late
         # region's join was silently dropped at the retired seed once
         # every CONFIG entry fell below the prune point.)
-        _, members, __ = governing_config(
-            self._global_snapshot_base,
-            self.global_view.best_config_entry())
+        view = self.global_view
+        _, members, __ = view.config_at(
+            view.last_index + 1, view.last_index,
+            carried_config(self._global_snapshot_base))
         if not members:
             return
         for member in members:
@@ -700,10 +701,9 @@ class CRaftServer(Actor):
         index too, so the base is necessarily None in this branch.)"""
         if self.global_applied_index == 0:
             return self._global_snapshot_base
-        version, members, observers = governing_config(
-            self._global_snapshot_base,
-            self.global_view.best_config_entry(
-                upto=self.global_applied_index))
+        applied = self.global_applied_index
+        version, members, observers = self.global_view.config_at(
+            applied + 1, applied, carried_config(self._global_snapshot_base))
         image = self._capture_global_snapshot()
         return Snapshot(
             last_included_index=self.global_applied_index,

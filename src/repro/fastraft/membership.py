@@ -404,7 +404,7 @@ class MembershipMixin:
     def _begin_leader_stepdown(self, entry: LogEntry) -> None:
         """This leader just committed its own exclusion or demotion. Do
         not abdicate yet: tentative configurations do not govern (see
-        ``RaftLog.best_config_entry``), so the successors only adopt the
+        ``RaftLog.config_at``), so the successors only adopt the
         new membership once they hold this CONFIG entry leader-approved
         or committed -- which a fast-track commit does not guarantee.
         Keep replicating until every new-config member has it, bounded
@@ -492,7 +492,6 @@ class MembershipMixin:
     def _handle_join_accepted(self, msg: JoinAccepted, sender: str) -> None:
         self.leader_id = msg.leader_id
         self._evicted = False
-        self._refresh_configuration()
         self._trace("join.completed", members=msg.members)
         self._arm_election_timer()
 

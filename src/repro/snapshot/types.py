@@ -71,23 +71,14 @@ def newest(a: Snapshot | None, b: Snapshot | None) -> Snapshot | None:
     return a if a.last_included_index >= b.last_included_index else b
 
 
-def governing_config(snapshot: Snapshot | None, best_config_entry
-                     ) -> tuple[int, tuple[str, ...] | None, tuple[str, ...]]:
-    """Resolve ``(version, members, observers)`` between a snapshot's
-    carried configuration and a log's best CONFIG entry (``(index,
-    entry)`` or None). The log wins ties: it is at least as fresh as the
-    snapshot that preceded it. ``members`` is None when neither source
-    has a configuration (the bootstrap config applies)."""
-    version: int = 0
-    members: tuple[str, ...] | None = None
-    observers: tuple[str, ...] = ()
-    if snapshot is not None and snapshot.config_members:
-        version, members = snapshot.config_version, snapshot.config_members
-        observers = snapshot.config_observers
-    if best_config_entry is not None:
-        payload = best_config_entry[1].payload
-        best_version = getattr(payload, "version", 0)
-        if members is None or best_version >= version:
-            version, members = best_version, payload.members
-            observers = getattr(payload, "observers", ())
-    return version, members, observers
+def carried_config(snapshot: Snapshot | None
+                   ) -> tuple[int, tuple[str, ...] | None, tuple[str, ...]]:
+    """``(version, members, observers)`` that ``snapshot`` carries: the
+    base :meth:`repro.consensus.log.RaftLog.config_at` weighs the log's
+    CONFIG entries against, since those below the snapshot point are
+    gone. ``(0, None, ())`` when there is no snapshot or it carries no
+    configuration."""
+    if snapshot is None or not snapshot.config_members:
+        return 0, None, ()
+    return (snapshot.config_version, snapshot.config_members,
+            snapshot.config_observers)

@@ -225,7 +225,10 @@ class TestLocalLeaderFailover:
         site = dep.servers[victim]
         assert site.global_engine is None
         assert dep.local_leader("eu") != victim
-        assert site.global_view.best_config_entry() is None  # pruned
+        view = site.global_view
+        none = (0, None, ())
+        assert view.config_at(view.last_index + 1, view.last_index,
+                              none) == none  # pruned
         members = dep.servers[dep.global_leader()].global_engine \
             .configuration.members
         sender = members[0]

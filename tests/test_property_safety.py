@@ -7,9 +7,11 @@ whatever state results. Liveness is deliberately NOT asserted here (the
 paper only guarantees it conditionally); safety must hold always.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import InvariantViolation
 from repro.fastraft.server import FastRaftServer
 from repro.harness.builder import build_cluster
 from repro.harness.checkers import run_safety_checks
@@ -127,3 +129,19 @@ class TestRandomizedFaultSchedules:
         workload.start()
         cluster.run_for(12.0)
         run_safety_checks(cluster.servers.values(), cluster.trace)
+
+
+# Two different CONFIG entries committed at index 26: one decision pass
+# at the term-9 leader n0 decides 26-28, adopts each in turn, then
+# fast-commits 26 with 2 matches counted against the 2-member
+# configuration decided at 27 (the one governing 26 has 3 members).
+# The term-10 leader commits the other entry at 26 on the classic track.
+# A draw of test_fastraft_safety_under_random_faults, pinned so that it
+# runs every time.
+@pytest.mark.xfail(strict=True, raises=InvariantViolation,
+                   reason="fast commit counted in a later configuration")
+def test_fastraft_config_entry_fast_committed_in_a_later_configuration():
+    run_scenario(FastRaftServer, 7361, 0.1, [
+        (4.0, "silent_return", 1), (6.0, "recover", 2),
+        (1.5, "silent_leave", 1), (2.125, "crash", 2),
+        (0.75, "silent_leave", 4)])

@@ -11,6 +11,7 @@ one its log and snapshot derive.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.consensus.config import Configuration
 from repro.fastraft.server import FastRaftServer
 from repro.harness.faults import FaultInjector
 from repro.snapshot import CompactionPolicy
@@ -51,8 +52,11 @@ class FreshnessRun:
             for server in self.cluster.servers.values():
                 if server.alive:
                     engine = server.engine
+                    __, members, observers = engine.log.config_at(
+                        engine.log.last_index + 1, engine.commit_index,
+                        engine._config_base())
                     assert (engine._configuration
-                            == engine._derive_configuration()), (
+                            == Configuration(members, observers)), (
                         server.name, self.events, loop.now())
 
     def leader(self):

@@ -118,6 +118,13 @@ RETIRED = [
         "per-event state beside the heap entry is back -- a pending event "
         "is one list [when, seq, callback, args] whose callback slot reads "
         "None once it fired or was cancelled"),
+    Retired(
+        "The governing configuration is one function",
+        r"best_config_entry|governing_config\b|_derive_configuration"
+        r"|_governing_config_version|decided_upto",
+        ("src/repro",),
+        "a second resolution of the governing configuration is back -- "
+        "ask RaftLog.config_at(k, committed, base)"),
 ]
 
 RETIRED_FILES = [

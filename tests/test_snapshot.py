@@ -116,7 +116,7 @@ class TestRaftLogCompaction:
         log.compact_to(4)
         assert log.indices_of("e2") == {5}
 
-    def test_best_config_entry_bounded_by_upto(self):
+    def test_config_at_bounded_by_k(self):
         from repro.consensus.entry import ConfigPayload
         log = _filled_log(2)
         log.insert(3, LogEntry(
@@ -127,11 +127,15 @@ class TestRaftLogCompaction:
             entry_id="c2", kind=EntryKind.CONFIG,
             payload=ConfigPayload(members=("a",), version=2),
             origin="n0", term=1, inserted_by=InsertedBy.LEADER))
-        assert log.best_config_entry()[0] == 5
+        none = (0, None, ())
+        assert log.config_at(6, 5, none) == (2, ("a",), ())
         # An uncommitted CONFIG above the commit point must not leak
         # into a snapshot of the committed prefix.
-        assert log.best_config_entry(upto=4)[0] == 3
-        assert log.best_config_entry(upto=2) is None
+        assert log.config_at(5, 4, none) == (1, ("a", "b"), ())
+        assert log.config_at(3, 2, none) == none
+        # A snapshot base loses ties to the log and wins otherwise.
+        assert log.config_at(5, 4, (1, ("z",), ())) == (1, ("a", "b"), ())
+        assert log.config_at(5, 4, (2, ("z",), ())) == (2, ("z",), ())
 
 
 class TestCompactionPolicy:
