@@ -24,6 +24,7 @@ from repro.sim.loop import SimLoop
 from repro.sim.rng import RngRegistry
 from repro.sim.timers import RestartableTimer
 from repro.sim.trace import TraceRecorder
+from repro.smr.applied import AppliedLog, out_of_order
 from repro.smr.frontend import ServingFrontend
 from repro.snapshot import CompactionPolicy, Snapshot, SnapshotImage
 from repro.storage.stable import StableStore
@@ -67,11 +68,11 @@ class ConsensusServer(Actor):
         self._transfer = transfer if transfer is not None else TransferConfig()
         self.state_machine = state_machine_factory() if state_machine_factory else None
         self.frontend = ServingFrontend(name, loop, network, trace)
-        #: Committed (index, entry) pairs in apply order (tests/checkers).
-        self.applied_log: list[tuple[int, LogEntry]] = []
-        #: Index the machine was last restored to from a snapshot (0 if
-        #: never): applies must resume exactly one above it (checkers).
-        self.applied_floor = 0
+        #: Committed entries in apply order (tests/checkers): iterates as
+        #: (index, entry) pairs. Its ``floor`` is the index the machine was
+        #: last restored to from a snapshot (0 if never); ``_on_apply``
+        #: refuses any apply that does not extend it by exactly one.
+        self.applied_log = AppliedLog()
         # Lease reads queued until a qualifying quorum-acked beat arrives.
         self._pending_reads: dict[str, tuple[ReadRequest, str, float]] = {}
         # Optional leader-side proposal coalescing (ClientRequest -> engine).
@@ -121,8 +122,7 @@ class ConsensusServer(Actor):
         # commit point repopulate the front-end through
         # _restore_snapshot/_on_apply.
         self.frontend.reset()
-        self.applied_log = []
-        self.applied_floor = 0
+        self.applied_log = AppliedLog()
         self._pending_reads.clear()
         if self._coalescer is not None:
             self._coalescer = _make_coalescer(self._propose_policy)
@@ -157,8 +157,7 @@ class ConsensusServer(Actor):
             if snapshot.machine_state is not None:
                 self.state_machine.restore(snapshot.machine_state)
         self.frontend.restore(snapshot.applied_ids)
-        self.applied_log = []
-        self.applied_floor = snapshot.last_included_index
+        self.applied_log = AppliedLog(snapshot.last_included_index)
         self._trace.record(self.now(), self.name, "node.snapshot_restored",
                            index=snapshot.last_included_index)
 
@@ -268,7 +267,11 @@ class ConsensusServer(Actor):
     # Commit callbacks
     # ------------------------------------------------------------------
     def _on_apply(self, index: int, entry: LogEntry) -> None:
-        self.applied_log.append((index, entry))
+        applied = self.applied_log
+        if index != applied.floor + len(applied.entries) + 1:
+            raise out_of_order(self.name, index, applied.floor,
+                               len(applied.entries))
+        applied.entries.append(entry)
         # apply_once is False for a retried request committed twice.
         if (entry.kind is EntryKind.DATA
                 and self.frontend.apply_once(entry.entry_id, index)

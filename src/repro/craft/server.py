@@ -69,6 +69,7 @@ from repro.sim.loop import SimLoop
 from repro.sim.rng import RngRegistry
 from repro.sim.timers import PeriodicTimer, RestartableTimer
 from repro.sim.trace import TraceRecorder
+from repro.smr.applied import AppliedLog, out_of_order
 from repro.smr.frontend import ServingFrontend
 from repro.snapshot import CompactionPolicy, Snapshot, SnapshotImage, SnapshotStore
 from repro.snapshot.types import carried_config, newest
@@ -140,15 +141,19 @@ class CRaftServer(Actor):
         #: snapshot capture and leader takeover never rescan the whole
         #: apply history.
         self._uncovered_data: list[tuple[int, LogEntry]] = []
-        #: Applied global (index, entry) pairs, in order.
-        self.global_applied: list[tuple[int, LogEntry]] = []
+        #: Applied global entries in order, iterating as (index, entry)
+        #: pairs; its ``floor`` is the last adopted global snapshot's
+        #: index, and ``global_applied_index`` is always its top.
+        self.global_applied = AppliedLog()
         self.frontend.reset()
         #: (time, inner entry count) per applied batch -- throughput metric.
         self.global_apply_events: list[tuple[float, int]] = []
         self.global_state_machine = (self._sm_factory()
                                      if self._sm_factory else None)
-        #: Local applied (index, entry) pairs, in order.
-        self.applied_log: list[tuple[int, LogEntry]] = []
+        #: Applied local entries in order, iterating as (index, entry)
+        #: pairs; its ``floor`` is the last local snapshot restore's index.
+        #: Both histories refuse an apply that does not extend them by one.
+        self.applied_log = AppliedLog()
         self.batcher = Batcher(self.cluster, self._batch_policy)
         self._pending_gates: dict[str, Callable[[], None] | None] = {}
         self._gate_timers: dict[str, RestartableTimer] = {}
@@ -403,7 +408,11 @@ class CRaftServer(Actor):
     # Local-level callbacks
     # ------------------------------------------------------------------
     def _on_local_apply(self, index: int, entry: LogEntry) -> None:
-        self.applied_log.append((index, entry))
+        applied = self.applied_log
+        if index != applied.floor + len(applied.entries) + 1:
+            raise out_of_order(self.name, index, applied.floor,
+                               len(applied.entries))
+        applied.entries.append(entry)
         if entry.kind is EntryKind.DATA:
             self._uncovered_data.append((index, entry))
             self.frontend.observe(entry.entry_id, index)
@@ -576,9 +585,13 @@ class CRaftServer(Actor):
             gentry = self.global_view.get(nxt)
             if gentry is None:
                 break  # wait for the state entry carrying it
+            applied = self.global_applied
+            if nxt != applied.floor + len(applied.entries) + 1:
+                raise out_of_order(self.name, nxt, applied.floor,
+                                   len(applied.entries))
             self.global_applied_index = nxt
             self.global_applied_term = gentry.term
-            self.global_applied.append((nxt, gentry))
+            applied.entries.append(gentry)
             if gentry.kind is EntryKind.BATCH:
                 self._apply_batch(gentry)
 
@@ -644,7 +657,7 @@ class CRaftServer(Actor):
             self._view_insert(gindex, gentry)
         self._uncovered_data = [
             (i, e) for i, e in state.get("unbatched", ())]
-        self.applied_log = []
+        self.applied_log = AppliedLog(snapshot.last_included_index)
         self._advance_global_apply()
         self._trace.record(self.now(), self.name, "craft.snapshot_restored",
                            level="local", index=snapshot.last_included_index)
@@ -678,7 +691,7 @@ class CRaftServer(Actor):
         self.frontend.restore(snapshot.applied_ids)
         self.global_applied_index = snapshot.last_included_index
         self.global_applied_term = snapshot.last_included_term
-        self.global_applied = []
+        self.global_applied = AppliedLog(snapshot.last_included_index)
         if snapshot.last_included_index > self.global_commit:
             self.global_commit = snapshot.last_included_index
         for cluster, through in (state.get("covered") or {}).items():

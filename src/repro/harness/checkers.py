@@ -16,6 +16,7 @@ from repro.consensus.entry import InsertedBy
 from repro.consensus.server import ConsensusServer
 from repro.errors import InvariantViolation
 from repro.sim.trace import TraceRecorder
+from repro.smr.applied import out_of_order
 
 
 def check_committed_prefix_agreement(engines: Iterable[BaseEngine]) -> None:
@@ -82,29 +83,31 @@ def check_applied_consistency(servers: Iterable[ConsensusServer]) -> None:
     """Every site applies entries in strictly increasing index order, and
     no two sites apply different entries at the same index. (Sites that
     resumed from a snapshot start applying mid-stream, so sequences are
-    compared per index rather than as whole-list prefixes.)"""
+    compared per index rather than as whole-list prefixes.)
+
+    Real servers of both kinds already enforce contiguity at append: an
+    apply that does not extend the site's
+    :class:`~repro.smr.applied.AppliedLog` by one raises
+    :func:`~repro.smr.applied.out_of_order`, the violation this checker
+    gives. The checks below hold for any iterable of ``(index, entry)``
+    pairs."""
     owners: dict[int, tuple[str, str]] = {}
     for server in servers:
         name = getattr(server, "name", "<server>")
-        last = None
-        for index, entry in server.applied_log:
-            if last is None:
-                # Applies resume exactly one above the last snapshot
-                # *restore* (applied_floor), not whatever snapshot the
-                # node happens to hold at check time -- a later self-taken
-                # snapshot must not retroactively legitimize a skipped
-                # prefix. Absent on duck-typed fakes: anchor unchecked.
-                floor = getattr(server, "applied_floor", None)
-                if floor is not None and index != floor + 1:
-                    raise InvariantViolation(
-                        f"{name}: first applied index {index} but the "
-                        f"last snapshot restore covered through {floor} "
-                        f"(expected {floor + 1})")
-            if last is not None and index != last + 1:
-                raise InvariantViolation(
-                    f"{name}: applied index {index} after {last} "
-                    f"(applies must be contiguous)")
-            last = index
+        history = server.applied_log
+        # Applies resume exactly one above the last snapshot *restore*
+        # (the history's floor), not whatever snapshot the node happens
+        # to hold at check time -- a later self-taken snapshot must not
+        # retroactively legitimize a skipped prefix. A plain list of
+        # pairs has no floor: its first index anchors it, unchecked.
+        floor = getattr(history, "floor", None)
+        count = 0
+        for index, entry in history:
+            if floor is None:
+                floor = index - 1
+            if index != floor + count + 1:
+                raise out_of_order(name, index, floor, count)
+            count += 1
             claimed = owners.get(index)
             if claimed is None:
                 owners[index] = (entry.entry_id, name)

@@ -19,7 +19,6 @@ once per process, not once per sweep -- and :func:`close_sweep_pool`
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import pathlib
 import re
 from contextlib import contextmanager
@@ -353,6 +352,9 @@ def sweep_pool(workers: int):
     """The shared pool, rebuilt only when the requested shape changes.
     Callers must not close it -- :func:`close_sweep_pool` owns that."""
     global _POOL, _POOL_KEY
+    # Imported here: no serial run pays for loading multiprocessing
+    # (and socket, which it pulls in).
+    import multiprocessing
     methods = multiprocessing.get_all_start_methods()
     method = "fork" if "fork" in methods else "spawn"
     key = (workers, method)

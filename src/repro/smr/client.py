@@ -22,7 +22,7 @@ from repro.sim.actor import Actor
 from repro.sim.loop import SimLoop
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     """Lifecycle of one client request."""
 

@@ -229,3 +229,7 @@ class TestCheckers:
         bad = FakeServer([(1, _entry("z"))])
         with pytest.raises(InvariantViolation):
             check_applied_consistency([ok_a, bad])
+        gap = FakeServer([(4, _entry("x")), (6, _entry("w"))])
+        with pytest.raises(InvariantViolation,
+                           match="applied index 6 after 4"):
+            check_applied_consistency([gap])

@@ -15,7 +15,7 @@ Four batteries:
    just after / long after the member timeout, crossed with a leader
    crash mid-rejoin and lossy links on the probe path);
 3. ``ConsensusServer.recover()`` bookkeeping (snapshot-carried
-   ``frontend.applied_ids``, ``applied_floor``, double-recover rejection);
+   ``frontend.applied_ids``, ``applied_log.floor``, double-recover rejection);
 4. the ``replaces`` seat hint threading through the declarative
    ``request_join`` action.
 """
@@ -232,7 +232,7 @@ class TestRecoverBookkeeping:
     def test_snapshot_carries_applied_ids_and_floor(self):
         """Recovery from a compacted log resumes the exactly-once
         bookkeeping from the snapshot image: the front-end's applied ids
-        come back and ``applied_floor`` restarts at the snapshot point."""
+        come back and ``applied_log.floor`` restarts at the snapshot point."""
         cluster = started_cluster(
             FastRaftServer, seed=11,
             compaction=CompactionPolicy(threshold=6, retain=2))
@@ -248,7 +248,7 @@ class TestRecoverBookkeeping:
         server = cluster.servers[victim]
         snapshot = server.engine.snapshot_store.latest
         assert snapshot is not None
-        assert server.applied_floor == snapshot.last_included_index
+        assert server.applied_log.floor == snapshot.last_included_index
         assert server.frontend.applied_ids == set(snapshot.applied_ids)
         assert snapshot.applied_ids  # the image actually carried ids
         cluster.run_for(2.0)

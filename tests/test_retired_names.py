@@ -125,6 +125,13 @@ RETIRED = [
         ("src/repro",),
         "a second resolution of the governing configuration is back -- "
         "ask RaftLog.config_at(k, committed, base)"),
+    Retired(
+        "Apply histories keep one slot per entry",
+        r"\bapplied_floor\b|\b(applied_log|global_applied)\.append\(",
+        ("src/repro",),
+        "an (index, entry) pair or a separate floor is back in an apply "
+        "history -- append the entry to an AppliedLog, whose floor and "
+        "position give its index"),
 ]
 
 RETIRED_FILES = [

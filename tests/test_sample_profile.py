@@ -2,8 +2,10 @@
 
 import signal
 import time
+import tracemalloc
 
-from benchmarks.sample_profile import Sampler, main, report
+from benchmarks.sample_profile import (HeapSampler, Sampler, main, report,
+                                       report_heap)
 
 
 def spin(seconds):
@@ -49,3 +51,35 @@ def test_main_samples_the_timed_part_of_a_suite_trial(capsys):
     assert "## by file" in out and "## by function" in out
     assert "./src/repro/sim/loop.py" in out
     assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+
+
+def allocate():
+    return [bytearray(1000) for _ in range(500)]
+
+
+def test_heap_sampler_charges_live_blocks_to_the_allocating_line(capsys):
+    line = allocate.__code__.co_firstlineno + 1
+    heap = HeapSampler()
+    tracemalloc.start()
+    try:
+        heap.enable()
+        kept = allocate()
+        heap.disable()
+    finally:
+        tracemalloc.stop()
+    assert heap.trials == 1 and len(kept) == 500
+    assert heap.counts[(__file__, line)] >= 500
+    assert heap.sizes[(__file__, line)] >= 500_000
+    report_heap(heap, top=3)
+    out = capsys.readouterr().out
+    assert "## by file" in out and "## by line" in out
+    assert f" ./tests/test_sample_profile.py:{line}\n" in out
+
+
+def test_main_heap_reports_the_end_of_the_window(capsys):
+    assert main(["--workload", "lan_closed", "--trials", "1", "--heap",
+                 "--top", "40"]) == 0
+    out = capsys.readouterr().out
+    assert "live per trial at the end of the window (1 trials)" in out
+    assert "./src/repro/consensus/log.py" in out
+    assert not tracemalloc.is_tracing()

@@ -14,6 +14,9 @@ Three guarantees are pinned here:
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -204,6 +207,17 @@ class TestPersistentSweepPool:
         runner.close_sweep_pool()
         assert runner._POOL is None
         runner.close_sweep_pool()                 # idempotent
+
+    def test_only_a_pool_loads_multiprocessing(self):
+        """Serial runs never load multiprocessing (nor the socket module
+        it pulls in): ``sweep_pool`` imports it when a pool is built."""
+        code = ("import sys, repro, repro.scenarios, "
+                "repro.experiments.heavy_traffic; "
+                "print('multiprocessing' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_worker_failure_names_cell_and_terminates_pool(self):
         from repro.scenarios import runner

@@ -241,7 +241,7 @@ class TestDedupSurvivesSnapshotRestore:
         target = cluster.servers["n0"].engine.commit_index
         assert cluster.run_until(
             lambda: behind.engine.commit_index >= target, timeout=60.0)
-        assert behind.applied_floor > 0  # caught up via InstallSnapshot
+        assert behind.applied_log.floor > 0  # caught up via InstallSnapshot
         inbox = Inbox(cluster)
         cluster.network.send_local(inbox.name, "n4",
                                    duplicate_of(last, session))
