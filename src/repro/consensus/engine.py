@@ -296,10 +296,6 @@ class BaseEngine:
         #: ``hook(sent_at, leader_commit, lease_until)``. Follower lease
         #: reads drain against it.
         self.on_lease_beat: Any = None
-        #: The global commitIndex a C-Raft local leader piggybacks on
-        #: its AppendEntries (Section V-B; CRaftLocalEngine passes it to
-        #: its constructor); unset, the field carries 0.
-        self.global_commit_provider: Callable[[], int] | None = None
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -835,7 +831,6 @@ class BaseEngine:
                 term=self.current_term, leader_id=self.name,
                 prev_log_index=prev_index, prev_log_term=prev_term,
                 entries=entries, leader_commit=self.commit_index,
-                global_commit=self._global_commit_piggyback(),
                 sent_at=sent_at, lease_until=lease_until)
             if round_cache is not None:
                 round_cache[next_index] = message
@@ -1115,12 +1110,7 @@ class BaseEngine:
         self._send(target, AppendEntries(
             term=self.current_term, leader_id=self.name,
             prev_log_index=snapshot_index, prev_log_term=snapshot_term,
-            entries=(), leader_commit=self.commit_index,
-            global_commit=self._global_commit_piggyback()))
-
-    def _global_commit_piggyback(self) -> int:
-        provider = self.global_commit_provider
-        return 0 if provider is None else provider()
+            entries=(), leader_commit=self.commit_index))
 
     # ------------------------------------------------------------------
     # Chunked snapshot transfer: leader side

@@ -150,13 +150,13 @@ class GlobalStatePayload:
     insert individually, with identical semantics).
 
     ``global_commit`` is the gating leader's global commit index at
-    creation time. Cluster members advance their *effective* global commit
-    only from applied state entries, never from the AppendEntries
-    piggyback alone: state entries are totally ordered by the local log,
-    so by the time a member sees ``global_commit >= g`` every corrective
-    insert the leader performed below ``g`` is already in the member's
-    view -- the finality invariant that makes applying safe. A payload
-    with no inserts is a pure commit marker.
+    creation time, and the one channel by which cluster members learn
+    the global commit: they advance it as they apply state entries.
+    State entries are totally ordered by the local log, so by the time a
+    member sees ``global_commit >= g`` every corrective insert the leader
+    performed below ``g`` is already in the member's view -- the finality
+    invariant that makes applying safe. A payload with no inserts is a
+    pure commit marker.
 
     ``snapshot`` (a :class:`repro.snapshot.Snapshot` over the *global*
     log, or None) replicates a globally committed snapshot image through

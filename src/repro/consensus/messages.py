@@ -11,7 +11,6 @@ one network address.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.consensus.entry import LogEntry
@@ -143,9 +142,6 @@ class AppendEntries:
     prev_log_term: int
     entries: IndexedEntries
     leader_commit: int
-    #: C-Raft: the local leader piggybacks the global commit index on its
-    #: local AppendEntries so cluster members learn global commits.
-    global_commit: int = 0
     #: Leader-lease piggyback (zero unless leases are enabled): the
     #: leader's clock when this beat was built, and how long its lease
     #: runs. Excluded from the sizing formula below -- the scalars only
@@ -159,7 +155,11 @@ class AppendEntries:
         size-aware cost model charges replication batches by content).
         Memoized: a broadcast round reuses one message object across
         followers with equal nextIndex, so the entry walk happens once
-        per round instead of once per destination."""
+        per round instead of once per destination.
+
+        Four scalar fields are charged five slots: the fifth, a retired
+        C-Raft global commit index, holds every bandwidth-charged delay
+        (and so every pinned signature) until the next re-pin."""
         cached = self._wire_size
         if cached is None:
             cached = (HEADER_SIZE + 5 * SCALAR_SIZE + len(self.leader_id)
@@ -426,15 +426,3 @@ class Envelope:
 
 #: Message types a non-member may send without being ignored.
 MEMBERSHIP_OPEN_TYPES = (JoinRequest, LeaveRequest, RecoveryProbe)
-
-
-@dataclass(slots=True)
-class PendingClient:
-    """Server-side bookkeeping for one in-flight client request."""
-
-    request_id: str
-    client: str
-    entry: LogEntry
-    attempt_index: int = 0
-    replied: bool = False
-    extra: dict[str, Any] = field(default_factory=dict)

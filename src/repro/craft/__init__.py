@@ -11,8 +11,9 @@ committed client entries are shipped cluster-to-cluster in batches.
 
 Modules:
 
-- :mod:`repro.craft.local` -- the intra-cluster engine (Fast Raft plus the
-  global-commit piggyback on local AppendEntries),
+- :mod:`repro.craft.local` -- the intra-cluster engine (Fast Raft on the
+  local log; members learn global commits from its applied global state
+  entries),
 - :mod:`repro.craft.global_engine` -- the inter-cluster engine (Fast Raft
   with every log insert gated through local consensus),
 - :mod:`repro.craft.batching` -- batch assembly policy,

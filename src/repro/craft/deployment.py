@@ -28,7 +28,6 @@ class CRaftDeployment(System):
                  global_timing: TimingConfig, **substrate: Any) -> None:
         super().__init__(local_timing, **substrate)
         self.topology = topology
-        self.local_timing = local_timing
         self.global_timing = global_timing
 
     def run_until_local_leaders(self, timeout: float = 10.0) -> dict[str, str]:

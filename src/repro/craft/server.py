@@ -123,9 +123,6 @@ class CRaftServer(Actor):
         #: Last local leader other than this site (successor joins name
         #: it as the global member they replace).
         self._prior_local_leader: str | None = None
-        #: Advisory value from the AppendEntries piggyback; never used to
-        #: apply (see GlobalStatePayload.global_commit for why).
-        self.global_commit_hint = 0
         self._last_replicated_commit = 0
         self._marker_check_scheduled = False
         self.global_applied_index = 0
@@ -182,9 +179,7 @@ class CRaftServer(Actor):
             capture_snapshot=self._capture_local_snapshot,
             on_snapshot_restore=self._restore_local_snapshot,
             compaction=self._local_compaction, transfer=self._transfer)
-        return CRaftLocalEngine(ctx, self._local_bootstrap,
-                                self._global_commit_now,
-                                self._note_global_commit_hint)
+        return CRaftLocalEngine(ctx, self._local_bootstrap)
 
     def _ensure_global_engine(self) -> None:
         if self.global_engine is not None:
@@ -432,8 +427,11 @@ class CRaftServer(Actor):
                 self._adopt_global_snapshot(entry.payload.snapshot)
             for gindex, gentry in entry.payload.inserts:
                 self._view_insert(gindex, gentry)
-            # Effective global commit advances only here (local-log order
-            # guarantees every corrective insert below it arrived first).
+            # A cluster member learns the global commit only from an
+            # applied global state entry: local-log order guarantees every
+            # corrective insert below it arrived first. (The paper's local
+            # leaders piggyback it on AppendEntries; here a commit with no
+            # insert to carry it rides a bare commit marker.)
             if entry.payload.global_commit > self.global_commit:
                 self.global_commit = entry.payload.global_commit
             self._advance_global_apply()
@@ -524,13 +522,6 @@ class CRaftServer(Actor):
     # ------------------------------------------------------------------
     # Global-level callbacks
     # ------------------------------------------------------------------
-    def _global_commit_now(self) -> int:
-        return self.global_commit
-
-    def _note_global_commit_hint(self, global_commit: int) -> None:
-        if global_commit > self.global_commit_hint:
-            self.global_commit_hint = global_commit
-
     def _on_global_engine_apply(self, gindex: int, gentry: LogEntry) -> None:
         # At a global member the engine's own commit advance is safe to
         # apply directly: its log (and therefore the view, which the gate

@@ -9,18 +9,22 @@ quorum is missing, the decided entry rides the classic track (ordinary
 AppendEntries replication) and the loop stops -- the paper gates the fast
 track on "the last index was committed".
 
-Two liveness additions the paper leaves implicit:
+Two additions the paper leaves implicit:
 
-- **duplicate suppression** -- if the plurality winner is already
-  committed or already decided at another index (a retried client request
-  landed twice), the leader inserts a no-op instead; if the winner is the
-  null bucket, likewise a no-op;
+- **duplicates** -- the plurality winner is inserted even when its id
+  already committed or was decided at another index (a retried client
+  request landed twice): replacing it could overwrite an entry a fast
+  quorum chose, which Lemma 2 forbids. Exactly-once is enforced when
+  entries apply (the SMR layer skips a repeated id). Only a null-bucket
+  win becomes a no-op;
 - **gap fill** -- when the pending index stays undecidable for
   ``leader_fill_timeout`` (votes lost, or a proposal that no quorum ever
-  saw), the leader re-proposes the best-known candidate (or a no-op) at
-  that index through the normal proposal path. Acting as a proposer keeps
-  the safety argument intact: the decision still requires a classic
-  quorum of votes, so a fast-quorum-chosen entry still wins any plurality.
+  saw), the leader re-proposes at that index, through the normal
+  proposal path, the best-known candidate not already settled at another
+  index (``_is_duplicate_elsewhere`` screens these re-proposals only), or
+  a no-op. Acting as a proposer keeps the safety argument intact: the
+  decision still requires a classic quorum of votes, so a
+  fast-quorum-chosen entry still wins any plurality.
 """
 
 from __future__ import annotations

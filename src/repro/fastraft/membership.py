@@ -88,8 +88,7 @@ class MembershipMixin:
             self._enqueue_config_change({"action": "demote", "site": site})
             return
         self._trace("leave.accepted", site=site)
-        self._enqueue_config_change({"action": "remove", "site": site,
-                                     "reason": "announced"})
+        self._enqueue_config_change({"action": "remove", "site": site})
 
     def _membership_change_known(self, site: str) -> bool:
         if any(change["site"] == site for change in self._config_queue):

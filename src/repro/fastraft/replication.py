@@ -72,8 +72,7 @@ class ReplicationMixin:
                for change in self._awaiting_commit.values()):
             return
         self._trace("member_timeout", site=member)
-        self._enqueue_config_change({"action": "remove", "site": member,
-                                     "reason": "member_timeout"})
+        self._enqueue_config_change({"action": "remove", "site": member})
 
     # ------------------------------------------------------------------
     # Follower side
@@ -81,7 +80,6 @@ class ReplicationMixin:
     def _absorb_append_entries(self, msg: AppendEntries, sender: str) -> None:
         """Overwrite absorb: leader-approved entries replace whatever the
         slot holds, through the (possibly asynchronous) insert gate."""
-        self._absorb_global_commit(msg.global_commit)
         to_insert = []
         for index, entry in msg.entries:
             existing = self.log.get(index)
@@ -93,9 +91,6 @@ class ReplicationMixin:
         last_new = msg.prev_log_index + len(msg.entries)
         self._gate_insert(to_insert, partial(
             self._append_entries_absorbed, sender, msg, last_new))
-
-    def _absorb_global_commit(self, global_commit: int) -> None:
-        """C-Raft local level overrides; plain Fast Raft ignores."""
 
     def _log_matches(self, prev_index: int, prev_term: int) -> bool:
         """Consistency check adapted to overwrite semantics: the previous

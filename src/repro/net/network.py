@@ -156,9 +156,7 @@ class Network:
         size_aware = self._size_aware
         if size_aware:
             size = payload_size(message)
-            if size:
-                stats.bytes_sent += size
-                stats.bytes_by_type[type_name] += size
+            stats.bytes_sent += size
         if self._faults_installed:
             disconnected = self._disconnected
             if (src in disconnected or dst in disconnected
@@ -199,7 +197,6 @@ class Network:
             stats.dead_letter += 1
             return
         stats.delivered += 1
-        stats.delivered_by_type[message.__class__.__name__] += 1
         actor.on_message(message, src)
 
     # ------------------------------------------------------------------
@@ -235,5 +232,4 @@ class Network:
             stats.dead_letter += 1
             return
         stats.delivered += 1
-        stats.delivered_by_type[message.__class__.__name__] += 1
         actor.on_message(message, src)

@@ -26,6 +26,5 @@ class NetworkStats:
     #: is size-aware; 0 otherwise -- sizing every message would cost real
     #: time for a number nothing consumes).
     bytes_sent: int = 0
+    #: ``send`` / ``send_local`` calls by message class name.
     by_type: Counter = field(default_factory=Counter)
-    bytes_by_type: Counter = field(default_factory=Counter)
-    delivered_by_type: Counter = field(default_factory=Counter)

@@ -21,13 +21,12 @@ from repro.craft.server import CRaftServer
 from repro.fastraft.engine import FastRaftEngine
 from repro.raft.engine import ClassicRaftEngine
 
-#: Wire/bookkeeping dataclasses engines never dispatch on, with the
+#: Wire dataclasses engines never dispatch on, with the
 #: reason each is exempt. Anything new must either get a handler or an
 #: explicit entry here.
 NON_ENGINE_MESSAGES = {
     "ClientReply": "delivered to clients, not to servers",
     "Envelope": "unwrapped by the server layer before engine dispatch",
-    "PendingClient": "leader-side bookkeeping record, never on the wire",
     "ReadRequest": "lease reads are served by the server layer",
     "ReadReply": "delivered to clients, not to servers",
 }
@@ -77,5 +76,3 @@ def test_exempt_messages_have_a_server_side_route():
     handles Envelope, and ClientReply is a client-side type."""
     assert callable(CRaftServer.on_message)
     assert "ClientReply" in message_types()
-    # PendingClient never travels: nothing to route.
-    assert "PendingClient" in NON_ENGINE_MESSAGES

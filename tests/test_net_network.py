@@ -317,7 +317,6 @@ class ReferenceFabric:
         if self.latency.size_aware:
             size = payload_size(message)
             self.stats.bytes_sent += size
-            self.stats.bytes_by_type[name] += size
         if self.blocked(src, dst):
             self.stats.blocked += 1
             return
@@ -343,7 +342,6 @@ class ReferenceFabric:
                 self.stats.dead_letter += 1
             else:
                 self.stats.delivered += 1
-                self.stats.delivered_by_type[type(message).__name__] += 1
                 self.received[dst].append((when, message, src))
 
 

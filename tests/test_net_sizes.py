@@ -424,6 +424,17 @@ class TestWalkerQuirks:
         assert (payload_size(msgs.ClientReply("r", True, index=4))
                 - payload_size(msgs.ClientReply("r", True))) == SCALAR_SIZE
 
+    def test_append_entries_keeps_five_scalar_slots_for_four(self):
+        """The C-Raft global-commit field is gone, but its slot is still
+        charged, so bandwidth-charged delays are what they were."""
+        fields = {f.name for f in dataclasses.fields(msgs.AppendEntries)}
+        assert "global_commit" not in fields
+        beat = msgs.AppendEntries(term=3, leader_id="n0", prev_log_index=7,
+                                  prev_log_term=2, entries=(),
+                                  leader_commit=7)
+        assert payload_size(beat) == (HEADER_SIZE + 5 * SCALAR_SIZE
+                                      + len("n0") + FRAME_SIZE)
+
 
 # ----------------------------------------------------------------------
 # Stale-memo guard
@@ -441,6 +452,14 @@ class MutableWithOwnMethod:
 
     def payload_size(self) -> int:
         return len(self.value)
+
+
+@dataclasses.dataclass(slots=True)
+class MutableUnmemoised:
+    request_id: str
+    entry: LogEntry
+    replied: bool = False
+    extra: dict[str, Any] = dataclasses.field(default_factory=dict)
 
 
 class TestStaleMemoGuard:
@@ -469,7 +488,7 @@ class TestStaleMemoGuard:
         assert MutableMemoised not in sizes._ESTIMATORS
 
     def test_mutable_class_without_memo_is_fine(self):
-        pending = msgs.PendingClient("r1", "c1", LogEntry(
+        pending = MutableUnmemoised("r1", LogEntry(
             "n0:r1", EntryKind.DATA, None, "n0", 1, InsertedBy.SELF))
         before = payload_size(pending)
         pending.replied = True
